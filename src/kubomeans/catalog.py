@@ -24,7 +24,7 @@ import numpy as np
 from .connections import (
     Connection,
     _pair,
-    _run_schedule,
+    _shift_schedule,
     _sym,
     parallel_sum as _parallel_sum_op,
     weighted_harmonic,
@@ -36,7 +36,11 @@ from .measures import (
     lebesgue_density,
     logmean_density,
 )
-from .spd import SpdMatrix, apply_spectral_function, matrix_power, spectral_norm
+from .spd import SpdMatrix, apply_spectral_function, matrix_power
+
+# Unused here; perfbench/tracing.py rebinds these names in each importing module.
+from .connections import _run_schedule  # noqa: F401
+from .spd import spectral_norm  # noqa: F401
 
 __all__ = [
     "CatalogEntry",
@@ -137,45 +141,31 @@ def _congruence_closed(mid_form, needs_b_pd: bool = False):
 
     def closed(a, b) -> SpdMatrix:
         A, B = _pair(a, b)
-
-        def direct(eps):
-            eye = eps * np.eye(A.dim)
-            return (mid_form(A.entries + eye, B.entries + eye), None)
-
         ready = A.is_strictly_pd and (B.is_strictly_pd or not needs_b_pd)
-        if ready:
-            value = direct(0.0)[0]
-        else:
-            scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
-            (value, _), _eps = _run_schedule(direct, scale_norm)
+        value, _eps = _shift_schedule(
+            A, B, ready, lambda ae, be, _scale_norm: mid_form(ae, be)
+        )
         return SpdMatrix(_sym(np.asarray(value, dtype=float)))
 
     return closed
 
 
-def _geometric_mid(alpha: float):
+def _congruence_mid(outer):
+    """A^{1/2} outer(A^{-1/2} B A^{-1/2}) A^{1/2} for a strictly PD A."""
+
     def mid(ae, be):
         A = SpdMatrix(ae)
         rt = np.asarray(apply_spectral_function(A, np.sqrt))
         rti = np.asarray(apply_spectral_function(A, lambda w: 1.0 / np.sqrt(w)))
         inner = SpdMatrix(rti @ be @ rti)
-        return rt @ np.asarray(matrix_power(inner, alpha)) @ rt
+        return rt @ np.asarray(outer(inner)) @ rt
 
     return mid
 
 
-def _spectral_mid(scalar):
-    def mid(ae, be):
-        A = SpdMatrix(ae)
-        rt = np.asarray(apply_spectral_function(A, np.sqrt))
-        rti = np.asarray(apply_spectral_function(A, lambda w: 1.0 / np.sqrt(w)))
-        inner = SpdMatrix(rti @ be @ rti)
-        return rt @ np.asarray(apply_spectral_function(inner, scalar)) @ rt
-
-    return mid
-
-
-_logmean_matrix = _congruence_closed(_spectral_mid(logmean_scalar))
+_logmean_matrix = _congruence_closed(
+    _congruence_mid(lambda inner: apply_spectral_function(inner, logmean_scalar))
+)
 
 
 def _duallog_mid(ae, be):
@@ -285,7 +275,9 @@ def _geometric(alpha: float) -> CatalogEntry:
     return CatalogEntry(
         id=ident,
         connection=conn,
-        closed_form_matrix=_congruence_closed(_geometric_mid(alpha)),
+        closed_form_matrix=_congruence_closed(
+            _congruence_mid(lambda inner: matrix_power(inner, alpha))
+        ),
         closed_form_scalar=scalar,
         symmetric=alpha == 0.5,
         is_mean=True,

@@ -164,7 +164,7 @@ def _run_schedule(direct, scale_norm: float):
                 f"regularized evaluation at eps {eps:g} did not integrate: {exc}"
             ) from exc
         if prev is not None:
-            last_gap = spectral_norm(cur[0] - prev[0])
+            last_gap = spectral_norm(cur - prev)
             if last_gap < accept:
                 return cur, eps
         prev, prev_eps = cur, eps
@@ -174,14 +174,35 @@ def _run_schedule(direct, scale_norm: float):
     )
 
 
-def _schedule_spec(spec: QuadratureSpec, eps: float, scale_norm: float) -> QuadratureSpec:
+def _shift_schedule(A: SpdMatrix, B: SpdMatrix, ready: bool, kernel):
+    """``kernel`` at (A, B), through the shift schedule unless ``ready``.
+
+    ``kernel(Ae, Be, scale_norm)`` returns the matrix value at the shifted
+    pair ``A + eps I, B + eps I``.  When ``ready`` it runs once at eps = 0
+    with scale_norm None; otherwise ``1 + ||A|| + ||B||`` is computed and
+    the schedule runs.  Returns ``(value, eps_used)``, eps_used None on the
+    direct path.
+    """
+
+    def direct(eps, scale_norm=None):
+        eye = eps * np.eye(A.dim)
+        return kernel(A.entries + eye, B.entries + eye, scale_norm)
+
+    if ready:
+        return direct(0.0), None
+    scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
+    return _run_schedule(lambda eps: direct(eps, scale_norm), scale_norm)
+
+
+def _schedule_spec(spec: QuadratureSpec, scale_norm: float | None) -> QuadratureSpec:
     """Quadrature tolerance for shifted evaluations inside the schedule.
 
     The schedule accepts at 1e-6 * scale, so integrating each shifted value
     to 1e-8 * scale leaves two orders of headroom while keeping the
-    ever-sharper eps boundary layers inside the node budget.
+    ever-sharper eps boundary layers inside the node budget.  Unshifted
+    evaluations (scale_norm None) keep the spec as given.
     """
-    if eps == 0.0:
+    if scale_norm is None:
         return spec
     return replace(
         spec,
@@ -208,18 +229,13 @@ def weighted_harmonic(a, b, t: float) -> SpdMatrix:
     ts = np.array([t])
     tcs = np.array([1.0 - t])
 
-    def direct(eps):
-        eye = eps * np.eye(A.dim)
-        fnode = _harmonic_fnode(A.entries + eye, B.entries + eye)
-        return (fnode(ts, tcs)[0], None)
+    def kernel(Ae, Be, _scale_norm):
+        return _harmonic_fnode(Ae, Be)(ts, tcs)[0]
 
     # np.linalg.solve only raises on exactly zero pivots; a numerically
     # singular pencil would solve to garbage, so gate on the eigenvalue floor.
-    if SpdMatrix((1.0 - t) * B.entries + t * A.entries).is_strictly_pd:
-        value = direct(0.0)[0]
-    else:
-        scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
-        (value, _), _eps = _run_schedule(direct, scale_norm)
+    ready = SpdMatrix((1.0 - t) * B.entries + t * A.entries).is_strictly_pd
+    value, _eps = _shift_schedule(A, B, ready, kernel)
     return SpdMatrix(_sym(value))
 
 
@@ -227,21 +243,15 @@ def parallel_sum(a, b) -> SpdMatrix:
     """A : B = (A^{-1} + B^{-1})^{-1} = half the equal-weight harmonic mean."""
     A, B = _pair(a, b)
 
-    def direct(eps):
-        eye = eps * np.eye(A.dim)
-        Ae = A.entries + eye
-        Be = B.entries + eye
+    def kernel(Ae, Be, _scale_norm):
         try:
             x = np.linalg.solve(Ae + Be, Be)
         except np.linalg.LinAlgError as exc:
             raise SingularPencilError("A + B is singular") from exc
-        return (Ae @ x, None)
+        return Ae @ x
 
-    if SpdMatrix(A.entries + B.entries).is_strictly_pd:
-        value = direct(0.0)[0]
-    else:
-        scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
-        (value, _), _eps = _run_schedule(direct, scale_norm)
+    ready = SpdMatrix(A.entries + B.entries).is_strictly_pd
+    value, _eps = _shift_schedule(A, B, ready, kernel)
     return SpdMatrix(_sym(value))
 
 
@@ -256,27 +266,22 @@ def evaluate_report(
         zero = SpdMatrix(np.zeros((A.dim, A.dim)))
         return EvalReport(zero, 0, 0.0, (("empty", 0, 0.0),))
 
-    scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
+    report = None
 
-    def direct(eps):
-        eye = eps * np.eye(A.dim)
-        fnode = _harmonic_fnode(A.entries + eye, B.entries + eye)
-        report = integrate_measure(fnode, mu, _schedule_spec(spec, eps, scale_norm))
-        return (_sym(np.asarray(report.value)), report)
+    def kernel(Ae, Be, scale_norm):
+        nonlocal report
+        fnode = _harmonic_fnode(Ae, Be)
+        report = integrate_measure(fnode, mu, _schedule_spec(spec, scale_norm))
+        return _sym(np.asarray(report.value))
 
-    singular = not (A.is_strictly_pd and B.is_strictly_pd)
-    if singular and mu.charges_interior():
-        (value, report), eps = _run_schedule(direct, scale_norm)
-        return EvalReport(
-            SpdMatrix(value),
-            report.nodes_used,
-            report.error_estimate,
-            report.parts,
-            eps_used=eps,
-        )
-    value, report = direct(0.0)
+    ready = (A.is_strictly_pd and B.is_strictly_pd) or not mu.charges_interior()
+    value, eps = _shift_schedule(A, B, ready, kernel)
     return EvalReport(
-        SpdMatrix(value), report.nodes_used, report.error_estimate, report.parts
+        SpdMatrix(value),
+        report.nodes_used,
+        report.error_estimate,
+        report.parts,
+        eps_used=eps,
     )
 
 
@@ -392,13 +397,8 @@ def evaluate_canonical(
     """
     A, B = _pair(a, b)
     spec = spec or DEFAULT_SPEC
-    scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
 
-    def direct(eps):
-        eye = eps * np.eye(A.dim)
-        Ae = A.entries + eye
-        Be = B.entries + eye
-        eps_spec = _schedule_spec(spec, eps, scale_norm)
+    def kernel(Ae, Be, scale_norm):
         total = np.zeros((A.dim, A.dim))
         for lam, w in nu.atoms:
             if lam == 0.0:
@@ -426,14 +426,14 @@ def evaluate_canonical(
                 g = (lams + 1.0)[:, None, None] * (Ae @ x)
                 return 0.5 * (g + g.transpose(0, 2, 1))
 
-            report = integrate_halfline_density(Gnode, nu.ac, nu.weight, eps_spec)
+            report = integrate_halfline_density(
+                Gnode, nu.ac, nu.weight, _schedule_spec(spec, scale_norm)
+            )
             total = total + np.asarray(report.value)
-        return (_sym(total), None)
+        return _sym(total)
 
-    if A.is_strictly_pd and B.is_strictly_pd:
-        value = direct(0.0)[0]
-    else:
-        (value, _), _eps = _run_schedule(direct, scale_norm)
+    ready = A.is_strictly_pd and B.is_strictly_pd
+    value, _eps = _shift_schedule(A, B, ready, kernel)
     return SpdMatrix(value)
 
 

@@ -46,20 +46,6 @@ __all__ = [
     "thread_count",
 ]
 
-SUITES = (
-    "monotonicity",
-    "transformer",
-    "continuity",
-    "congruence_eq",
-    "norm_bound",
-    "scalar_reduction",
-    "ordering",
-    "transpose_duality",
-    "crosscheck_closed_form",
-    "representation_agreement",
-    "decomposition_roundtrip",
-)
-
 # Final-bound suites read their tolerance differently from residual suites.
 _DEFAULT_TOL = {
     "continuity": 1e-6,
@@ -181,12 +167,13 @@ def _resolve(target) -> tuple[Connection, CatalogEntry | None, str]:
 class _SuiteContext:
     """Per-run caches shared by every trial of one suite."""
 
-    def __init__(self, conn, entry, spec, dim, cond):
+    def __init__(self, conn, entry, spec, dim, cond, tol):
         self.conn = conn
         self.entry = entry
         self.spec = spec
         self.dim = dim
         self.cond = cond
+        self.tol = tol
         self._mass = None
         self._moment1 = None
         self._transposed = None
@@ -227,7 +214,7 @@ class _SuiteContext:
         return self._rep
 
 
-def _trial_monotonicity(ctx, key) -> float:
+def _trial_monotonicity(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     c = a + _order_bump(_trial_rng(key, 2), a)
     d = b + _order_bump(_trial_rng(key, 3), b)
@@ -253,7 +240,7 @@ def _trial_transformer(ctx, key, trial) -> float:
     return _lambda_min_deficit(rhs - lhs) / _scale(tat, tbt)
 
 
-def _trial_continuity(ctx, key, tol) -> float:
+def _trial_continuity(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     scale = _scale(a, b)
     limit = np.asarray(evaluate(ctx.conn, a, b, ctx.spec))
@@ -268,11 +255,11 @@ def _trial_continuity(ctx, key, tol) -> float:
     worst = 0.0
     for earlier, later in zip(gaps, gaps[1:]):
         worst = max(worst, (later - earlier - slack) / scale)
-    worst = max(worst, gaps[-1] / scale - tol)
+    worst = max(worst, gaps[-1] / scale - ctx.tol)
     return max(0.0, worst)
 
 
-def _trial_congruence_eq(ctx, key) -> float:
+def _trial_congruence_eq(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     rng = _trial_rng(key, 2)
     g = rng.normal(size=(ctx.dim, ctx.dim))
@@ -289,14 +276,14 @@ def _trial_congruence_eq(ctx, key) -> float:
     return float(np.linalg.norm(rhs - lhs)) / _scale(tat, tbt)
 
 
-def _trial_norm_bound(ctx, key) -> float:
+def _trial_norm_bound(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     value = np.asarray(evaluate(ctx.conn, a, b, ctx.spec))
     bound = ctx.mass * max(spectral_norm(a), spectral_norm(b))
     return max(0.0, spectral_norm(value) - bound) / _scale(a, b)
 
 
-def _trial_scalar_reduction(ctx, key) -> float:
+def _trial_scalar_reduction(ctx, key, trial) -> float:
     a = float(random_spd(1, ctx.cond, 8 * key + 0).entries[0, 0])
     b = float(random_spd(1, ctx.cond, 8 * key + 1).entries[0, 0])
     value = float(np.asarray(evaluate(ctx.conn, [[a]], [[b]], ctx.spec))[0, 0])
@@ -307,7 +294,7 @@ def _trial_scalar_reduction(ctx, key) -> float:
     return abs(value - ref) / (1.0 + a + b)
 
 
-def _trial_ordering(ctx, key) -> float:
+def _trial_ordering(ctx, key, trial) -> float:
     # t -> A !_t B is bounded above by the arithmetic interpolation, so
     # integrating gives sigma(A,B) <= m0*A + m1*B with the measure moments.
     a, b = _pair(key, ctx.dim, ctx.cond)
@@ -326,7 +313,7 @@ def _trial_ordering(ctx, key) -> float:
     return max(0.0, worst)
 
 
-def _trial_transpose_duality(ctx, key) -> float:
+def _trial_transpose_duality(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     xs = np.exp(_trial_rng(key, 2).uniform(np.log(0.1), np.log(10.0), size=4))
     ft = transpose_rep_function(ctx.conn, xs, ctx.spec)
@@ -338,21 +325,21 @@ def _trial_transpose_duality(ctx, key) -> float:
     return worst
 
 
-def _trial_crosscheck(ctx, key) -> float:
+def _trial_crosscheck(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     value = np.asarray(evaluate(ctx.conn, a, b, ctx.spec))
     closed = np.asarray(ctx.entry.closed_form_matrix(a, b))
     return float(np.linalg.norm(value - closed) / np.linalg.norm(closed))
 
 
-def _trial_representation(ctx, key) -> float:
+def _trial_representation(ctx, key, trial) -> float:
     xs = np.exp(_trial_rng(key, 2).uniform(np.log(0.05), np.log(20.0), size=8))
     fx = ctx.rep.eval(xs, ctx.spec)
     ref = np.asarray(ctx.entry.closed_form_scalar(xs), dtype=float)
     return float(np.max(np.abs(fx - ref)))
 
 
-def _trial_decomposition(ctx, key) -> float:
+def _trial_decomposition(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     c_ac, c_sc, c_sd, f_ac, f_sc, f_sd = ctx.parts
     total = np.zeros((ctx.dim, ctx.dim))
@@ -368,16 +355,39 @@ def _trial_decomposition(ctx, key) -> float:
     return worst
 
 
+# Every trial maps (ctx, trial key, trial index) to its scale-relative
+# violation; the table order is the suite order.
+_TRIALS = {
+    "monotonicity": _trial_monotonicity,
+    "transformer": _trial_transformer,
+    "continuity": _trial_continuity,
+    "congruence_eq": _trial_congruence_eq,
+    "norm_bound": _trial_norm_bound,
+    "scalar_reduction": _trial_scalar_reduction,
+    "ordering": _trial_ordering,
+    "transpose_duality": _trial_transpose_duality,
+    "crosscheck_closed_form": _trial_crosscheck,
+    "representation_agreement": _trial_representation,
+    "decomposition_roundtrip": _trial_decomposition,
+}
+SUITES = tuple(_TRIALS)
+
+# Suites that compare against a closed form: the CatalogEntry field they
+# read, and what a target without it lacks.
+_NEEDS_CLOSED_FORM = {
+    "crosscheck_closed_form": ("closed_form_matrix", "matrix to cross-check"),
+    "representation_agreement": ("closed_form_scalar", "representing function"),
+}
+
+
+def _lacks_closed_form(suite: str, entry: CatalogEntry | None) -> bool:
+    need = _NEEDS_CLOSED_FORM.get(suite)
+    return need is not None and (entry is None or getattr(entry, need[0]) is None)
+
+
 def applicable_suites(entry: CatalogEntry) -> tuple[str, ...]:
     """The suites that can run against a catalog entry."""
-    names = []
-    for suite in SUITES:
-        if suite == "crosscheck_closed_form" and entry.closed_form_matrix is None:
-            continue
-        if suite == "representation_agreement" and entry.closed_form_scalar is None:
-            continue
-        names.append(suite)
-    return tuple(names)
+    return tuple(s for s in SUITES if not _lacks_closed_form(s, entry))
 
 
 def run_suite(
@@ -403,50 +413,22 @@ def run_suite(
     if dim < 1:
         raise ValueError("dim must be >= 1")
     conn, entry, name = _resolve(target)
-    if suite == "crosscheck_closed_form" and (
-        entry is None or entry.closed_form_matrix is None
-    ):
-        raise ValueError(f"{name} has no closed-form matrix to cross-check")
-    if suite == "representation_agreement" and (
-        entry is None or entry.closed_form_scalar is None
-    ):
-        raise ValueError(f"{name} has no closed-form representing function")
+    if _lacks_closed_form(suite, entry):
+        raise ValueError(f"{name} has no closed-form {_NEEDS_CLOSED_FORM[suite][1]}")
     if tol is None:
         tol = _DEFAULT_TOL.get(suite, _FALLBACK_TOL)
     spec = spec or HARNESS_SPEC
-    ctx = _SuiteContext(conn, entry, spec, dim, cond)
+    ctx = _SuiteContext(conn, entry, spec, dim, cond, tol)
+    trial_fn = _TRIALS[suite]
+    # continuity folds tol into each trial's value as the final bound
+    bound = 0.0 if suite == "continuity" else tol
 
     start = time.perf_counter()
     failures = []
     for trial in range(trials):
         key = _trial_key(seed, trial)
-        if suite == "monotonicity":
-            violation = _trial_monotonicity(ctx, key)
-        elif suite == "transformer":
-            violation = _trial_transformer(ctx, key, trial)
-        elif suite == "continuity":
-            violation = _trial_continuity(ctx, key, tol)
-        elif suite == "congruence_eq":
-            violation = _trial_congruence_eq(ctx, key)
-        elif suite == "norm_bound":
-            violation = _trial_norm_bound(ctx, key)
-        elif suite == "scalar_reduction":
-            violation = _trial_scalar_reduction(ctx, key)
-        elif suite == "ordering":
-            violation = _trial_ordering(ctx, key)
-        elif suite == "transpose_duality":
-            violation = _trial_transpose_duality(ctx, key)
-        elif suite == "crosscheck_closed_form":
-            violation = _trial_crosscheck(ctx, key)
-        elif suite == "representation_agreement":
-            violation = _trial_representation(ctx, key)
-        else:
-            violation = _trial_decomposition(ctx, key)
-        if suite == "continuity":
-            # the per-trial value already folds tol in as the final bound
-            if violation > 0.0:
-                failures.append((key, violation))
-        elif violation > tol:
+        violation = trial_fn(ctx, key, trial)
+        if violation > bound:
             failures.append((key, violation))
     wall = time.perf_counter() - start
     return SuiteReport(

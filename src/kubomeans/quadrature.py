@@ -60,9 +60,7 @@ __all__ = [
     "ifs_nodes",
     "integrate_measure",
     "integrate_scalar",
-    "integrate_matrix",
     "integrate_scalar_report",
-    "integrate_matrix_report",
     "integrate_ifs",
     "node_table",
     "density_mass",
@@ -189,28 +187,36 @@ def _logistic_umax(n: int) -> float:
     return min(60.0, max(12.0, 0.15 * n))
 
 
-@lru_cache(maxsize=None)
-def logistic_rule(n: int):
-    """Rule for the Cauchy-kernel density 1/(t(1-t)(pi^2 + log^2(t/(1-t)))).
+def _cauchy_rule(n: int):
+    """Interior abscissas u, truncation U(n) and weights of the Cauchy rule.
 
-    In u = log(t/(1-t)) the integral carries weight du/(pi^2 + u^2) on the
-    whole line; u = pi*tan(theta) compactifies it to (1/pi) int h dtheta,
-    integrated by n-point Gauss-Legendre on |theta| <= arctan(U(n)/pi).  The
-    two tails each hold exact mass (pi/2 - arctan(U/pi))/pi, attached to
-    endpoint nodes, so total mass is exactly 1 at every n and the truncation
-    error enters only through h's variation over the tails.
+    Weight du/(pi^2 + u^2) on the whole line, compactified by
+    u = pi*tan(theta) and integrated by n-point Gauss-Legendre on
+    |theta| <= arctan(U(n)/pi).  The weights carry two extra entries, first
+    and last, holding each tail's exact mass (pi/2 - arctan(U/pi))/pi.
     """
     umax = _logistic_umax(n)
     thmax = math.atan(umax / math.pi)
     x, gw = legendre_rule(n)
     u = math.pi * np.tan(thmax * x)
-    t = 1.0 / (1.0 + np.exp(-u))
-    tc = 1.0 / (1.0 + np.exp(u))
-    v = (thmax / math.pi) * gw
     tail = (0.5 * math.pi - thmax) / math.pi
-    t = np.concatenate(([0.0], t, [1.0]))
-    tc = np.concatenate(([1.0], tc, [0.0]))
-    v = np.concatenate(([tail], v, [tail]))
+    v = np.concatenate(([tail], (thmax / math.pi) * gw, [tail]))
+    return u, umax, v
+
+
+@lru_cache(maxsize=None)
+def logistic_rule(n: int):
+    """Rule for the Cauchy-kernel density 1/(t(1-t)(pi^2 + log^2(t/(1-t)))).
+
+    In u = log(t/(1-t)) the integral carries weight du/(pi^2 + u^2) on the
+    whole line: the Cauchy rule of ``_cauchy_rule``, mapped to
+    t = sigma(u).  The two exact tail masses sit on the endpoint nodes 0 and
+    1, so total mass is exactly 1 at every n and the truncation error enters
+    only through h's variation over the tails.
+    """
+    u, _umax, v = _cauchy_rule(n)
+    t = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-u)), [1.0]))
+    tc = np.concatenate(([1.0], 1.0 / (1.0 + np.exp(u)), [0.0]))
     return _freeze(t, tc, v)
 
 
@@ -347,59 +353,99 @@ def _term_scheme(term, spec: QuadratureSpec) -> str:
     return "logistic_substitution" if term.ident == "log_mean" else "tanh_sinh"
 
 
-def _integrate_term(fnode, term, spec: QuadratureSpec):
-    scheme = _term_scheme(term, spec)
-    if scheme == "gauss_jacobi":
-        override = spec.scheme_name == "gauss_jacobi" and spec.scheme_params
-        if override:
-            p, q = spec.scheme_params
+def _jacobi_nodes(term, spec: QuadratureSpec, n: int):
+    if spec.scheme_name == "gauss_jacobi" and spec.scheme_params:
+        p, q = spec.scheme_params
 
-            def residual(t, tc):
-                return term.eval_pair(t, tc) * t ** (-p) * tc ** (-q)
+        def residual(t, tc):
+            return term.eval_pair(t, tc) * t ** (-p) * tc ** (-q)
 
-        else:
-            if term.effective_exponents is None:
-                raise QuadratureError(
-                    "gauss_jacobi scheme needs endpoint exponents", nodes_used=0
-                )
-            p, q = term.effective_exponents
-            residual = term.smooth_pair
-
-        def series():
-            for n in _doubling_sizes(16, spec.max_nodes):
-                t, tc, w = jacobi_rule(p, q, n)
-                yield _reduce(fnode, t, tc, w * residual(t, tc)), n
-
-        value, nodes, err = _converge(series(), spec, "gauss_jacobi")
-    elif scheme == "logistic_substitution":
-        if term.ident != "log_mean":
-            raise QuadratureError(
-                "logistic_substitution applies to the log-mean kernel only",
-                nodes_used=0,
-            )
-
-        def series():
-            for n in _doubling_sizes(64, spec.max_nodes):
-                t, tc, v = logistic_rule(n)
-                yield _reduce(fnode, t, tc, term.weight * v), n + 2
-
-        value, nodes, err = _converge(series(), spec, "logistic_substitution")
-    elif scheme == "tanh_sinh":
-
-        def series():
-            for level in range(4, 16):
-                t, tc, w = tanh_sinh_rule(level)
-                if len(t) > spec.max_nodes:
-                    return
-                g = term.eval_pair(t, tc)
-                yield _reduce(fnode, t, tc, w * g), len(t)
-
-        value, nodes, err = _converge(series(), spec, "tanh_sinh")
-    elif scheme == "gauss_legendre":
-        value, nodes, err = _adaptive_panels(fnode, term, spec)
+    elif term.effective_exponents is None:
+        raise QuadratureError(
+            "gauss_jacobi scheme needs endpoint exponents", nodes_used=0
+        )
     else:
-        raise QuadratureError(f"scheme {scheme!r} does not apply to densities", nodes_used=0)
-    return value, nodes, err, scheme
+        p, q = term.effective_exponents
+        residual = term.smooth_pair
+    t, tc, w = jacobi_rule(p, q, n)
+    return t, tc, w * residual(t, tc)
+
+
+def _logistic_nodes(term, spec: QuadratureSpec, n: int):
+    if term.ident != "log_mean":
+        raise QuadratureError(
+            "logistic_substitution applies to the log-mean kernel only",
+            nodes_used=0,
+        )
+    t, tc, v = logistic_rule(n)
+    return t, tc, term.weight * v
+
+
+def _tanh_sinh_nodes(term, spec: QuadratureSpec, n: int):
+    level = 4
+    while level < 15 and len(tanh_sinh_rule(level)[0]) < n:
+        level += 1
+    t, tc, w = tanh_sinh_rule(level)
+    return t, tc, w * term.eval_pair(t, tc)
+
+
+def _tanh_sinh_sizes(max_nodes: int):
+    for level in range(4, 16):
+        n = len(tanh_sinh_rule(level)[0])
+        if n > max_nodes:
+            return
+        yield n
+
+
+def _legendre_nodes(term, spec: QuadratureSpec, n: int):
+    x, gw = legendre_rule(n)
+    t = 0.5 * (1.0 + x)
+    tc = 0.5 * (1.0 - x)
+    return t, tc, 0.5 * gw * term.eval_pair(t, tc)
+
+
+# The one density-rule table: scheme -> (t, 1 - t and weights, density
+# folded in, of one term at resolution n; refinement sizes up to max_nodes).
+# Gauss-Jacobi and Gauss-Legendre give n nodes, the logistic rule n plus its
+# two exact tail nodes, tanh-sinh the smallest level (4 to 15) holding at
+# least n.  Gauss-Legendre integrates by adaptive panels, so its sizes are
+# None and its fixed-n rule serves node_table only.
+_DENSITY_RULES = {
+    "gauss_jacobi": (_jacobi_nodes, lambda m: _doubling_sizes(16, m)),
+    "logistic_substitution": (_logistic_nodes, lambda m: _doubling_sizes(64, m)),
+    "tanh_sinh": (_tanh_sinh_nodes, _tanh_sinh_sizes),
+    "gauss_legendre": (_legendre_nodes, None),
+}
+
+
+def _density_scheme(term, spec: QuadratureSpec):
+    """(scheme, node builder, refinement sizes) for one density term.
+
+    QuadratureSpec admits only the table's schemes and ifs_recursion, and
+    _term_scheme routes ifs_recursion by the term's hint.
+    """
+    scheme = _term_scheme(term, spec)
+    return (scheme,) + _DENSITY_RULES[scheme]
+
+
+def _integrate_term(fnode, term, spec: QuadratureSpec):
+    scheme, nodes, sizes = _density_scheme(term, spec)
+    if sizes is None:
+        value, used, err = _adaptive_panels(fnode, term, spec)
+        return value, used, err, scheme
+
+    def series():
+        for n in sizes(spec.max_nodes):
+            t, tc, w = nodes(term, spec, n)
+            value = _reduce(fnode, t, tc, w)
+            # Free the weighted copy before yielding: kept alive across the
+            # yield it changed how malloc reused the freed node stacks, and
+            # d = 16 pencils took three times the minor page faults.
+            del w
+            yield value, len(t)
+
+    value, used, err = _converge(series(), spec, scheme)
+    return value, used, err, scheme
 
 
 def _adaptive_panels(fnode, term, spec: QuadratureSpec):
@@ -537,24 +583,14 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
     )
 
 
-def _scalar_fnode(h, vectorized: bool):
-    if vectorized:
-        return lambda t, tc: np.asarray(h(t), dtype=float)
-    return lambda t, tc: np.array([float(h(float(ti))) for ti in t])
-
-
-def _matrix_fnode(hmat, vectorized: bool):
-    if vectorized:
-        return lambda t, tc: np.asarray(hmat(t), dtype=float)
-    return lambda t, tc: np.stack(
-        [np.asarray(hmat(float(ti)), dtype=float) for ti in t]
-    )
+def _scalar_fnode(h):
+    return lambda t, tc: np.asarray(h(t), dtype=float)
 
 
 def integrate_scalar_report(
-    measure, h, spec: QuadratureSpec | None = None, vectorized: bool = True
+    measure, h, spec: QuadratureSpec | None = None
 ) -> IntegrationReport:
-    report = integrate_measure(_scalar_fnode(h, vectorized), measure, spec)
+    report = integrate_measure(_scalar_fnode(h), measure, spec)
     return IntegrationReport(
         value=float(report.value),
         nodes_used=report.nodes_used,
@@ -564,74 +600,17 @@ def integrate_scalar_report(
 
 
 def integrate_scalar(
-    measure, h, spec: QuadratureSpec | None = None, vectorized: bool = True
+    measure, h, spec: QuadratureSpec | None = None
 ) -> tuple[float, float]:
-    """``int h(t) dmu(t)`` with its error estimate, for a scalar integrand.
-
-    ``h`` is called on node arrays by default; pass vectorized=False for a
-    plain scalar function.
-    """
-    report = integrate_scalar_report(measure, h, spec, vectorized)
+    """``int h(t) dmu(t)`` with its error estimate; ``h`` maps node arrays."""
+    report = integrate_scalar_report(measure, h, spec)
     return report.value, report.error_estimate
 
 
-def integrate_matrix_report(
-    measure, hmat, spec: QuadratureSpec | None = None, vectorized: bool = False
-) -> IntegrationReport:
-    return integrate_measure(_matrix_fnode(hmat, vectorized), measure, spec)
-
-
-def integrate_matrix(
-    measure, hmat, spec: QuadratureSpec | None = None, vectorized: bool = False
-) -> np.ndarray:
-    """``int H(t) dmu(t)`` for a matrix-valued integrand H(t) of fixed shape.
-
-    One shared node set per measure part; refinement is driven by the trace.
-    """
-    return np.asarray(integrate_matrix_report(measure, hmat, spec, vectorized).value)
-
-
-def integrate_ifs(ifs, h, depth: int, vectorized: bool = True) -> float:
+def integrate_ifs(ifs, h, depth: int) -> float:
     """Depth-N midpoint integral of a scalar h against a self-similar measure."""
     t, tc, w = ifs_nodes(ifs, depth)
-    return float(_reduce(_scalar_fnode(h, vectorized), t, tc, w))
-
-
-def _term_node_rows(term, spec: QuadratureSpec, n: int):
-    scheme = _term_scheme(term, spec)
-    if scheme == "gauss_jacobi":
-        if spec.scheme_name == "gauss_jacobi" and spec.scheme_params:
-            p, q = spec.scheme_params
-            residual = lambda t, tc: term.eval_pair(t, tc) * t ** (-p) * tc ** (-q)
-        else:
-            if term.effective_exponents is None:
-                raise QuadratureError(
-                    "gauss_jacobi scheme needs endpoint exponents", nodes_used=0
-                )
-            p, q = term.effective_exponents
-            residual = term.smooth_pair
-        t, tc, w = jacobi_rule(p, q, n)
-        return scheme, t, w * residual(t, tc)
-    if scheme == "logistic_substitution":
-        if term.ident != "log_mean":
-            raise QuadratureError(
-                "logistic_substitution applies to the log-mean kernel only",
-                nodes_used=0,
-            )
-        t, tc, v = logistic_rule(n)
-        return scheme, t, term.weight * v
-    if scheme == "tanh_sinh":
-        level = 4
-        while level < 15 and len(tanh_sinh_rule(level)[0]) < n:
-            level += 1
-        t, tc, w = tanh_sinh_rule(level)
-        return scheme, t, w * term.eval_pair(t, tc)
-    if scheme == "gauss_legendre":
-        x, gw = legendre_rule(n)
-        t = 0.5 * (1.0 + x)
-        tc = 0.5 * (1.0 - x)
-        return scheme, t, 0.5 * gw * term.eval_pair(t, tc)
-    raise QuadratureError(f"scheme {scheme!r} does not apply to densities", nodes_used=0)
+    return float(_reduce(_scalar_fnode(h), t, tc, w))
 
 
 def node_table(measure, spec: QuadratureSpec | None = None, n: int = 64):
@@ -654,7 +633,8 @@ def node_table(measure, spec: QuadratureSpec | None = None, n: int = 64):
         rows.append(("atoms", float(t), float(w)))
     if measure.ac is not None:
         for term in measure.ac.terms:
-            scheme, t, w = _term_node_rows(term, spec, n)
+            scheme, nodes, _sizes = _density_scheme(term, spec)
+            t, _tc, w = nodes(term, spec, n)
             rows.extend((scheme, float(ti), float(wi)) for ti, wi in zip(t, w))
     if measure.sc is not None:
         ifs, weight = measure.sc
@@ -691,7 +671,7 @@ def integrate_halfline_density(
 ) -> IntegrationReport:
     """``weight * int_0^inf G(lam) rho(lam) dlam`` for an envelope-tagged density.
 
-    ``Gnode(lam)`` is vectorized over an array of positive abscissas.  The
+    ``Gnode(lam)`` maps an array of positive abscissas to per-node values.  The
     jacobi_split route integrates [0, 1] with Gauss-Jacobi at exponent pow0
     and [1, inf) through s = 1/lam at exponent decay - 2.  The log_cauchy
     route requires the log-mean kernel 1/(lam*(pi^2 + ln^2 lam)) and reuses
@@ -706,22 +686,15 @@ def integrate_halfline_density(
         qd = dens.decay - 2.0
         smooth_inf = dens.smooth_inf or (lambda s: dens.fn(1.0 / s) * s**dens.decay)
 
-        def lower():
+        def series(exponent, smooth, fnode):
             for n in _doubling_sizes(16, spec.max_nodes):
-                t, _, w = jacobi_rule(p, 0.0, n)
-                vals = np.asarray(Gnode(t))
-                wt = (w * smooth0(t)).reshape((-1,) + (1,) * (vals.ndim - 1))
-                yield np.sum(wt * vals, axis=0), n
+                x, xc, w = jacobi_rule(exponent, 0.0, n)
+                yield _reduce(fnode, x, xc, w * smooth(x)), n
 
-        def upper():
-            for n in _doubling_sizes(16, spec.max_nodes):
-                s, _, w = jacobi_rule(qd, 0.0, n)
-                vals = np.asarray(Gnode(1.0 / s))
-                wt = (w * smooth_inf(s)).reshape((-1,) + (1,) * (vals.ndim - 1))
-                yield np.sum(wt * vals, axis=0), n
-
-        v1, n1, e1 = _converge(lower(), half_spec, "halfline-lower")
-        v2, n2, e2 = _converge(upper(), half_spec, "halfline-upper")
+        lower = series(p, smooth0, lambda lam, _c: Gnode(lam))
+        upper = series(qd, smooth_inf, lambda s, _c: Gnode(1.0 / s))
+        v1, n1, e1 = _converge(lower, half_spec, "halfline-lower")
+        v2, n2, e2 = _converge(upper, half_spec, "halfline-upper")
         value = weight * (v1 + v2)
         nodes, err = n1 + n2, e1 + e2
         rows = (("halfline-jacobi", nodes, err),)
@@ -734,16 +707,9 @@ def integrate_halfline_density(
 
         def series():
             for n in _doubling_sizes(64, spec.max_nodes):
-                umax = _logistic_umax(n)
-                thmax = math.atan(umax / math.pi)
-                x, gw = legendre_rule(n)
-                u = math.pi * np.tan(thmax * x)
+                u, umax, v = _cauchy_rule(n)
                 lam = np.concatenate(([math.exp(-umax)], np.exp(u), [math.exp(umax)]))
-                tail = (0.5 * math.pi - thmax) / math.pi
-                v = np.concatenate(([tail], (thmax / math.pi) * gw, [tail]))
-                vals = np.asarray(Gnode(lam))
-                wt = v.reshape((-1,) + (1,) * (vals.ndim - 1))
-                yield np.sum(wt * vals, axis=0), n + 2
+                yield _reduce(lambda x, _c: Gnode(x), lam, lam, v), n + 2
 
         value, nodes, err = _converge(series(), spec, "log-cauchy")
         value = weight * value

@@ -101,10 +101,12 @@ class SpdMatrix(SymMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        norm = spectral_norm(self.entries)
+        # One spectrum gives both the norm and the smallest eigenvalue.
+        eigs = np.linalg.eigvalsh(self.entries)
+        norm = float(np.max(np.abs(eigs)))
         if self.eig_floor is None:
             object.__setattr__(self, "eig_floor", EIG_FLOOR_FACTOR * norm)
-        lam_min = float(np.linalg.eigvalsh(self.entries)[0])
+        lam_min = float(eigs[0])
         tol = PSD_TOL_FACTOR * (1.0 + norm)
         if lam_min < -tol:
             raise NotPsdError(

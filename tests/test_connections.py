@@ -290,3 +290,38 @@ def test_connection_is_frozen():
     conn = Connection(dirac(0.5), label="w")
     with pytest.raises(AttributeError):
         conn.label = "x"
+
+
+def test_pd_inputs_never_compute_the_schedule_scale(monkeypatch):
+    # the scale 1 + ||A|| + ||B|| belongs to the shift schedule alone
+    import kubomeans.connections as connections
+
+    def forbidden(a):
+        raise AssertionError("spectral_norm called on strictly PD inputs")
+
+    monkeypatch.setattr(connections, "spectral_norm", forbidden)
+    a, b = _pair(31)
+    report = evaluate_report(Connection(UnitMeasure(ac=geometric_density(0.3))), a, b)
+    assert report.eps_used is None
+    value = evaluate_canonical(halfline_geometric(0.3), a, b)
+    assert np.all(np.isfinite(value.entries))
+
+
+def test_rank_deficient_input_runs_the_schedule(monkeypatch):
+    import kubomeans.connections as connections
+
+    runs = []
+    run_schedule = connections._run_schedule
+
+    def counted(direct, scale_norm):
+        runs.append(scale_norm)
+        return run_schedule(direct, scale_norm)
+
+    monkeypatch.setattr(connections, "_run_schedule", counted)
+    proj = np.diag([1.0, 1.0, 0.0])
+    a = proj @ random_spd(3, 10.0, 21).entries @ proj
+    b = random_spd(3, 10.0, 22).entries
+    report = evaluate_report(Connection(dirac(0.5)), a, b)
+    assert report.eps_used == 1e-8
+    assert report.parts == (("atoms", 1, 0.0),)
+    assert runs == [1.0 + spectral_norm(a) + spectral_norm(b)]

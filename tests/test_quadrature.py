@@ -26,7 +26,6 @@ from kubomeans.quadrature import (
     ifs_nodes,
     integrate_halfline_density,
     integrate_ifs,
-    integrate_matrix_report,
     integrate_measure,
     integrate_scalar,
     integrate_scalar_report,
@@ -188,15 +187,14 @@ def test_matrix_integration_trace_metric():
     # one shared node set; per-entry magnitudes differ by orders of magnitude
     m = UnitMeasure(ac=lebesgue_density())
 
-    def hmat(ts):
-        t = np.asarray(ts)
+    def fnode(t, tc):
         out = np.zeros((len(t), 2, 2))
         out[:, 0, 0] = t
         out[:, 1, 1] = 1e6 * t**2
         out[:, 0, 1] = out[:, 1, 0] = 1e-6 * t**3
         return out
 
-    report = integrate_matrix_report(m, hmat, vectorized=True)
+    report = integrate_measure(fnode, m)
     want = np.array([[0.5, 1e-6 / 4], [1e-6 / 4, 1e6 / 3]])
     np.testing.assert_allclose(report.value, want, rtol=1e-9)
 

@@ -146,3 +146,29 @@ def test_load_rejects_garbage(tmp_path):
     nonsquare.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
     with pytest.raises(ShapeError):
         load_matrix(nonsquare)
+
+
+def test_spd_validation_runs_one_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for dim in (2, 4, 16):
+        a = random_spd(dim, 1e6, dim).entries
+        calls.clear()
+        m = SpdMatrix(a)
+        assert calls == [(dim, dim)]
+        eigs = eigvalsh(a)
+        norm = float(np.max(np.abs(eigs)))
+        assert m.min_eigenvalue == float(eigs[0])
+        assert m.eig_floor == 1e-13 * norm
+    calls.clear()
+    with pytest.raises(NotPsdError) as err:
+        SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert len(calls) == 1
+    assert err.value.min_eigenvalue == -1.0
+    assert err.value.tolerance == 1e-10 * (1.0 + 3.0)
