@@ -1,8 +1,12 @@
 """Named connections with paired closed forms and associated measures.
 
-Each entry binds a connection (its measure) to an independently coded
-closed-form evaluator, so every suite can cross-check the quadrature route
-against textbook formulas.  Ids are stable strings used by the CLI:
+Each entry binds a connection (its measure) to closed-form evaluators, so
+every suite can cross-check the quadrature route against textbook formulas.
+The geometric, log-mean and dual-log-mean matrix closed forms are the
+entry's own scalar f lifted by one Kubo-Ando congruence kernel,
+A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.  The atomic entries sum
+weighted_harmonic, which is the one-atom measure route, and parallel_sum
+keeps its own solve.  Ids are stable strings used by the CLI:
 
     left_trivial  right_trivial  arithmetic:a  harmonic:t  geometric:a
     sum  parallel_sum  log_mean  dual_log_mean  finite_atomic:w@t,...
@@ -36,7 +40,7 @@ from .measures import (
     lebesgue_density,
     logmean_density,
 )
-from .spd import SpdMatrix, apply_spectral_function, matrix_power
+from .spd import SpdMatrix, apply_spectral_function
 
 # Unused here; perfbench/tracing.py rebinds these names in each importing module.
 from .connections import _run_schedule  # noqa: F401
@@ -133,51 +137,32 @@ class CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# congruence-based matrix closed forms
+# the Kubo-Ando closed form
 
 
-def _congruence_closed(mid_form, needs_b_pd: bool = False):
-    """Wrap a strictly-PD formula with the shift schedule for singular inputs."""
+def _congruence_closed(f):
+    """A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for a scalar f.
 
-    def closed(a, b) -> SpdMatrix:
-        A, B = _pair(a, b)
-        ready = A.is_strictly_pd and (B.is_strictly_pd or not needs_b_pd)
-        value, _eps = _shift_schedule(
-            A, B, ready, lambda ae, be, _scale_norm: mid_form(ae, be)
-        )
-        return SpdMatrix(_sym(np.asarray(value, dtype=float)))
+    The inner spectrum is clamped at 0 before f sees it, so a singular B
+    needs only f(0).  A singular A goes through the shift schedule.
+    """
 
-    return closed
-
-
-def _congruence_mid(outer):
-    """A^{1/2} outer(A^{-1/2} B A^{-1/2}) A^{1/2} for a strictly PD A."""
-
-    def mid(ae, be):
+    def kernel(ae, be, _scale_norm):
         A = SpdMatrix(ae)
         rt = np.asarray(apply_spectral_function(A, np.sqrt))
         rti = np.asarray(apply_spectral_function(A, lambda w: 1.0 / np.sqrt(w)))
         inner = SpdMatrix(rti @ be @ rti)
-        return rt @ np.asarray(outer(inner)) @ rt
+        outer = apply_spectral_function(
+            inner, lambda w: f(np.maximum(w, 0.0)), name="closed form"
+        )
+        return rt @ np.asarray(outer) @ rt
 
-    return mid
+    def closed(a, b) -> SpdMatrix:
+        A, B = _pair(a, b)
+        value, _eps = _shift_schedule(A, B, A.is_strictly_pd, kernel)
+        return SpdMatrix(_sym(np.asarray(value, dtype=float)))
 
-
-_logmean_matrix = _congruence_closed(
-    _congruence_mid(lambda inner: apply_spectral_function(inner, logmean_scalar))
-)
-
-
-def _duallog_mid(ae, be):
-    # {LM(B^{-1}, A^{-1})}^{-1}: the transpose-of-adjoint identity that makes
-    # x log x/(x-1) the representing function of Lebesgue measure.
-    bi = np.linalg.inv(be)
-    ai = np.linalg.inv(ae)
-    lm = np.asarray(_logmean_matrix(bi, ai))
-    return np.linalg.inv(lm)
-
-
-_duallog_matrix = _congruence_closed(_duallog_mid, needs_b_pd=True)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +260,7 @@ def _geometric(alpha: float) -> CatalogEntry:
     return CatalogEntry(
         id=ident,
         connection=conn,
-        closed_form_matrix=_congruence_closed(
-            _congruence_mid(lambda inner: matrix_power(inner, alpha))
-        ),
+        closed_form_matrix=_congruence_closed(scalar),
         closed_form_scalar=scalar,
         symmetric=alpha == 0.5,
         is_mean=True,
@@ -330,7 +313,7 @@ def _log_mean() -> CatalogEntry:
     return CatalogEntry(
         id="log_mean",
         connection=conn,
-        closed_form_matrix=_logmean_matrix,
+        closed_form_matrix=_congruence_closed(logmean_scalar),
         closed_form_scalar=logmean_scalar,
         symmetric=True,
         is_mean=True,
@@ -345,7 +328,7 @@ def _dual_log_mean() -> CatalogEntry:
     return CatalogEntry(
         id="dual_log_mean",
         connection=conn,
-        closed_form_matrix=_duallog_matrix,
+        closed_form_matrix=_congruence_closed(duallog_scalar),
         closed_form_scalar=duallog_scalar,
         symmetric=True,
         is_mean=True,

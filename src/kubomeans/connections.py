@@ -14,8 +14,11 @@ and scalar answers never come from different rules.
 Singular inputs: when A or B is singular beyond the eigenvalue floor and the
 measure charges the open interval, evaluation runs the fixed shift schedule
 eps = 1e-4, 1e-6, 1e-8 and accepts once successive results differ by less
-than 1e-6 * (1 + ||A|| + ||B||) in spectral norm; anything else raises.  The
-same schedule backs a weighted harmonic mean whose pencil is singular.
+than 1e-6 * (1 + ||A|| + ||B||) in spectral norm; anything else raises.  A
+measure of atoms only needs no schedule while the pencil (1-t)B + tA is
+strictly positive definite at every interior atom t: its value is then a
+finite sum of exact pencil solves.  The weighted harmonic mean is the
+one-atom case.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .measures import (
     UnitMeasure,
     add,
     decompose_measure,
+    dirac,
     is_probability,
     is_symmetric,
     pushforward_theta,
@@ -214,29 +218,14 @@ def _schedule_spec(spec: QuadratureSpec, scale_norm: float | None) -> Quadrature
 def weighted_harmonic(a, b, t: float) -> SpdMatrix:
     """A !_t B = [(1-t)A^{-1} + tB^{-1}]^{-1}, extended to singular endpoints.
 
-    Computed as B((1-t)B + tA)^{-1}A and symmetrized; t=0 returns A and t=1
-    returns B exactly.  A singular interior pencil goes through the shift
-    schedule.
+    The connection of the unit atom at t: B((1-t)B + tA)^{-1}A, symmetrized,
+    with t=0 giving A and t=1 giving B exactly.  A singular interior pencil
+    goes through the shift schedule.
     """
-    A, B = _pair(a, b)
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"weight {t} outside [0, 1]")
-    if t == 0.0:
-        return A
-    if t == 1.0:
-        return B
-    ts = np.array([t])
-    tcs = np.array([1.0 - t])
-
-    def kernel(Ae, Be, _scale_norm):
-        return _harmonic_fnode(Ae, Be)(ts, tcs)[0]
-
-    # np.linalg.solve only raises on exactly zero pivots; a numerically
-    # singular pencil would solve to garbage, so gate on the eigenvalue floor.
-    ready = SpdMatrix((1.0 - t) * B.entries + t * A.entries).is_strictly_pd
-    value, _eps = _shift_schedule(A, B, ready, kernel)
-    return SpdMatrix(_sym(value))
+    return evaluate(Connection(dirac(t)), a, b)
 
 
 def parallel_sum(a, b) -> SpdMatrix:
@@ -253,6 +242,21 @@ def parallel_sum(a, b) -> SpdMatrix:
     ready = SpdMatrix(A.entries + B.entries).is_strictly_pd
     value, _eps = _shift_schedule(A, B, ready, kernel)
     return SpdMatrix(_sym(value))
+
+
+def _atom_pencils_pd(mu: UnitMeasure, A: SpdMatrix, B: SpdMatrix) -> bool:
+    """True when mu has atoms only and each interior atom's pencil is PD.
+
+    np.linalg.solve only raises on exactly zero pivots; a numerically
+    singular pencil would solve to garbage, so gate on the eigenvalue floor.
+    """
+    if mu.ac is not None or mu.sc is not None:
+        return False
+    return all(
+        SpdMatrix(tc * B.entries + t * A.entries).is_strictly_pd
+        for t, tc, _w in mu.atom_pairs()
+        if 0.0 < t < 1.0
+    )
 
 
 def evaluate_report(
@@ -274,7 +278,7 @@ def evaluate_report(
         report = integrate_measure(fnode, mu, _schedule_spec(spec, scale_norm))
         return _sym(np.asarray(report.value))
 
-    ready = (A.is_strictly_pd and B.is_strictly_pd) or not mu.charges_interior()
+    ready = (A.is_strictly_pd and B.is_strictly_pd) or _atom_pencils_pd(mu, A, B)
     value, eps = _shift_schedule(A, B, ready, kernel)
     return EvalReport(
         SpdMatrix(value),
@@ -290,7 +294,8 @@ def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdM
 
     Satisfies the norm bound ||A sigma B|| <= max(||A||, ||B||) * mu([0,1])
     up to quadrature tolerance; engages the shift schedule when an input is
-    singular and mu charges (0, 1).
+    singular and mu charges (0, 1), unless mu has atoms only and every
+    interior atom's pencil is strictly positive definite.
     """
     return evaluate_report(conn, a, b, spec).value
 

@@ -70,13 +70,15 @@ class DensityTerm:
     points.  ``exponents = (p, q)`` describe the power envelope
     ``g ~ c * t**p`` near 0 and ``~ c * (1-t)**q`` near 1 (p, q > -1), or None
     when no such envelope exists (the log-mean density decays like
-    ``1/(t log^2 t)``, which is why its scheme hint is "logistic" instead).
-    ``smooth`` is the residual phi with ``g = phi(t) * t**p * (1-t)**q`` when
-    available; the Gauss-Jacobi driver prefers it to avoid endpoint
-    cancellation.  ``reflected`` toggles evaluation at 1 - t; reflecting twice
-    restores the original term exactly.
+    ``1/(t log^2 t)``).  The exponents alone pick the quadrature rule:
+    (0, 0) gets Gauss-Legendre panels, any other envelope Gauss-Jacobi on
+    those exponents, and no envelope the logistic rule for ``log_mean`` or
+    tanh-sinh for any other term.  ``smooth`` is the residual phi with
+    ``g = phi(t) * t**p * (1-t)**q`` when available; the Gauss-Jacobi driver
+    prefers it to avoid endpoint cancellation.  ``reflected`` toggles
+    evaluation at 1 - t; reflecting twice restores the original term exactly.
 
-    Equality compares identity, weight, exponents, hint and orientation; the
+    Equality compares identity, weight, exponents and orientation; the
     callables are rebuilt by the JSON parser, so they do not participate.
     """
 
@@ -84,7 +86,6 @@ class DensityTerm:
     weight: float
     fn: Callable = field(compare=False)
     exponents: tuple[float, float] | None
-    hint: str
     smooth: Callable | None = field(default=None, compare=False)
     unit_mass: float | None = field(default=None, compare=False)
     reflected: bool = False
@@ -96,8 +97,6 @@ class DensityTerm:
             p, q = self.exponents
             if p <= -1.0 or q <= -1.0:
                 raise ValueError("endpoint exponents must exceed -1 (integrability)")
-        if self.hint not in ("smooth", "jacobi", "logistic"):
-            raise ValueError(f"unknown scheme hint {self.hint!r}")
 
     @property
     def effective_exponents(self) -> tuple[float, float] | None:
@@ -164,11 +163,6 @@ class Density:
             q = ee[1] if q is None else min(q, ee[1])
         return (p, q)
 
-    @property
-    def scheme_hint(self) -> str:
-        hints = {t.hint for t in self.terms}
-        return hints.pop() if len(hints) == 1 else "mixed"
-
     def total_weight(self) -> float:
         return float(sum(t.weight for t in self.terms))
 
@@ -180,7 +174,6 @@ def lebesgue_density(weight: float = 1.0) -> Density:
         weight=weight,
         fn=lambda t: np.ones_like(t),
         exponents=(0.0, 0.0),
-        hint="smooth",
         smooth=lambda t: np.ones_like(t),
         unit_mass=1.0,
     )
@@ -204,7 +197,6 @@ def geometric_density(alpha: float, weight: float = 1.0) -> Density:
         weight=weight,
         fn=fn,
         exponents=(alpha - 1.0, -alpha),
-        hint="jacobi",
         smooth=lambda t: np.full_like(t, c),
         unit_mass=1.0,
     )
@@ -228,7 +220,6 @@ def logmean_density(weight: float = 1.0) -> Density:
         weight=weight,
         fn=fn,
         exponents=None,
-        hint="logistic",
         unit_mass=1.0,
     )
     return Density((term,))
@@ -694,7 +685,6 @@ def pushforward_psi(nu: HalfLineMeasure) -> UnitMeasure:
                 weight=nu.weight,
                 fn=g,
                 exponents=(p, q),
-                hint="jacobi",
             )
             ac = Density((term,))
     return UnitMeasure(atoms=tuple(atoms), ac=ac, atoms_c=tuple(atoms_c))

@@ -1,12 +1,13 @@
 """Deterministic quadrature drivers for measures stored by parts.
 
 Every integral against a UnitMeasure splits structurally: atoms are summed
-directly, each density term is integrated by the scheme its envelope metadata
-names, and singular-continuous parts are integrated by midpoint sums over IFS
-cylinder sets.  Matrix-valued and scalar integrands share one driver (node
-functions return stacks of shape (k, d, d) or vectors of shape (k,)), so a
-1x1 matrix integral and the scalar integral agree bitwise; matrix refinement
-is driven by the trace, which reduces to the value itself for scalars.
+directly, each density term is integrated by the rule its endpoint exponents
+call for, and singular-continuous parts are integrated by midpoint sums over
+IFS cylinder sets.  Matrix-valued and scalar integrands share one driver
+(node functions return stacks of shape (k, d, d) or vectors of shape (k,)),
+so a 1x1 matrix integral and the scalar integral agree bitwise; matrix
+refinement is driven by the trace, which reduces to the value itself for
+scalars.
 
 Node functions receive both coordinates (t, 1 - t) per node.  The pair comes
 from each rule directly (Jacobi nodes give (1+x)/2 and (1-x)/2 from the same
@@ -16,26 +17,25 @@ complement accurate near the endpoints where forming 1 - t would lose digits.
 Reductions are fixed-order numpy pairwise sums over a fixed node ordering, so
 results are bit-stable regardless of thread counts in the surrounding code.
 
-Schemes (QuadratureSpec.scheme, None routes by each term's hint)
-----------------------------------------------------------------
-gauss_jacobi          : node-doubling Gauss-Jacobi with the term's endpoint
-                        exponents; pass ("gauss_jacobi", p, q) to force
-                        explicit exponents.
-logistic_substitution : rule for the Cauchy kernel in u = log(t/(1-t)):
+Density rules, derived from each term's effective endpoint exponents
+---------------------------------------------------------------------
+(0, 0)                : bisected Gauss-Legendre 8/16-point panels,
+                        depth-limited at 12.
+any other (p, q)      : node-doubling Gauss-Jacobi on the exponents, with
+                        the term's smooth residual as integrand.
+no envelope, log_mean : rule for the Cauchy kernel in u = log(t/(1-t)):
                         Gauss-Legendre in theta after u = pi*tan(theta),
                         truncated at U(n) with the exact tail mass attached
                         to endpoint nodes (so the rule's mass is exact at
                         every n and the truncation shows up only through the
                         variation of h across the tail, which the doubling
                         test controls).
-gauss_legendre        : bisected 8/16-point panels for smooth densities,
-                        depth-limited at 12.
-tanh_sinh             : fallback for densities without an envelope; nodes
-                        kept strictly inside (0, 1) at the representable
-                        limit.
-("ifs_recursion", N)  : pins the cylinder depth for singular parts; without
-                        it the depth comes from abs_tol and the contraction
-                        ratio, capped at 24, under a hard 2**24 atom budget.
+no envelope, other    : tanh-sinh; nodes kept strictly inside (0, 1) at the
+                        representable limit.
+
+Singular-continuous parts: QuadratureSpec.scheme is None (the cylinder depth
+comes from abs_tol and the contraction ratio, capped at 24, under a hard
+2**24 atom budget) or ("ifs_recursion", N), which pins the depth at N.
 """
 
 from __future__ import annotations
@@ -71,64 +71,42 @@ __all__ = [
 IFS_ATOM_BUDGET = 2**24
 IFS_DEPTH_CAP = 24
 
-_SCHEME_NAMES = (
-    "gauss_legendre",
-    "gauss_jacobi",
-    "logistic_substitution",
-    "tanh_sinh",
-    "ifs_recursion",
-)
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and scheme controls shared by all drivers.
+    """Tolerances, node budget and the IFS depth pin shared by all drivers.
 
-    scheme: None (route per term hint), a scheme name, or a parameterized
-    tuple ("gauss_jacobi", p, q) / ("ifs_recursion", depth).
+    scheme: None, or ("ifs_recursion", depth) to pin the cylinder depth of
+    singular-continuous parts.  Density rules are not configurable: each
+    term's endpoint exponents decide its rule.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_nodes: int = 4096
-    scheme: object = None
+    scheme: tuple | None = None
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_nodes < 2:
             raise ValueError("max_nodes must be at least 2")
-        name, params = self.scheme_name, self.scheme_params
-        if name is not None and name not in _SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if name == "gauss_jacobi" and params:
-            p, q = params
-            if p <= -1.0 or q <= -1.0:
-                raise ValueError("jacobi exponents must exceed -1")
-        if name == "ifs_recursion":
-            if not params or int(params[0]) < 1:
+        if self.scheme is not None:
+            if not (
+                isinstance(self.scheme, tuple)
+                and len(self.scheme) == 2
+                and self.scheme[0] == "ifs_recursion"
+            ):
+                raise ValueError(
+                    f"unknown scheme {self.scheme!r}; use None or "
+                    "('ifs_recursion', depth)"
+                )
+            if int(self.scheme[1]) < 1:
                 raise ValueError("ifs_recursion needs depth >= 1")
 
     @property
-    def scheme_name(self):
-        if self.scheme is None or isinstance(self.scheme, str):
-            return self.scheme
-        return self.scheme[0]
-
-    @property
-    def scheme_params(self) -> tuple:
-        if self.scheme is None or isinstance(self.scheme, str):
-            return ()
-        return tuple(self.scheme[1:])
-
-    @property
     def ifs_depth(self) -> int | None:
-        if self.scheme_name == "ifs_recursion":
-            return int(self.scheme_params[0])
-        return None
-
-    def with_scheme(self, scheme) -> "QuadratureSpec":
-        return replace(self, scheme=scheme)
+        return None if self.scheme is None else int(self.scheme[1])
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -342,46 +320,18 @@ def _doubling_sizes(start: int, max_nodes: int):
 # per-part drivers
 
 
-def _term_scheme(term, spec: QuadratureSpec) -> str:
-    name = spec.scheme_name
-    if name is not None and name != "ifs_recursion":
-        return name
-    if term.hint == "smooth":
-        return "gauss_legendre"
-    if term.hint == "jacobi":
-        return "gauss_jacobi"
-    return "logistic_substitution" if term.ident == "log_mean" else "tanh_sinh"
-
-
-def _jacobi_nodes(term, spec: QuadratureSpec, n: int):
-    if spec.scheme_name == "gauss_jacobi" and spec.scheme_params:
-        p, q = spec.scheme_params
-
-        def residual(t, tc):
-            return term.eval_pair(t, tc) * t ** (-p) * tc ** (-q)
-
-    elif term.effective_exponents is None:
-        raise QuadratureError(
-            "gauss_jacobi scheme needs endpoint exponents", nodes_used=0
-        )
-    else:
-        p, q = term.effective_exponents
-        residual = term.smooth_pair
+def _jacobi_nodes(term, n: int):
+    p, q = term.effective_exponents
     t, tc, w = jacobi_rule(p, q, n)
-    return t, tc, w * residual(t, tc)
+    return t, tc, w * term.smooth_pair(t, tc)
 
 
-def _logistic_nodes(term, spec: QuadratureSpec, n: int):
-    if term.ident != "log_mean":
-        raise QuadratureError(
-            "logistic_substitution applies to the log-mean kernel only",
-            nodes_used=0,
-        )
+def _logistic_nodes(term, n: int):
     t, tc, v = logistic_rule(n)
     return t, tc, term.weight * v
 
 
-def _tanh_sinh_nodes(term, spec: QuadratureSpec, n: int):
+def _tanh_sinh_nodes(term, n: int):
     level = 4
     while level < 15 and len(tanh_sinh_rule(level)[0]) < n:
         level += 1
@@ -397,7 +347,7 @@ def _tanh_sinh_sizes(max_nodes: int):
         yield n
 
 
-def _legendre_nodes(term, spec: QuadratureSpec, n: int):
+def _legendre_nodes(term, n: int):
     x, gw = legendre_rule(n)
     t = 0.5 * (1.0 + x)
     tc = 0.5 * (1.0 - x)
@@ -418,25 +368,32 @@ _DENSITY_RULES = {
 }
 
 
-def _density_scheme(term, spec: QuadratureSpec):
+def _density_scheme(term):
     """(scheme, node builder, refinement sizes) for one density term.
 
-    QuadratureSpec admits only the table's schemes and ifs_recursion, and
-    _term_scheme routes ifs_recursion by the term's hint.
+    The term's effective endpoint exponents decide the rule.
     """
-    scheme = _term_scheme(term, spec)
+    exponents = term.effective_exponents
+    if exponents == (0.0, 0.0):
+        scheme = "gauss_legendre"
+    elif exponents is not None:
+        scheme = "gauss_jacobi"
+    elif term.ident == "log_mean":
+        scheme = "logistic_substitution"
+    else:
+        scheme = "tanh_sinh"
     return (scheme,) + _DENSITY_RULES[scheme]
 
 
 def _integrate_term(fnode, term, spec: QuadratureSpec):
-    scheme, nodes, sizes = _density_scheme(term, spec)
+    scheme, nodes, sizes = _density_scheme(term)
     if sizes is None:
         value, used, err = _adaptive_panels(fnode, term, spec)
         return value, used, err, scheme
 
     def series():
         for n in sizes(spec.max_nodes):
-            t, tc, w = nodes(term, spec, n)
+            t, tc, w = nodes(term, n)
             value = _reduce(fnode, t, tc, w)
             # Free the weighted copy before yielding: kept alive across the
             # yield it changed how malloc reused the freed node stacks, and
@@ -633,8 +590,8 @@ def node_table(measure, spec: QuadratureSpec | None = None, n: int = 64):
         rows.append(("atoms", float(t), float(w)))
     if measure.ac is not None:
         for term in measure.ac.terms:
-            scheme, nodes, _sizes = _density_scheme(term, spec)
-            t, _tc, w = nodes(term, spec, n)
+            scheme, nodes, _sizes = _density_scheme(term)
+            t, _tc, w = nodes(term, n)
             rows.extend((scheme, float(ti), float(wi)) for ti, wi in zip(t, w))
     if measure.sc is not None:
         ifs, weight = measure.sc

@@ -19,7 +19,6 @@ from kubomeans.connections import (
     representing_function,
     transpose,
 )
-from kubomeans.errors import SingularPencilError
 from kubomeans.measures import geometric_density
 from kubomeans.spd import random_spd, spectral_norm
 
@@ -159,12 +158,16 @@ def test_transpose_of_geometric_is_complementary_alpha():
     np.testing.assert_allclose(t_measure.ac(ts), want(ts), atol=1e-12)
 
 
-def test_dual_log_needs_positive_definite_inputs():
+def test_dual_log_closed_form_is_the_limit_on_singular_b():
+    # duallog_scalar(0) = 0, so a singular B needs no inverse: the closed
+    # form returns the limit from above
     proj = np.diag([1.0, 1.0, 0.0])
     a = random_spd(3, 10.0, 34).entries
     b = proj @ random_spd(3, 10.0, 35).entries @ proj
-    with pytest.raises(SingularPencilError):
-        closed_form_eval("dual_log", a, b)
+    value = closed_form_eval("dual_log", a, b).entries
+    above = closed_form_eval("dual_log", a, b + 1e-9 * np.eye(3)).entries
+    scale = 1.0 + spectral_norm(a) + spectral_norm(b)
+    assert spectral_norm(value - above) <= 1e-6 * scale
 
 
 def test_scalar_closed_forms_vectorize():

@@ -141,16 +141,19 @@ def test_report_fields_on_pd_inputs():
 
 
 def test_schedule_engages_for_harmonic_type_singular_input():
-    # rank-deficient input with an interior-charging measure: accepted, O(eps)
+    # inputs sharing a null vector make the pencil singular: accepted, O(eps)
     d = 3
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(d, 10.0, 21).entries @ proj
-    b = random_spd(d, 10.0, 22).entries
+    b = proj @ random_spd(d, 10.0, 22).entries @ proj
     conn = Connection(dirac(0.5))
     report = evaluate_report(conn, a, b)
     assert report.regularized and report.eps_used is not None
-    want = a @ np.linalg.solve(0.5 * (a + b), b)  # A !_{1/2} B = 2 A(A+B)^-1 B
-    want = 0.5 * (want + want.T)
+    # A !_{1/2} B = 2 A(A+B)^-1 B on the common range, 0 on the null vector
+    a2, b2 = a[:2, :2], b[:2, :2]
+    block = a2 @ np.linalg.solve(0.5 * (a2 + b2), b2)
+    want = np.zeros((d, d))
+    want[:2, :2] = 0.5 * (block + block.T)
     scale = 1.0 + spectral_norm(a) + spectral_norm(b)
     assert spectral_norm(report.value.entries - want) <= 1e-5 * scale
 
@@ -320,8 +323,19 @@ def test_rank_deficient_input_runs_the_schedule(monkeypatch):
     monkeypatch.setattr(connections, "_run_schedule", counted)
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(3, 10.0, 21).entries @ proj
-    b = random_spd(3, 10.0, 22).entries
+    b = proj @ random_spd(3, 10.0, 22).entries @ proj
     report = evaluate_report(Connection(dirac(0.5)), a, b)
     assert report.eps_used == 1e-8
     assert report.parts == (("atoms", 1, 0.0),)
     assert runs == [1.0 + spectral_norm(a) + spectral_norm(b)]
+
+
+def test_atoms_on_rank_deficient_pair_with_pd_pencil_run_directly():
+    # A and B singular but A + B PD: the atom's pencil is PD, so no schedule
+    drop_last = np.diag([1.0, 1.0, 0.0])
+    drop_first = np.diag([0.0, 1.0, 1.0])
+    a = drop_last @ random_spd(3, 10.0, 21).entries @ drop_last
+    b = drop_first @ random_spd(3, 10.0, 22).entries @ drop_first
+    report = evaluate_report(Connection(dirac(0.5)), a, b)
+    assert report.eps_used is None
+    assert np.array_equal(report.value.entries, weighted_harmonic(a, b, 0.5).entries)

@@ -190,7 +190,6 @@ def test_json_refuses_anonymous_density():
         weight=1.0,
         fn=lambda t: np.ones_like(t),
         exponents=(0.0, 0.0),
-        hint="smooth",
     )
     with pytest.raises(ValueError):
         measure_to_json(UnitMeasure(ac=Density((anon,))))

@@ -8,6 +8,8 @@ from scipy.special import beta as beta_fn
 
 from kubomeans.errors import IfsBudgetError, QuadratureError
 from kubomeans.measures import (
+    Density,
+    DensityTerm,
     UnitMeasure,
     cantor_ifs,
     cantor_measure,
@@ -50,10 +52,13 @@ def test_spec_validation():
         QuadratureSpec(scheme="simpson")
     with pytest.raises(ValueError):
         QuadratureSpec(scheme=("ifs_recursion", 0))
-    spec = QuadratureSpec(scheme=("gauss_jacobi", -0.5, -0.5))
-    assert spec.scheme_name == "gauss_jacobi"
-    assert spec.scheme_params == (-0.5, -0.5)
+    # density rules follow each term's exponents; none can be forced
+    with pytest.raises(ValueError):
+        QuadratureSpec(scheme=("gauss_jacobi", -0.5, -0.5))
+    with pytest.raises(ValueError):
+        QuadratureSpec(scheme="gauss_legendre")
     assert QuadratureSpec(scheme=("ifs_recursion", 12)).ifs_depth == 12
+    assert QuadratureSpec().ifs_depth is None
 
 
 def test_jacobi_rule_reproduces_beta_moments():
@@ -147,28 +152,41 @@ def test_density_masses_are_unit():
     assert density_mass(logmean_density()) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_geometric_density_needs_jacobi_not_legendre():
-    # forcing plain panels onto the endpoint-singular density cannot converge
-    m = UnitMeasure(ac=geometric_density(0.5))
+def test_quadrature_error_carries_best_estimate():
+    # Lebesgue panels cannot resolve a jump to abs_tol within depth 12
+    m = UnitMeasure(ac=lebesgue_density())
     with pytest.raises(QuadratureError) as err:
-        integrate_scalar(m, lambda t: np.ones_like(t), QuadratureSpec(scheme="gauss_legendre"))
+        integrate_scalar(m, lambda t: np.where(t < 1.0 / 3.0, 0.0, 1.0))
+    assert err.value.value is not None
     assert err.value.nodes_used > 0
 
 
-def test_quadrature_error_carries_best_estimate():
-    m = UnitMeasure(ac=geometric_density(0.5))
-    spec = QuadratureSpec(scheme="gauss_legendre")
-    with pytest.raises(QuadratureError) as err:
-        integrate_scalar(m, lambda t: np.ones_like(t), spec)
-    assert err.value.value is not None
+def test_density_rule_follows_the_exponents():
+    # (0, 0) panels, other envelopes Gauss-Jacobi, no envelope tanh-sinh
+    # unless the term is the log-mean kernel
+    def term(exponents, ident=None):
+        return DensityTerm(
+            ident=ident,
+            weight=1.0,
+            fn=lambda t: 2.0 * t,
+            exponents=exponents,
+        )
 
-
-def test_scheme_override_gauss_jacobi_params():
-    # exponents matching the density's envelope leave a smooth residual
-    m = UnitMeasure(ac=geometric_density(0.3))
-    spec = QuadratureSpec(scheme=("gauss_jacobi", 0.3 - 1.0, -0.3))
-    value, _ = integrate_scalar(m, lambda t: np.ones_like(t), spec)
-    assert value == pytest.approx(1.0, rel=1e-10)
+    cases = (
+        (term((0.0, 0.0)), "gauss_legendre"),
+        (term((1.0, 0.0)), "gauss_jacobi"),
+        (term(None), "tanh_sinh"),
+        (term(None, "linear"), "tanh_sinh"),
+    )
+    for t, scheme in cases:
+        for d in (Density((t,)), Density((t.reflect(),))):
+            report = integrate_scalar_report(UnitMeasure(ac=d), lambda x: x)
+            assert report.parts[0][0] == scheme
+    report = integrate_scalar_report(UnitMeasure(ac=Density((term(None),))), lambda x: x)
+    assert report.value == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert integrate_scalar_report(
+        UnitMeasure(ac=logmean_density()), lambda x: x
+    ).parts[0][0] == "logistic_substitution"
 
 
 def test_ifs_depth_pin_and_convergence():
