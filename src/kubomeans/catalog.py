@@ -2,11 +2,15 @@
 
 Each entry binds a connection (its measure) to closed-form evaluators, so
 every suite can cross-check the quadrature route against textbook formulas.
-The geometric, log-mean and dual-log-mean matrix closed forms are the
-entry's own scalar f lifted by one Kubo-Ando congruence kernel,
-A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.  The atomic entries sum
-weighted_harmonic, which is the one-atom measure route, and parallel_sum
-keeps its own solve.  Ids are stable strings used by the CLI:
+There is one builder per measure kind.  An entry of finitely many atoms
+sum_j w_j delta_{t_j} is the sum of weighted harmonic means
+sum_j w_j A !_{t_j} B, with A !_0 B = A, A !_1 B = B and an interior atom
+the parallel sum (A/(1-t)) : (B/t) = [(1-t)A^{-1} + tB^{-1}]^{-1}; its
+scalar is sum_j w_j x / ((1-t_j)x + t_j).  A density entry (geometric,
+log-mean, dual-log-mean) lifts its own scalar f by the Kubo-Ando
+congruence A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.  Neither goes through
+the measure's quadrature route, so both stay independent of it.  Ids are
+stable strings used by the CLI:
 
     left_trivial  right_trivial  arithmetic:a  harmonic:t  geometric:a
     sum  parallel_sum  log_mean  dual_log_mean  finite_atomic:w@t,...
@@ -30,8 +34,7 @@ from .connections import (
     _pair,
     _shift_schedule,
     _sym,
-    parallel_sum as _parallel_sum_op,
-    weighted_harmonic,
+    parallel_sum,
 )
 from .measures import (
     UnitMeasure,
@@ -124,6 +127,10 @@ def _harmonic_scalar_at(t: float):
     return f
 
 
+def _power_scalar_at(a: float):
+    return lambda x: np.power(np.asarray(x, dtype=float), a)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named connection plus its independent closed forms and flags."""
@@ -166,206 +173,47 @@ def _congruence_closed(f):
 
 
 # ---------------------------------------------------------------------------
-# entry builders
+# entry builders, one per measure kind
 
 
-def _left() -> CatalogEntry:
-    conn = Connection(
-        UnitMeasure(atoms=((0.0, 1.0),)), label="left_trivial",
-        closed_form="left_trivial",
-    )
-    return CatalogEntry(
-        id="left_trivial",
-        connection=conn,
-        closed_form_matrix=lambda a, b: _pair(a, b)[0],
-        closed_form_scalar=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        symmetric=False,
-        is_mean=True,
-    )
+def _atomic(ident: str, atoms) -> CatalogEntry:
+    """An entry whose measure is finitely many atoms: a sum of weighted
+    harmonic means, sum_j w_j A !_{t_j} B.
 
-
-def _right() -> CatalogEntry:
-    conn = Connection(
-        UnitMeasure(atoms=((1.0, 1.0),)), label="right_trivial",
-        closed_form="right_trivial",
-    )
-    return CatalogEntry(
-        id="right_trivial",
-        connection=conn,
-        closed_form_matrix=lambda a, b: _pair(a, b)[1],
-        closed_form_scalar=lambda x: np.asarray(x, dtype=float).copy(),
-        symmetric=False,
-        is_mean=True,
-    )
-
-
-def _arithmetic(alpha: float) -> CatalogEntry:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"arithmetic weight must lie in [0, 1], got {alpha}")
-    ident = f"arithmetic:{alpha!r}"
-    conn = Connection(
-        UnitMeasure(atoms=((0.0, 1.0 - alpha), (1.0, alpha))),
-        label=ident,
-        closed_form=ident,
-    )
-
-    def closed(a, b):
-        A, B = _pair(a, b)
-        return SpdMatrix((1.0 - alpha) * A.entries + alpha * B.entries)
-
-    return CatalogEntry(
-        id=ident,
-        connection=conn,
-        closed_form_matrix=closed,
-        closed_form_scalar=lambda x: (1.0 - alpha)
-        + alpha * np.asarray(x, dtype=float),
-        symmetric=alpha == 0.5,
-        is_mean=True,
-    )
-
-
-def _harmonic(t: float) -> CatalogEntry:
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"harmonic weight must lie in [0, 1], got {t}")
-    ident = f"harmonic:{t!r}"
-    conn = Connection(
-        UnitMeasure(atoms=((t, 1.0),)), label=ident, closed_form=ident
-    )
-    return CatalogEntry(
-        id=ident,
-        connection=conn,
-        closed_form_matrix=lambda a, b: weighted_harmonic(a, b, t),
-        closed_form_scalar=_harmonic_scalar_at(t),
-        symmetric=t == 0.5,
-        is_mean=True,
-    )
-
-
-def _geometric(alpha: float) -> CatalogEntry:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"geometric weight must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return _left()
-    if alpha == 1.0:
-        return _right()
-    ident = f"geometric:{alpha!r}"
-    conn = Connection(
-        UnitMeasure(ac=geometric_density(alpha)), label=ident, closed_form=ident
-    )
-
-    def scalar(x):
-        x = np.asarray(x, dtype=float)
-        return np.power(x, alpha)
-
-    return CatalogEntry(
-        id=ident,
-        connection=conn,
-        closed_form_matrix=_congruence_closed(scalar),
-        closed_form_scalar=scalar,
-        symmetric=alpha == 0.5,
-        is_mean=True,
-    )
-
-
-def _sum_entry() -> CatalogEntry:
-    conn = Connection(
-        UnitMeasure(atoms=((0.0, 1.0), (1.0, 1.0))), label="sum", closed_form="sum"
-    )
-
-    def closed(a, b):
-        A, B = _pair(a, b)
-        return SpdMatrix(A.entries + B.entries)
-
-    return CatalogEntry(
-        id="sum",
-        connection=conn,
-        closed_form_matrix=closed,
-        closed_form_scalar=lambda x: 1.0 + np.asarray(x, dtype=float),
-        symmetric=True,
-        is_mean=False,
-    )
-
-
-def _parallel_sum_entry() -> CatalogEntry:
-    conn = Connection(
-        UnitMeasure(atoms=((0.5, 0.5),)), label="parallel_sum",
-        closed_form="parallel_sum",
-    )
-
-    def scalar(x):
-        x = np.asarray(x, dtype=float)
-        return x / (1.0 + x)
-
-    return CatalogEntry(
-        id="parallel_sum",
-        connection=conn,
-        closed_form_matrix=lambda a, b: _parallel_sum_op(a, b),
-        closed_form_scalar=scalar,
-        symmetric=True,
-        is_mean=False,
-    )
-
-
-def _log_mean() -> CatalogEntry:
-    conn = Connection(
-        UnitMeasure(ac=logmean_density()), label="log_mean", closed_form="log_mean"
-    )
-    return CatalogEntry(
-        id="log_mean",
-        connection=conn,
-        closed_form_matrix=_congruence_closed(logmean_scalar),
-        closed_form_scalar=logmean_scalar,
-        symmetric=True,
-        is_mean=True,
-    )
-
-
-def _dual_log_mean() -> CatalogEntry:
-    conn = Connection(
-        UnitMeasure(ac=lebesgue_density()), label="dual_log_mean",
-        closed_form="dual_log_mean",
-    )
-    return CatalogEntry(
-        id="dual_log_mean",
-        connection=conn,
-        closed_form_matrix=_congruence_closed(duallog_scalar),
-        closed_form_scalar=duallog_scalar,
-        symmetric=True,
-        is_mean=True,
-    )
-
-
-def _finite_atomic(atoms) -> CatalogEntry:
-    atoms = tuple((float(t), float(w)) for t, w in atoms)
-    if not atoms:
-        raise ValueError("finite_atomic needs at least one atom")
+    A !_0 B = A and A !_1 B = B; an interior atom is the parallel sum
+    (A/(1-t)) : (B/t) = [(1-t)A^{-1} + tB^{-1}]^{-1}, which solves a pencil
+    of its own rather than the measure route's quadrature.
+    """
     measure = UnitMeasure(atoms=atoms)
-    merged = measure.atoms
-    ident = "finite_atomic:" + ",".join(f"{w!r}@{t!r}" for t, w in merged)
-    conn = Connection(measure, label=ident, closed_form=ident)
+    pairs = measure.atom_pairs()
 
     def closed(a, b):
         A, B = _pair(a, b)
         total = np.zeros((A.dim, A.dim))
-        for t, w in merged:
-            total = total + w * np.asarray(weighted_harmonic(A, B, t))
+        for t, tc, w in pairs:
+            if t == 0.0:
+                h = A.entries
+            elif t == 1.0:
+                h = B.entries
+            else:
+                h = parallel_sum(A.entries / tc, B.entries / t).entries
+            total = total + w * h
         return SpdMatrix(total)
 
     def scalar(x):
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
-        for t, w in merged:
+        for t, _tc, w in pairs:
             total = total + w * _harmonic_scalar_at(t)(x)
         return total
 
-    pairs = measure.atom_pairs()
     symmetric = sorted((t, w) for t, _tc, w in pairs) == sorted(
         (tc, w) for _t, tc, w in pairs
     )
-    mass = math.fsum(w for _t, w in merged)
+    mass = math.fsum(w for _t, _tc, w in pairs)
     return CatalogEntry(
         id=ident,
-        connection=conn,
+        connection=Connection(measure, label=ident),
         closed_form_matrix=closed,
         closed_form_scalar=scalar,
         symmetric=symmetric,
@@ -373,11 +221,22 @@ def _finite_atomic(atoms) -> CatalogEntry:
     )
 
 
+def _density(ident: str, density, f, symmetric: bool = True) -> CatalogEntry:
+    """A unit-mass density entry whose matrix closed form lifts its scalar f."""
+    return CatalogEntry(
+        id=ident,
+        connection=Connection(UnitMeasure(ac=density), label=ident),
+        closed_form_matrix=_congruence_closed(f),
+        closed_form_scalar=f,
+        symmetric=symmetric,
+        is_mean=True,
+    )
+
+
 def _cantor() -> CatalogEntry:
-    conn = Connection(cantor_measure(), label="cantor_mean", closed_form=None)
     return CatalogEntry(
         id="cantor_mean",
-        connection=conn,
+        connection=Connection(cantor_measure(), label="cantor_mean"),
         closed_form_matrix=None,
         closed_form_scalar=None,
         symmetric=True,
@@ -385,54 +244,22 @@ def _cantor() -> CatalogEntry:
     )
 
 
-_DEFAULT_ATOMIC = ((0.25, 0.5), (0.75, 0.5))
+# ---------------------------------------------------------------------------
+# ids
 
 
-def catalog() -> list[CatalogEntry]:
-    """The full entry list, one default instance per parametrized family."""
-    return [
-        _left(),
-        _right(),
-        _arithmetic(0.3),
-        _harmonic(0.5),
-        _geometric(0.3),
-        _sum_entry(),
-        _parallel_sum_entry(),
-        _log_mean(),
-        _dual_log_mean(),
-        _finite_atomic(_DEFAULT_ATOMIC),
-        _cantor(),
-    ]
+def _weight(family: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"bad parameter for {family}: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{family} weight must lie in [0, 1], got {value}")
+    return value
 
 
-def catalog_ids() -> list[str]:
-    return [entry.id for entry in catalog()]
-
-
-_ALIASES = {
-    "dual_log": "dual_log_mean",
-    "cantor": "cantor_mean",
-    "atomic": "finite_atomic",
-}
-
-_FIXED = {
-    "left_trivial": _left,
-    "right_trivial": _right,
-    "sum": _sum_entry,
-    "parallel_sum": _parallel_sum_entry,
-    "log_mean": _log_mean,
-    "dual_log_mean": _dual_log_mean,
-    "cantor_mean": _cantor,
-}
-
-_PARAM_DEFAULTS = {
-    "arithmetic": (_arithmetic, 0.3),
-    "harmonic": (_harmonic, 0.5),
-    "geometric": (_geometric, 0.3),
-}
-
-
-def _parse_atom_list(text: str):
+def _atom_list(_family: str, text: str):
+    """Parse ``w@t,w@t,...`` into the merged (location, weight) atoms."""
     atoms = []
     for item in text.split(","):
         item = item.strip()
@@ -442,7 +269,66 @@ def _parse_atom_list(text: str):
             )
         w_text, t_text = item.split("@", 1)
         atoms.append((float(t_text), float(w_text)))
-    return atoms
+    return UnitMeasure(atoms=atoms).atoms
+
+
+# One row per family, in catalog order: its names (canonical first, then
+# aliases), the parameter parser (None: the entry takes no parameter), the
+# default parameter, and the builder on the parsed parameter.
+_IDS = (
+    (("left_trivial",), None, None,
+     lambda _: _atomic("left_trivial", ((0.0, 1.0),))),
+    (("right_trivial",), None, None,
+     lambda _: _atomic("right_trivial", ((1.0, 1.0),))),
+    (("arithmetic",), _weight, "0.3",
+     lambda a: _atomic(f"arithmetic:{a!r}", ((0.0, 1.0 - a), (1.0, a)))),
+    (("harmonic",), _weight, "0.5",
+     lambda t: _atomic(f"harmonic:{t!r}", ((t, 1.0),))),
+    # geometric's density stops existing at a = 0 and a = 1
+    (("geometric",), _weight, "0.3",
+     lambda a: _density(
+         f"geometric:{a!r}", geometric_density(a), _power_scalar_at(a), a == 0.5
+     ) if 0.0 < a < 1.0 else _resolve("right_trivial" if a else "left_trivial")),
+    (("sum",), None, None,
+     lambda _: _atomic("sum", ((0.0, 1.0), (1.0, 1.0)))),
+    (("parallel_sum",), None, None,
+     lambda _: _atomic("parallel_sum", ((0.5, 0.5),))),
+    (("log_mean",), None, None,
+     lambda _: _density("log_mean", logmean_density(), logmean_scalar)),
+    (("dual_log_mean", "dual_log"), None, None,
+     lambda _: _density("dual_log_mean", lebesgue_density(), duallog_scalar)),
+    (("finite_atomic", "atomic"), _atom_list, "0.5@0.25,0.5@0.75",
+     lambda atoms: _atomic(
+         "finite_atomic:" + ",".join(f"{w!r}@{t!r}" for t, w in atoms), atoms
+     )),
+    (("cantor_mean", "cantor"), None, None, lambda _: _cantor()),
+)
+
+
+def _resolve(ident: str) -> CatalogEntry:
+    name, _sep, param = ident.strip().partition(":")
+    name, param = name.strip(), param.strip()
+    for names, parse, default, build in _IDS:
+        if name in names:
+            break
+    else:
+        raise ValueError(f"unknown catalog id {ident!r}")
+    if parse is None:
+        if param:
+            raise ValueError(f"{names[0]} takes no parameter, got {param!r}")
+        return build(None)
+    return build(parse(names[0], param or default))
+
+
+def catalog() -> list[CatalogEntry]:
+    """The full entry list, one default instance per parametrized family."""
+    # _resolve, not entry_from_id: a wrapper rebound on the public name (as
+    # perfbench/tracing.py does) must not wrap these entries a second time
+    return [_resolve(names[0]) for names, *_rest in _IDS]
+
+
+def catalog_ids() -> list[str]:
+    return [entry.id for entry in catalog()]
 
 
 def entry_from_id(ident: str) -> CatalogEntry:
@@ -451,27 +337,7 @@ def entry_from_id(ident: str) -> CatalogEntry:
     Unknown names and malformed parameters raise ValueError (a usage error
     at the CLI boundary).
     """
-    text = ident.strip()
-    name, _sep, param = text.partition(":")
-    name = name.strip()
-    name = _ALIASES.get(name, name)
-    param = param.strip()
-    if name in _FIXED:
-        if param:
-            raise ValueError(f"{name} takes no parameter, got {param!r}")
-        return _FIXED[name]()
-    if name in _PARAM_DEFAULTS:
-        build, default = _PARAM_DEFAULTS[name]
-        try:
-            value = float(param) if param else default
-        except ValueError:
-            raise ValueError(f"bad parameter for {name}: {param!r}") from None
-        return build(value)
-    if name == "finite_atomic":
-        if not param:
-            return _finite_atomic(_DEFAULT_ATOMIC)
-        return _finite_atomic(_parse_atom_list(param))
-    raise ValueError(f"unknown catalog id {ident!r}")
+    return _resolve(ident)
 
 
 def closed_form_eval(ident: str, a, b) -> SpdMatrix:

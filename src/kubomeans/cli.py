@@ -49,7 +49,7 @@ from .errors import (
     SingularPencilError,
     SpectralDomainError,
 )
-from .harness import SUITES, run_all, run_suite
+from .harness import HARNESS_SPEC, SUITES, run_all, run_suite
 from .measures import (
     is_probability,
     measure_from_json,
@@ -95,8 +95,7 @@ def _jdump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
 
 
-def _build_spec(args) -> QuadratureSpec:
-    spec = DEFAULT_SPEC
+def _build_spec(args, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureSpec:
     tol = getattr(args, "tol", None)
     if tol is not None:
         spec = replace(spec, abs_tol=tol, rel_tol=tol)
@@ -221,15 +220,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = None
-    if args.tol is not None or args.ifs_depth is not None:
-        from .harness import HARNESS_SPEC
-
-        spec = HARNESS_SPEC
-        if args.tol is not None:
-            spec = replace(spec, abs_tol=args.tol, rel_tol=args.tol)
-        if args.ifs_depth is not None:
-            spec = replace(spec, scheme=("ifs_recursion", args.ifs_depth))
+    spec = _build_spec(args, HARNESS_SPEC)
     suites = None if args.suite == "all" else (args.suite,)
     reports = run_all(profile=args.profile, seed=args.seed, suites=suites, spec=spec)
     payload = []

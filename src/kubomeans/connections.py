@@ -79,16 +79,10 @@ REG_ACCEPT_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class Connection:
-    """A connection, carried by its associated measure.
-
-    closed_form optionally names a catalog entry whose closed-form evaluator
-    this connection must match; the test suites enforce that agreement, the
-    constructor does not.
-    """
+    """A connection, carried by its associated measure."""
 
     measure: UnitMeasure
     label: str | None = None
-    closed_form: str | None = None
 
 
 @dataclass(frozen=True)
@@ -344,7 +338,6 @@ class RepFunction:
     """
 
     measure: UnitMeasure
-    source: str | None = None
 
     def eval(self, x, spec: QuadratureSpec | None = None):
         xs = np.asarray(x, dtype=float)
@@ -358,15 +351,12 @@ class RepFunction:
     def at_zero(self) -> float:
         return _atom_mass_at(self.measure, 0.0)
 
-    def mass(self, spec: QuadratureSpec | None = None) -> float:
-        return total_mass(self.measure, spec)
-
 
 def representing_function(
     conn: Connection, x=None, spec: QuadratureSpec | None = None
 ):
     """f(x) = int 1 !_t x dmu(t); without x, returns the RepFunction itself."""
-    f = RepFunction(measure=conn.measure, source=conn.label)
+    f = RepFunction(measure=conn.measure)
     if x is None:
         return f
     return f.eval(x, spec)
@@ -512,7 +502,7 @@ def decompose_connection(conn: Connection):
         Connection(m_sc, label=f"{base}[sc]"),
         Connection(m_sd, label=f"{base}[sd]"),
     )
-    reps = tuple(RepFunction(c.measure, source=c.label) for c in parts)
+    reps = tuple(RepFunction(c.measure) for c in parts)
     return parts + reps
 
 

@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .connections import (
 )
 from .measures import total_mass
 from .quadrature import QuadratureSpec, integrate_scalar
-from .spd import congruence, random_spd, spectral_norm
+from .spd import _random_orthogonal, congruence, random_spd, spectral_norm
 
 __all__ = [
     "SuiteReport",
@@ -135,17 +136,13 @@ def _lambda_min_deficit(m) -> float:
 def _order_bump(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
     """A positive increment, so base + bump >= base holds by construction."""
     dim = base.shape[0]
-    g = rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
+    q = _random_orthogonal(rng, dim)
     u = rng.uniform(0.0, 0.5, size=dim) * (1.0 + spectral_norm(base))
     return (q * u) @ q.T
 
 
 def _transformer_matrix(rng, dim: int, singular: bool) -> np.ndarray:
-    g = rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
+    q = _random_orthogonal(rng, dim)
     v = rng.uniform(0.4, 1.6, size=dim)
     v = v * np.where(rng.random(dim) < 0.5, -1.0, 1.0)
     if singular and dim > 1:
@@ -174,44 +171,27 @@ class _SuiteContext:
         self.dim = dim
         self.cond = cond
         self.tol = tol
-        self._mass = None
-        self._moment1 = None
-        self._transposed = None
-        self._parts = None
-        self._rep = None
 
-    @property
+    @cached_property
     def mass(self) -> float:
-        if self._mass is None:
-            self._mass = total_mass(self.conn.measure, self.spec)
-        return self._mass
+        return total_mass(self.conn.measure, self.spec)
 
-    @property
+    @cached_property
     def moment1(self) -> float:
-        if self._moment1 is None:
-            value, _err = integrate_scalar(
-                self.conn.measure, lambda t: t, self.spec
-            )
-            self._moment1 = value
-        return self._moment1
+        value, _err = integrate_scalar(self.conn.measure, lambda t: t, self.spec)
+        return value
 
-    @property
+    @cached_property
     def transposed(self) -> Connection:
-        if self._transposed is None:
-            self._transposed = transpose(self.conn)
-        return self._transposed
+        return transpose(self.conn)
 
-    @property
+    @cached_property
     def parts(self):
-        if self._parts is None:
-            self._parts = decompose_connection(self.conn)
-        return self._parts
+        return decompose_connection(self.conn)
 
-    @property
+    @cached_property
     def rep(self):
-        if self._rep is None:
-            self._rep = representing_function(self.conn)
-        return self._rep
+        return representing_function(self.conn)
 
 
 def _trial_monotonicity(ctx, key, trial) -> float:
@@ -262,9 +242,7 @@ def _trial_continuity(ctx, key, trial) -> float:
 def _trial_congruence_eq(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
     rng = _trial_rng(key, 2)
-    g = rng.normal(size=(ctx.dim, ctx.dim))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
+    q = _random_orthogonal(rng, ctx.dim)
     v = np.exp(rng.uniform(-0.5, 0.5, size=ctx.dim))
     v = v * np.where(rng.random(ctx.dim) < 0.5, -1.0, 1.0)
     t = (q * v) @ q.T

@@ -151,21 +151,6 @@ class Density:
 
     __call__ = eval
 
-    @property
-    def endpoint_exponents(self) -> tuple[float, float] | None:
-        """Worst-case power envelope over the terms, None if any term has none."""
-        p = q = None
-        for term in self.terms:
-            ee = term.effective_exponents
-            if ee is None:
-                return None
-            p = ee[0] if p is None else min(p, ee[0])
-            q = ee[1] if q is None else min(q, ee[1])
-        return (p, q)
-
-    def total_weight(self) -> float:
-        return float(sum(t.weight for t in self.terms))
-
 
 def lebesgue_density(weight: float = 1.0) -> Density:
     """Lebesgue measure on [0, 1]."""
@@ -311,9 +296,6 @@ class IfsMeasure:
             mom.append(acc / (1.0 - shrink))
         return mom[k]
 
-    def moments(self, k: int) -> tuple[float, ...]:
-        return tuple(self.moment(j) for j in range(k + 1))
-
 
 def cantor_ifs() -> IfsMeasure:
     """The Cantor measure's IFS: t/3 and t/3 + (1 - 1/3), equal weights.
@@ -334,8 +316,9 @@ class UnitMeasure:
     """A finite positive Borel measure on [0, 1], stored by parts.
 
     atoms : tuple of (location, weight), sorted by location, coincident atoms
-    (within 1e-14) merged by adding weights.  ac : optional Density.
-    sc : optional (IfsMeasure, weight) pair.
+    merged by adding weights: an atom joins a group when both its location
+    and its complement lie within 1e-14 of the group's first atom.
+    ac : optional Density.  sc : optional (IfsMeasure, weight) pair.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -359,7 +342,12 @@ class UnitMeasure:
         triples.sort(key=lambda x: (x[0], x[1]))
         merged: list[list[float]] = []
         for t, tc, w in triples:
-            if merged and t - merged[-1][0] <= ATOM_MERGE_TOL:
+            # both coordinates must be close, so reflection merges alike
+            if (
+                merged
+                and t - merged[-1][0] <= ATOM_MERGE_TOL
+                and abs(tc - merged[-1][1]) <= ATOM_MERGE_TOL
+            ):
                 merged[-1][2] += w
             else:
                 merged.append([t, tc, w])

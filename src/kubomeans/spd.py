@@ -5,8 +5,8 @@ real symmetric matrices whose spectral calculus is computed by
 eigendecomposition: ``basis @ diag(f(eigenvalues)) @ basis.T`` with the
 result re-symmetrized.  Tolerances follow the scale conventions
 
-* PSD acceptance: smallest eigenvalue >= -tol_psd with
-  ``tol_psd = 1e-10 * (1 + ||A||)`` (spectral norm),
+* PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
+  (spectral norm),
 * strict positivity floor: ``eig_floor = 1e-13 * ||A||`` unless overridden.
 """
 
@@ -24,14 +24,12 @@ __all__ = [
     "SymMatrix",
     "SpdMatrix",
     "spectral_norm",
-    "tol_psd",
     "spectral_decompose",
     "apply_spectral_function",
     "matrix_power",
     "congruence",
     "loewner_leq",
     "random_spd",
-    "shifted",
     "load_matrix",
     "save_matrix",
     "as_entries",
@@ -90,10 +88,10 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix(SymMatrix):
-    """A positive semidefinite matrix accepted within ``tol_psd``.
+    """A positive semidefinite matrix accepted within ``1e-10 * (1 + ||A||)``.
 
     Construction rejects matrices whose smallest eigenvalue falls below
-    ``-tol_psd(A)`` and records whether the matrix is strictly positive
+    ``-1e-10 * (1 + ||A||)`` and records whether the matrix is strictly positive
     definite (smallest eigenvalue above ``eig_floor``).
     """
 
@@ -135,11 +133,6 @@ def spectral_norm(a) -> float:
     if arr.shape == (1, 1):
         return abs(float(arr[0, 0]))
     return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
-
-
-def tol_psd(a) -> float:
-    """PSD acceptance tolerance ``1e-10 * (1 + ||A||)``."""
-    return PSD_TOL_FACTOR * (1.0 + spectral_norm(a))
 
 
 def spectral_decompose(a):
@@ -289,12 +282,6 @@ def random_spd(dim: int, cond: float, seed: int) -> SpdMatrix:
         raise ValueError("seed must be a nonnegative integer")
     rng = np.random.Generator(np.random.Philox(key=seed))
     return SpdMatrix(_random_spd_from(rng, dim, cond))
-
-
-def shifted(a, eps: float) -> SpdMatrix:
-    """``A + eps * I`` as an SpdMatrix."""
-    arr = as_entries(a)
-    return SpdMatrix(arr + eps * np.eye(arr.shape[0]))
 
 
 def load_matrix(path) -> SymMatrix:

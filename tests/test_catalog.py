@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kubomeans import connections
 from kubomeans.catalog import (
     catalog,
     catalog_ids,
@@ -16,6 +17,7 @@ from kubomeans.connections import (
     evaluate,
     is_mean,
     is_symmetric_connection,
+    parallel_sum,
     representing_function,
     transpose,
 )
@@ -187,3 +189,33 @@ def test_quadrature_rep_agrees_with_closed_scalar():
             assert f(x) == pytest.approx(
                 representing_function_closed(ident, x), abs=1e-8
             ), (ident, x)
+
+
+def test_atom_closed_forms_do_not_use_the_measure_route(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("closed form went through evaluate_report")
+
+    monkeypatch.setattr(connections, "evaluate_report", refuse)
+    a, b = _pair(36)
+    assert np.array_equal(closed_form_eval("harmonic:0", a, b).entries, a)
+    assert np.array_equal(closed_form_eval("harmonic:1", a, b).entries, b)
+    # A !_t B = [(1-t)A^{-1} + tB^{-1}]^{-1}
+    inv = np.linalg.inv
+    want = inv(0.7 * inv(a) + 0.3 * inv(b))
+    got = closed_form_eval("harmonic:0.3", a, b).entries
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    want = 0.5 * a + 0.25 * inv(0.8 * inv(a) + 0.2 * inv(b)) + 0.25 * b
+    got = closed_form_eval("atomic:0.5@0,0.25@0.2,0.25@1", a, b).entries
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for entry in catalog():
+        mu = entry.connection.measure
+        if mu.ac is None and mu.sc is None:
+            entry.closed_form_matrix(a, b)
+
+
+def test_parallel_sum_closed_form_is_the_parallel_sum_bitwise():
+    a, b = _pair(37)
+    proj = np.diag([1.0, 1.0, 1.0, 0.0])
+    for x, y in ((a, b), (proj @ a @ proj, b)):
+        got = closed_form_eval("parallel_sum", x, y).entries
+        assert np.array_equal(got, parallel_sum(x, y).entries)

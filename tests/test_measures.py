@@ -126,6 +126,20 @@ def test_pushforward_theta_reflects_every_part():
     assert r.sc[0] == cantor_ifs()
 
 
+def test_pushforward_theta_keeps_atoms_just_over_the_merge_tolerance():
+    # 1 - t rounds, so the two complements land within 1e-14 of each other
+    # although the locations do not; reflection must not merge them
+    t1 = 0.100002
+    t2 = t1 + 1e-14
+    for _ in range(4):
+        t2 = math.nextafter(t2, 1.0)
+    m = UnitMeasure(atoms=((t1, 1.0), (t2, 1.0)))
+    assert len(m.atoms) == 2
+    r = pushforward_theta(m)
+    assert len(r.atoms) == 2
+    assert pushforward_theta(r) == m
+
+
 def test_is_symmetric_flags():
     assert is_symmetric(dirac(0.5))
     assert is_symmetric(UnitMeasure(ac=logmean_density()))
