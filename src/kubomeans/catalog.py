@@ -269,7 +269,12 @@ def _atom_list(_family: str, text: str):
             )
         w_text, t_text = item.split("@", 1)
         atoms.append((float(t_text), float(w_text)))
-    return UnitMeasure(atoms=atoms).atoms
+    merged = UnitMeasure(atoms=atoms).atoms
+    if not merged:
+        # the zero measure would print as "finite_atomic:", which resolves
+        # back to the default list
+        raise ValueError(f"atom list {text!r} needs a positive weight")
+    return merged
 
 
 # One row per family, in catalog order: its names (canonical first, then

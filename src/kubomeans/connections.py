@@ -11,14 +11,21 @@ with A !_0 B = A and A !_1 B = B regardless of invertibility.  The scalar
 shadow is f(x) = I sigma (xI) evaluated through the same node sets, so matrix
 and scalar answers never come from different rules.
 
-Singular inputs: when A or B is singular beyond the eigenvalue floor and the
-measure charges the open interval, evaluation runs the fixed shift schedule
-eps = 1e-4, 1e-6, 1e-8 and accepts once successive results differ by less
-than 1e-6 * (1 + ||A|| + ||B||) in spectral norm; anything else raises.  A
-measure of atoms only needs no schedule while the pencil (1-t)B + tA is
-strictly positive definite at every interior atom t: its value is then a
-finite sum of exact pencil solves.  The weighted harmonic mean is the
-one-atom case.
+Two routes evaluate the integral.  A measure with a density or self-similar
+part is integrated in one congruence basis (Kubo-Ando): with A + B = L L^T
+and L^{-1} A L^{-T} = V diag(a) V^T, M = L V carries A to diag(a) and B to
+diag(1 - a), so the integral is M diag(g) M^T with g_i = int a_i !_t b_i dmu,
+the scalar pair kernel integrated at d eigenvalues and lifted once.  A
+measure of atoms only keeps the exact finite sum of pencil solves.
+
+Singular inputs: evaluation runs directly when A + B is strictly positive
+definite (every interior pencil satisfies (1-t)B + tA >= min(t, 1-t)(A + B))
+or when mu does not charge (0, 1).  With A singular and B PD this returns
+the limit from above (M3) exactly.  Only when A + B is singular, that is when
+the inputs share a null direction, does evaluation run the fixed shift
+schedule eps = 1e-4, 1e-6, 1e-8, accepting once successive results differ by
+less than 1e-6 * (1 + ||A|| + ||B||) in spectral norm; anything else raises.
+The weighted harmonic mean is the one-atom case.
 """
 
 from __future__ import annotations
@@ -113,7 +120,11 @@ def _sym(h: np.ndarray) -> np.ndarray:
 
 
 def _harmonic_fnode(A: np.ndarray, B: np.ndarray):
-    """Batched t -> A !_t B over node pairs (t, 1-t); endpoints short-circuit."""
+    """Batched t -> A !_t B over node pairs (t, 1-t); endpoints short-circuit.
+
+    One solve per node: the exact route for atom-only measures, and the
+    oracle the congruence route is tested against.
+    """
     d = A.shape[0]
 
     def fnode(t, tc):
@@ -140,6 +151,61 @@ def _harmonic_fnode(A: np.ndarray, B: np.ndarray):
         return out
 
     return fnode
+
+
+def _congruence_basis(A: np.ndarray, B: np.ndarray):
+    """Spectra a, b = 1 - a and basis M with A = M diag(a) M^T, B = M diag(b) M^T.
+
+    A + B = L L^T by Cholesky and L^{-1} A L^{-T} = V diag(a) V^T, so M = L V.
+    Factoring A + B rather than A keeps every eigenvalue in [0, 1] however
+    ill-conditioned either input is; a singular A or B only puts 0 or 1 into
+    the spectrum.
+    """
+    try:
+        lower = np.linalg.cholesky(A + B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularPencilError(
+            "A + B is singular; inputs share a null direction"
+        ) from exc
+    x = np.linalg.solve(lower, A)
+    mu, vecs = np.linalg.eigh(_sym(np.linalg.solve(lower, x.T)))
+    a = np.clip(mu, 0.0, 1.0)
+    return a, 1.0 - a, lower @ vecs
+
+
+def _pair_fnode(a: np.ndarray, b: np.ndarray):
+    """Batched t -> a !_t b = ab / ((1-t)b + ta) over spectra; shape (k, d).
+
+    The denominator is at least min(t, 1-t) because a + b = 1; the endpoints
+    short-circuit to a and b, as A !_0 B = A and A !_1 B = B.
+    """
+    ab = a * b
+
+    def fnode(t, tc):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = ab / (np.multiply.outer(tc, b) + np.multiply.outer(t, a))
+        out[t == 0.0] = a
+        out[t == 1.0] = b
+        return out
+
+    return fnode
+
+
+def _lift(M: np.ndarray, g) -> np.ndarray:
+    """M diag(g) M^T, symmetrized."""
+    return _sym((M * np.asarray(g)) @ M.T)
+
+
+def _runs_directly(A: SpdMatrix, B: SpdMatrix, charges_interior: bool) -> bool:
+    """True when no shift is needed: A + B strictly PD, or the measure sees
+    only the endpoints (where A !_0 B = A and A !_1 B = B need no solve).
+
+    Two strictly PD inputs have a strictly PD sum, which spares one
+    eigenvalue check on the common path.
+    """
+    if not charges_interior or (A.is_strictly_pd and B.is_strictly_pd):
+        return True
+    return SpdMatrix(A.entries + B.entries).is_strictly_pd
 
 
 def _run_schedule(direct, scale_norm: float):
@@ -195,17 +261,18 @@ def _shift_schedule(A: SpdMatrix, B: SpdMatrix, ready: bool, kernel):
 def _schedule_spec(spec: QuadratureSpec, scale_norm: float | None) -> QuadratureSpec:
     """Quadrature tolerance for shifted evaluations inside the schedule.
 
-    The schedule accepts at 1e-6 * scale, so integrating each shifted value
-    to 1e-8 * scale leaves two orders of headroom while keeping the
-    ever-sharper eps boundary layers inside the node budget.  Unshifted
-    evaluations (scale_norm None) keep the spec as given.
+    The schedule accepts at 1e-6 * scale.  Integrands live on the spectra of
+    the congruence basis, in [0, 1], and the lift M diag(g) M^T multiplies an
+    error in g by at most ||A + B + 2 eps I|| < scale; so integrating g to
+    1e-8 leaves two orders of headroom while keeping the ever-sharper eps
+    boundary layers inside the node budget.  Unshifted evaluations
+    (scale_norm None) keep the spec as given.
     """
     if scale_norm is None:
         return spec
+    loose = 1e-2 * REG_ACCEPT_FACTOR
     return replace(
-        spec,
-        abs_tol=max(spec.abs_tol, 1e-2 * REG_ACCEPT_FACTOR * scale_norm),
-        rel_tol=max(spec.rel_tol, 1e-2 * REG_ACCEPT_FACTOR),
+        spec, abs_tol=max(spec.abs_tol, loose), rel_tol=max(spec.rel_tol, loose)
     )
 
 
@@ -233,30 +300,19 @@ def parallel_sum(a, b) -> SpdMatrix:
             raise SingularPencilError("A + B is singular") from exc
         return Ae @ x
 
-    ready = SpdMatrix(A.entries + B.entries).is_strictly_pd
-    value, _eps = _shift_schedule(A, B, ready, kernel)
+    value, _eps = _shift_schedule(A, B, _runs_directly(A, B, True), kernel)
     return SpdMatrix(_sym(value))
-
-
-def _atom_pencils_pd(mu: UnitMeasure, A: SpdMatrix, B: SpdMatrix) -> bool:
-    """True when mu has atoms only and each interior atom's pencil is PD.
-
-    np.linalg.solve only raises on exactly zero pivots; a numerically
-    singular pencil would solve to garbage, so gate on the eigenvalue floor.
-    """
-    if mu.ac is not None or mu.sc is not None:
-        return False
-    return all(
-        SpdMatrix(tc * B.entries + t * A.entries).is_strictly_pd
-        for t, tc, _w in mu.atom_pairs()
-        if 0.0 < t < 1.0
-    )
 
 
 def evaluate_report(
     conn: Connection, a, b, spec: QuadratureSpec | None = None
 ) -> EvalReport:
-    """A sigma B with quadrature accounting; see ``evaluate``."""
+    """A sigma B with quadrature accounting; see ``evaluate``.
+
+    For a measure with a density or self-similar part, ``error_estimate``
+    is the quadrature's estimate on the spectra g of the congruence basis;
+    the matrix error is at most ||A + B|| times it.
+    """
     A, B = _pair(a, b)
     spec = spec or DEFAULT_SPEC
     mu = conn.measure
@@ -265,14 +321,21 @@ def evaluate_report(
         return EvalReport(zero, 0, 0.0, (("empty", 0, 0.0),))
 
     report = None
+    atoms_only = mu.ac is None and mu.sc is None
 
     def kernel(Ae, Be, scale_norm):
         nonlocal report
-        fnode = _harmonic_fnode(Ae, Be)
-        report = integrate_measure(fnode, mu, _schedule_spec(spec, scale_norm))
-        return _sym(np.asarray(report.value))
+        if atoms_only:
+            # the exact finite sum of pencil solves
+            report = integrate_measure(_harmonic_fnode(Ae, Be), mu, spec)
+            return _sym(np.asarray(report.value))
+        a_eig, b_eig, M = _congruence_basis(Ae, Be)
+        report = integrate_measure(
+            _pair_fnode(a_eig, b_eig), mu, _schedule_spec(spec, scale_norm)
+        )
+        return _lift(M, report.value)
 
-    ready = (A.is_strictly_pd and B.is_strictly_pd) or _atom_pencils_pd(mu, A, B)
+    ready = _runs_directly(A, B, mu.charges_interior())
     value, eps = _shift_schedule(A, B, ready, kernel)
     return EvalReport(
         SpdMatrix(value),
@@ -287,9 +350,10 @@ def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdM
     """A sigma B = int A !_t B dmu(t), by per-part quadrature.
 
     Satisfies the norm bound ||A sigma B|| <= max(||A||, ||B||) * mu([0,1])
-    up to quadrature tolerance; engages the shift schedule when an input is
-    singular and mu charges (0, 1), unless mu has atoms only and every
-    interior atom's pencil is strictly positive definite.
+    up to quadrature tolerance.  Densities and self-similar parts are
+    integrated on the spectra of the A + B congruence basis and lifted once;
+    atom-only measures are exact sums of pencil solves.  Engages the shift
+    schedule only when A + B is singular and mu charges (0, 1).
     """
     return evaluate_report(conn, a, b, spec).value
 
@@ -386,12 +450,16 @@ def evaluate_canonical(
 ) -> SpdMatrix:
     """alpha*A + beta*B + int_(0,inf) (lam+1)/lam * ((lam A) : B) dnu(lam).
 
-    alpha and beta are nu's atoms at 0 and infinity; the integrand is formed
+    alpha and beta are nu's atoms at 0 and infinity; a finite atom is formed
     as (lam+1) * A(lam A + B)^{-1} B, which is the same matrix without the
-    small-lam division.  Agrees with evaluate(pushforward_psi(nu), A, B).
+    small-lam division.  The density part is integrated in the congruence
+    basis of A + B as the vector (lam+1) ab / (lam a + b) and lifted once.
+    Runs directly when A + B is strictly PD or nu charges only 0 and
+    infinity.  Agrees with evaluate(pushforward_psi(nu), A, B).
     """
     A, B = _pair(a, b)
     spec = spec or DEFAULT_SPEC
+    has_density = nu.ac is not None and nu.weight > 0.0
 
     def kernel(Ae, Be, scale_norm):
         total = np.zeros((A.dim, A.dim))
@@ -408,27 +476,22 @@ def evaluate_canonical(
                         f"pencil lam*A + B singular at lam={lam}"
                     ) from exc
                 total = total + (w * (lam + 1.0)) * _sym(Ae @ x)
-        if nu.ac is not None and nu.weight > 0.0:
+        if has_density:
+            a_eig, b_eig, M = _congruence_basis(Ae, Be)
+            ab = a_eig * b_eig
 
             def Gnode(lams):
-                pencil = np.multiply.outer(lams, Ae) + Be
-                try:
-                    x = np.linalg.solve(pencil, np.broadcast_to(Be, pencil.shape))
-                except np.linalg.LinAlgError as exc:
-                    raise SingularPencilError(
-                        "pencil lam*A + B singular inside the canonical integral"
-                    ) from exc
-                g = (lams + 1.0)[:, None, None] * (Ae @ x)
-                return 0.5 * (g + g.transpose(0, 2, 1))
+                lam = lams[:, None]
+                return (lam + 1.0) * ab / (lam * a_eig + b_eig)
 
             report = integrate_halfline_density(
                 Gnode, nu.ac, nu.weight, _schedule_spec(spec, scale_norm)
             )
-            total = total + np.asarray(report.value)
+            total = total + _lift(M, report.value)
         return _sym(total)
 
-    ready = A.is_strictly_pd and B.is_strictly_pd
-    value, _eps = _shift_schedule(A, B, ready, kernel)
+    charges = has_density or any(0.0 < lam < math.inf for lam, _w in nu.atoms)
+    value, _eps = _shift_schedule(A, B, _runs_directly(A, B, charges), kernel)
     return SpdMatrix(value)
 
 

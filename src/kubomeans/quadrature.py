@@ -5,9 +5,9 @@ directly, each density term is integrated by the rule its endpoint exponents
 call for, and singular-continuous parts are integrated by midpoint sums over
 IFS cylinder sets.  Matrix-valued and scalar integrands share one driver
 (node functions return stacks of shape (k, d, d) or vectors of shape (k,)),
-so a 1x1 matrix integral and the scalar integral agree bitwise; matrix
-refinement is driven by the trace, which reduces to the value itself for
-scalars.
+so a 1x1 matrix integral and the scalar integral agree bitwise; refinement
+is driven by the largest absolute entry of the difference, which reduces to
+the value itself for scalars.
 
 Node functions receive both coordinates (t, 1 - t) per node.  The pair comes
 from each rule directly (Jacobi nodes give (1+x)/2 and (1-x)/2 from the same
@@ -275,13 +275,11 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
 
 
 def _metric(x) -> float:
-    """Trace magnitude for matrix stacks, max-abs for vectors, abs for scalars."""
-    x = np.asarray(x)
-    if x.ndim >= 2:
-        return abs(float(np.trace(x, axis1=-2, axis2=-1)))
-    if x.ndim == 1:
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    return abs(float(x))
+    """Largest absolute entry, for scalars, vectors and matrices alike.
+
+    A norm, unlike the trace: a traceless refinement difference still counts.
+    """
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 def _tol_bound(spec: QuadratureSpec, ref: float) -> float:

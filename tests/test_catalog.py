@@ -59,6 +59,16 @@ def test_id_grammar_rejects_malformed():
             entry_from_id(bad)
 
 
+def test_atom_lists_without_weight_are_rejected():
+    # the zero measure's id "finite_atomic:" would resolve to the default list
+    for bad in ("atomic:0.0@0.5", "finite_atomic:0@0.25,0.0@0.75"):
+        with pytest.raises(ValueError, match="positive weight"):
+            entry_from_id(bad)
+    ident = entry_from_id("atomic:0.0@0.5,0.3@0.25").id
+    assert ident == "finite_atomic:0.3@0.25"
+    assert entry_from_id(ident).id == ident
+
+
 def test_arithmetic_convention_weights_b():
     # arithmetic:alpha carries (1-alpha) delta_0 + alpha delta_1, so on the
     # scalars (1, 2) the 0.3-mean is 1.3

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kubomeans.catalog import entry_from_id
 from kubomeans.connections import (
     Connection,
     add_connections,
@@ -36,7 +37,7 @@ from kubomeans.measures import (
     lebesgue_density,
     pushforward_psi,
 )
-from kubomeans.quadrature import QuadratureSpec
+from kubomeans.quadrature import QuadratureSpec, integrate_measure
 from kubomeans.spd import loewner_leq, random_spd, spectral_norm
 
 
@@ -159,11 +160,24 @@ def test_schedule_engages_for_harmonic_type_singular_input():
 
 
 def test_schedule_rejects_geometric_on_singular_input():
-    # sqrt(eps) drift never meets the acceptance gap: an honest failure
+    conn = Connection(UnitMeasure(ac=geometric_density(0.5)))
+    # A singular, B PD: A + B is PD, so the M3 limit comes back directly
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(3, 10.0, 23).entries @ proj
     b = random_spd(3, 10.0, 24).entries
-    conn = Connection(UnitMeasure(ac=geometric_density(0.5)))
+    report = evaluate_report(conn, a, b)
+    assert report.eps_used is None
+    w, v = np.linalg.eigh(b)
+    rt, rti = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    wi, vi = np.linalg.eigh(rti @ a @ rti)
+    want = rt @ ((vi * np.sqrt(np.maximum(wi, 0.0))) @ vi.T) @ rt
+    got = report.value.entries
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    # a shared null vector makes A + B singular; A's extra null direction
+    # drifts like sqrt(eps), which never meets the acceptance gap
+    first = np.diag([1.0, 0.0, 0.0])
+    a = first @ random_spd(3, 10.0, 23).entries @ first
+    b = proj @ b @ proj
     with pytest.raises(SingularPencilError):
         evaluate(conn, a, b)
 
@@ -339,3 +353,19 @@ def test_atoms_on_rank_deficient_pair_with_pd_pencil_run_directly():
     report = evaluate_report(Connection(dirac(0.5)), a, b)
     assert report.eps_used is None
     assert np.array_equal(report.value.entries, weighted_harmonic(a, b, 0.5).entries)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16])
+@pytest.mark.parametrize(
+    "ident", ["geometric:0.3", "geometric:0.5", "log_mean", "dual_log_mean", "cantor_mean"]
+)
+def test_congruence_route_matches_the_pencil_oracle(ident, dim):
+    # the integral of A !_t B itself, node by node, against the lifted scalar
+    import kubomeans.connections as connections
+
+    mu = entry_from_id(ident).connection.measure
+    spec = QuadratureSpec(scheme=("ifs_recursion", 12)) if ident == "cantor_mean" else None
+    a, b = _pair(40 + dim, dim=dim)
+    got = evaluate(Connection(mu), a, b, spec).entries
+    oracle = integrate_measure(connections._harmonic_fnode(a, b), mu, spec).value
+    assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)

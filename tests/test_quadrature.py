@@ -217,6 +217,29 @@ def test_matrix_integration_trace_metric():
     np.testing.assert_allclose(report.value, want, rtol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [UnitMeasure(ac=lebesgue_density()), UnitMeasure(ac=geometric_density(0.3))],
+)
+def test_traceless_refinement_difference_keeps_refining(measure):
+    # diag(h, -h) has trace 0 at every level, so a trace-driven test would
+    # stop at the first comparison; the max-abs metric refines as for h
+    h = lambda t: np.cos(40.0 * t)
+    scalar = integrate_measure(lambda t, tc: h(t), measure)
+
+    def fnode(t, tc):
+        out = np.zeros((len(t), 2, 2))
+        out[:, 0, 0] = h(t)
+        out[:, 1, 1] = -h(t)
+        return out
+
+    report = integrate_measure(fnode, measure)
+    assert report.nodes_used == scalar.nodes_used
+    assert report.nodes_used > 48
+    want = np.diag([scalar.value, -scalar.value])
+    np.testing.assert_allclose(report.value, want, rtol=1e-12, atol=1e-15)
+
+
 def test_integration_deterministic_bitwise():
     m = UnitMeasure(ac=geometric_density(0.3), atoms=((0.5, 0.2),))
     h = lambda t: t / (1.0 + t)
