@@ -82,6 +82,9 @@ __all__ = [
 
 EPS_SCHEDULE = (1e-4, 1e-6, 1e-8)
 REG_ACCEPT_FACTOR = 1e-6
+# values per temporary row block in the node kernels (64 KB, below glibc's
+# default mmap threshold)
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,9 @@ def _harmonic_fnode(A: np.ndarray, B: np.ndarray):
     """Batched t -> A !_t B over node pairs (t, 1-t); endpoints short-circuit.
 
     One solve per node: the exact route for atom-only measures, and the
-    oracle the congruence route is tested against.
+    oracle the congruence route is tested against.  Besides the solve's own
+    result, a batch allocates the output and one pencil stack; the product
+    B X and the symmetrization reuse them.
     """
     d = A.shape[0]
 
@@ -137,15 +142,20 @@ def _harmonic_fnode(A: np.ndarray, B: np.ndarray):
         if at1.any():
             out[at1] = B
         if mid.any():
-            pencil = np.multiply.outer(tc[mid], B) + np.multiply.outer(t[mid], A)
+            h = out if mid.all() else np.empty((int(mid.sum()), d, d))
+            pencil = np.multiply.outer(tc[mid], B)
+            pencil += np.multiply.outer(t[mid], A, out=h)
             try:
                 x = np.linalg.solve(pencil, np.broadcast_to(A, pencil.shape))
             except np.linalg.LinAlgError as exc:
                 raise SingularPencilError(
                     "pencil (1-t)B + tA is singular; inputs share a null direction"
                 ) from exc
-            h = B @ x
-            out[mid] = 0.5 * (h + h.transpose(0, 2, 1))
+            np.matmul(B, x, out=pencil)
+            np.add(pencil, pencil.transpose(0, 2, 1), out=h)
+            h *= 0.5
+            if h is not out:
+                out[mid] = h
         if not np.isfinite(out).all():
             raise SingularPencilError("pencil solve produced non-finite values")
         return out
@@ -180,10 +190,18 @@ def _pair_fnode(a: np.ndarray, b: np.ndarray):
     short-circuit to a and b, as A !_0 B = A and A !_1 B = B.
     """
     ab = a * b
+    rows = max(1, _BLOCK // len(a))
 
     def fnode(t, tc):
+        # One (k, d) buffer per batch: the denominators, then the quotient in
+        # place.  t a is added in row blocks of at most _BLOCK values, since a
+        # second full-size array next to the buffer made glibc trim and regrow
+        # the heap on every batch (thousands of page faults per round).
+        out = np.multiply.outer(tc, b)
+        for lo in range(0, len(t), rows):
+            out[lo : lo + rows] += np.multiply.outer(t[lo : lo + rows], a)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = ab / (np.multiply.outer(tc, b) + np.multiply.outer(t, a))
+            np.divide(ab, out, out=out)
         out[t == 0.0] = a
         out[t == 1.0] = b
         return out
@@ -364,10 +382,12 @@ def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdM
 
 def _harmonic_scalar(xs: np.ndarray, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
     """1 !_t x on a node grid: x / ((1-t)x + t), with 1 !_0 x = 1; shape (k, m)."""
-    den = np.multiply.outer(tc, xs) + t[:, None]
+    out = np.multiply.outer(tc, xs)
+    out += t[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = xs[None, :] / den
-    return np.where(t[:, None] == 0.0, 1.0, raw)
+        np.divide(xs, out, out=out)
+    out[t == 0.0] = 1.0
+    return out
 
 
 def _atom_mass_at(mu: UnitMeasure, where: float) -> float:

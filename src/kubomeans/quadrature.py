@@ -36,6 +36,13 @@ no envelope, other    : tanh-sinh; nodes kept strictly inside (0, 1) at the
 Singular-continuous parts: QuadratureSpec.scheme is None (the cylinder depth
 comes from abs_tol and the contraction ratio, capped at 24, under a hard
 2**24 atom budget) or ("ifs_recursion", N), which pins the depth at N.
+
+Rules are built once, with NumPy only.  Gauss-Jacobi and Gauss-Legendre
+nodes come from Newton's method on the three-term recurrence (O(n) memory),
+the weights from P_n' at the nodes, scaled to the exact mass; each rule
+builder is an unbounded ``functools.lru_cache`` keyed by its size (and
+exponents).  IFS cylinder nodes are kept per (system, depth) in a
+least-recently-used store bounded at IFS_CACHE_BYTES.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import IfsBudgetError, QuadratureError
 
@@ -70,6 +76,7 @@ __all__ = [
 
 IFS_ATOM_BUDGET = 2**24
 IFS_DEPTH_CAP = 24
+IFS_CACHE_BYTES = 128 * 2**20
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,9 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 _CHUNK = 65536
+_NEWTON_STEPS = 30
+# (IfsMeasure, maps_c, depth) -> frozen (t, tc, w), oldest first
+_IFS_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -137,10 +147,130 @@ def _freeze(*arrays):
 # node rules
 
 
+def _gauss_jacobi(n: int, a: float, b: float):
+    """Gauss-Jacobi abscissas on [-1, 1] for (1-x)**a (1+x)**b, ascending.
+
+    Newton's method on the three-term recurrence, every node at once, from
+    the Szego guesses x_k = cos((k - 1/4 + a/2) pi / (n + (a+b+1)/2)): O(n)
+    memory and O(n) work per node (Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013).  Those guesses miss once an exponent reaches about 5; then the
+    eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969)
+    seed the same iteration.  With a == b only the nonnegative
+    half is solved and mirrored, so the rule is exactly symmetric.  The
+    weights come back unnormalized, proportional to
+    1 / ((1 - x**2) P_n'(x)**2); callers scale them to the exact mass.
+    """
+    m = (n + 1) // 2 if a == b else n
+    k = np.arange(1, m + 1)
+    guess = np.cos((k - 0.25 + 0.5 * a) * math.pi / (n + 0.5 * (a + b + 1.0)))
+    rule = _jacobi_newton(n, a, b, guess)
+    if rule is None:
+        rule = _jacobi_newton(n, a, b, _golub_welsch(n, a, b)[: -m - 1 : -1])
+    if rule is None:  # pragma: no cover - eigenvalue guesses always converge
+        raise ArithmeticError(f"Gauss-Jacobi Newton iteration failed at n={n}")
+    x, w = rule
+    if a == b:
+        tail = n // 2
+        x = np.concatenate((-x[:tail], x[::-1]))
+        w = np.concatenate((w[:tail], w[::-1]))
+    else:
+        x, w = x[::-1], w[::-1]
+    return x, w
+
+
+def _jacobi_newton(n: int, a: float, b: float, x: np.ndarray):
+    """Roots of P_n^(a, b) from guesses ``x``, descending, with weights.
+
+    Returns None when the iteration stalls or two guesses reach one root.
+    For a == b the guesses cover the nonnegative half; with n odd the
+    smallest is the root at 0.
+    """
+    for _ in range(_NEWTON_STEPS):
+        pn, dpn = _jacobi_eval(n, a, b, x)
+        dx = pn * ((1.0 - x) * (1.0 + x)) / dpn
+        x = x - dx
+        # quadratic convergence: a step below 1e-8 of the distance to the
+        # nearer endpoint leaves an error below the rounding of the recurrence
+        if np.all(np.abs(dx) <= 1e-8 * (1.0 - np.abs(x)) + 1e-15):
+            break
+    else:
+        return None
+    x = -np.sort(-x)
+    if a == b and n % 2:
+        if abs(x[-1]) > 1e-8:
+            return None
+        x[-1] = 0.0
+        inside = True
+    else:  # for a == b the mirror image supplies the negative half
+        inside = x[-1] > (0.0 if a == b else -1.0)
+    if not (inside and x[0] < 1.0 and np.all(np.diff(x) < -1e-6 / n**2)):
+        return None
+    # (1 - x^2) P_n' at the final nodes, with the P_n term kept: next to an
+    # endpoint P_{n-1} is small at the roots, and only the full expression
+    # keeps the weights accurate there
+    _pn, dpn = _jacobi_eval(n, a, b, x)
+    return x, (1.0 - x) * (1.0 + x) / dpn**2
+
+
+def _golub_welsch(n: int, a: float, b: float) -> np.ndarray:
+    """Eigenvalues (ascending) of the symmetric Jacobi matrix of (a, b)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+    diag[0] = (b - a) / (a + b + 2.0)
+    k, s = k[1:], s[1:]
+    off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    if n > 1:
+        # k = 1: (k + a + b) / (2k + a + b - 1) = 1, also when a + b = -1
+        off2[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    jac = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
+    return np.linalg.eigvalsh(jac)
+
+
+def _jacobi_eval(n: int, a: float, b: float, x: np.ndarray):
+    """P_n(x) and (1 - x^2) P_n'(x) of the Jacobi family (a, b).
+
+    The recurrence runs in place on two buffers, with the scalar
+    coefficients of 2k(k+a+b)(2k+a+b-2) P_k = (2k+a+b-1)[(2k+a+b)(2k+a+b-2) x
+    + a^2 - b^2] P_{k-1} - 2(k+a-1)(k+b-1)(2k+a+b) P_{k-2}; the derivative
+    follows from P_n and P_{n-1}.
+    """
+    prev = np.ones_like(x)
+    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    tmp = np.empty_like(x)
+    shift = a * a - b * b
+    for m in range(2, n + 1):
+        s = 2.0 * m + a + b
+        den = 2.0 * m * (m + a + b) * (s - 2.0)
+        np.multiply(x, (s - 1.0) * s * (s - 2.0) / den, out=tmp)
+        if shift:
+            tmp += (s - 1.0) * shift / den
+        tmp *= cur
+        prev *= 2.0 * (m + a - 1.0) * (m + b - 1.0) * s / den
+        np.subtract(tmp, prev, out=prev)
+        prev, cur = cur, prev
+    s = 2.0 * n + a + b
+    return cur, (n * ((a - b) - s * x) * cur + 2.0 * (n + a) * (n + b) * prev) / s
+
+
 @lru_cache(maxsize=None)
 def legendre_rule(n: int):
-    """Gauss-Legendre abscissas and weights on [-1, 1] (read-only arrays)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre abscissas and weights on [-1, 1] (read-only arrays).
+
+    Symmetric nodes and weights, the weights scaled to sum to 2 as
+    numpy's ``leggauss`` does.  The central weight (pair) then absorbs the
+    rounding left in ``w.sum()``, which makes it exactly 2.0 at every size
+    the package builds.
+    """
+    x, w = _gauss_jacobi(n, 0.0, 0.0)
+    w *= 2.0 / w.sum()
+    mid = slice((n - 1) // 2, n // 2 + 1)
+    for _ in range(4):
+        err = 2.0 - w.sum()
+        if err == 0.0:
+            break
+        w[mid] += err / (2 - n % 2)
     return _freeze(x, w)
 
 
@@ -148,17 +278,17 @@ def legendre_rule(n: int):
 def jacobi_rule(p: float, q: float, n: int):
     """Nodes (t, 1-t) and weights for ``int_0^1 t**p (1-t)**q phi(t) dt``.
 
-    Both coordinates come from the same [-1, 1] abscissa, so the pair stays
-    accurate at either endpoint.  scipy's Jacobi solver can emit a benign
-    invalid-divide warning for some (p, q); the roots are unaffected.
+    Built by ``_gauss_jacobi`` on [-1, 1] with x = 2t - 1 and cached per
+    (p, q, n).  Both coordinates come from the same abscissa, so the pair
+    stays accurate at either endpoint, and the weights are scaled to the
+    exact mass B(p+1, q+1).
     """
     if p <= -1.0 or q <= -1.0:
         raise ValueError("jacobi exponents must exceed -1")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x, w = roots_jacobi(n, q, p)
-    t = 0.5 * (1.0 + x)
-    tc = 0.5 * (1.0 - x)
-    return _freeze(t, tc, w * 2.0 ** (-p - q - 1.0))
+    x, w = _gauss_jacobi(n, float(q), float(p))
+    mass = math.exp(math.lgamma(p + 1.0) + math.lgamma(q + 1.0) - math.lgamma(p + q + 2.0))
+    w *= mass / w.sum()
+    return _freeze(0.5 * (1.0 + x), 0.5 * (1.0 - x), w)
 
 
 def _logistic_umax(n: int) -> float:
@@ -223,7 +353,9 @@ def ifs_nodes(ifs, depth: int):
     Starting from (1/2, 1/2), each level applies every map to the location
     and the conjugated map to the complement, so the node set of the
     reflected system is the exact pointwise complement of this one.  Raises
-    past the 2**24 atom budget.
+    past the 2**24 atom budget.  Results are cached per (system, depth) in a
+    least-recently-used store of at most ``IFS_CACHE_BYTES`` of node arrays;
+    a repeated call returns the same read-only arrays.
     """
     m = len(ifs.maps)
     if m**depth > IFS_ATOM_BUDGET:
@@ -232,6 +364,18 @@ def ifs_nodes(ifs, depth: int):
             f"(budget {IFS_ATOM_BUDGET})",
             nodes_used=0,
         )
+    # maps_c is not part of IfsMeasure equality but decides the complements
+    key = (ifs, ifs.maps_c, depth)
+    nodes = _IFS_CACHE.pop(key, None)
+    if nodes is None:
+        nodes = _build_ifs_nodes(ifs, depth)
+    _IFS_CACHE[key] = nodes
+    while sum(a.nbytes for v in _IFS_CACHE.values() for a in v) > IFS_CACHE_BYTES:
+        del _IFS_CACHE[next(iter(_IFS_CACHE))]
+    return nodes
+
+
+def _build_ifs_nodes(ifs, depth: int):
     rs = np.array([r for r, _ in ifs.maps])
     bs = np.array([b for _, b in ifs.maps])
     cs = np.array(ifs.maps_c)
@@ -255,7 +399,10 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
 
     numpy's pairwise summation; ``sequential`` forces a plain left-to-right
     loop (used for atom lists so the sum matches a caller's explicit
-    accumulation bitwise).
+    accumulation bitwise).  Otherwise a float array the node function
+    returns as its own buffer is weighted in place, so a batch holds one
+    array of values, and summed along the node axis without BLAS, so the
+    result does not depend on the thread count.
     """
     total = None
     for lo in range(0, len(t), _CHUNK):
@@ -269,7 +416,11 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
             for row in wt * vals:
                 part = row if part is None else part + row
         else:
-            part = np.sum(wt * vals, axis=0)
+            if vals.base is None and vals.flags.writeable and vals.dtype == float:
+                vals *= wt
+            else:
+                vals = wt * vals
+            part = np.sum(vals, axis=0)
         total = part if total is None else total + part
     return total
 
@@ -495,9 +646,10 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
 
     ``fnode(t, tc)`` takes equal-length arrays of locations and complements
     and returns an array whose leading axis indexes nodes: shape (k,) for
-    scalar integrands, (k, d, d) for matrix ones.  Tolerances are split
-    evenly across the parts so the summed error estimate still meets the
-    spec's bound.
+    scalar integrands, (k, d, d) for matrix ones.  Return a new array per
+    call: the reduction scales it by the weights in place.  Tolerances are
+    split evenly across the parts so the summed error estimate still meets
+    the spec's bound.
     """
     spec = spec or DEFAULT_SPEC
     nparts = max(_part_count(measure), 1)

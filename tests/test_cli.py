@@ -268,3 +268,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1.0,1.0\n"
+
+
+def test_import_loads_numpy_only():
+    # NumPy is the only runtime dependency: importing the package (and the
+    # CLI) must not pull in scipy
+    code = (
+        "import sys, kubomeans, kubomeans.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,15 +1,17 @@
 """Quadrature engine: node rules, per-part drivers, reports, node tables."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import beta as beta_fn
 
 from kubomeans.errors import IfsBudgetError, QuadratureError
 from kubomeans.measures import (
     Density,
     DensityTerm,
+    IfsMeasure,
     UnitMeasure,
     cantor_ifs,
     cantor_measure,
@@ -43,6 +45,23 @@ def _rng(key):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def beta_fn(a, b):
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+# Jacobi exponents the catalog's densities reach: geometric:0.3 and its
+# reflection, geometric:0.5, Lebesgue, and the two half-line pieces of
+# halfline_geometric(0.3)
+CATALOG_EXPONENTS = (
+    (-0.7, -0.3),
+    (-0.3, -0.7),
+    (-0.5, -0.5),
+    (0.0, 0.0),
+    (-0.7, 0.0),
+    (-0.3, 0.0),
+)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
@@ -70,6 +89,33 @@ def test_jacobi_rule_reproduces_beta_moments():
             assert got == pytest.approx(beta_fn(p + k + 1, q + 1), rel=1e-13)
 
 
+@pytest.mark.parametrize("p, q", CATALOG_EXPONENTS)
+def test_jacobi_rule_moments_match_exact_beta_values(p, q):
+    # a Gauss rule integrates t^k t^p (1-t)^q exactly; what is left is the
+    # rounding in the nodes and weights
+    for n in (16, 64, 256, 4096):
+        t, tc, w = jacobi_rule(p, q, n)
+        for k in range(9):
+            got = float(np.sum(w * t**k))
+            assert got == pytest.approx(beta_fn(p + k + 1, q + 1), rel=1e-11), (n, k)
+
+
+@pytest.mark.parametrize(
+    "p, q", CATALOG_EXPONENTS + ((-0.95, 0.4), (1.5, 2.0), (6.0, 0.5))
+)
+def test_jacobi_rule_nodes_match_scipy(p, q):
+    special = pytest.importorskip("scipy.special")
+    sizes = (1, 2, 3, 7, 16, 64, 255, 1024)
+    if (p, q) in CATALOG_EXPONENTS[:3]:
+        sizes += (4096,)
+    for n in sizes:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x, _w = special.roots_jacobi(n, q, p)
+        t, tc, _ = jacobi_rule(p, q, n)
+        np.testing.assert_allclose(t, 0.5 * (1.0 + x), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tc, 0.5 * (1.0 - x), rtol=0, atol=1e-14)
+
+
 def test_jacobi_rule_complement_accuracy_at_endpoints():
     t, tc, w = jacobi_rule(-0.9, 0.0, 64)
     # both coordinates are exact complements built from one abscissa
@@ -88,6 +134,30 @@ def test_legendre_rule_polynomial_exactness():
     for k in range(12):
         want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert float(np.sum(w * x**k)) == pytest.approx(want, abs=1e-14)
+
+
+def test_legendre_rule_is_symmetric_with_mass_two():
+    # the sizes the panels (8, 16) and the Cauchy rule (64 * 2^k) build
+    for n in (1, 2, 3, 8, 16, 64, 128, 256, 512, 1024, 2048, 4096):
+        x, w = legendre_rule(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0)
+        assert w.sum() == 2.0
+
+
+def test_legendre_rule_builds_in_linear_memory():
+    legendre_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        x, w = legendre_rule(4096)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(x) == 4096 and w.sum() == 2.0
+    assert seconds < 2.0
+    assert peak < 16 * 2**20
 
 
 def test_logistic_rule_mass_exact_and_kernel():
@@ -116,6 +186,30 @@ def test_ifs_nodes_cantor_structure():
     np.testing.assert_allclose(np.sort(tc), np.sort(1.0 - t), atol=0)
     with pytest.raises(IfsBudgetError):
         ifs_nodes(cantor_ifs(), 25)
+
+
+def test_ifs_nodes_are_cached_read_only():
+    first = ifs_nodes(cantor_ifs(), 9)
+    again = ifs_nodes(cantor_ifs(), 9)
+    assert all(a is b for a, b in zip(first, again))
+    assert not any(a.flags.writeable for a in first)
+    # systems that compare equal but carry other complement offsets keep
+    # their own entries
+    maps, probs = ((0.3, 0.0), (0.3, 0.7)), (0.5, 0.5)
+    plain = IfsMeasure(maps, probs)
+    shifted = IfsMeasure(maps, probs, maps_c=(0.7 + 1e-3, 0.0))
+    assert plain == shifted
+    assert not np.array_equal(ifs_nodes(plain, 3)[1], ifs_nodes(shifted, 3)[1])
+
+
+def test_node_values_aliasing_the_cached_nodes_are_not_scaled_in_place():
+    # the reduction weights a node function's own buffer in place; values that
+    # are a view of the (cached, read-only) nodes must be copied instead
+    m = UnitMeasure(ac=geometric_density(0.5), sc=(cantor_ifs(), 1.0))
+    spec = QuadratureSpec(scheme=("ifs_recursion", 12))
+    first, _ = integrate_scalar(m, lambda t: t, spec)
+    again, _ = integrate_scalar(m, lambda t: t, spec)
+    assert first == again == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrate_scalar_atoms_exact():
