@@ -326,7 +326,10 @@ def _add_quadrature_flags(sub, ifs: bool = True) -> None:
             "--ifs-depth",
             type=_positive_int,
             default=None,
-            help="pin the self-similar recursion depth",
+            help=(
+                "sum self-similar parts over all cylinders of exactly this "
+                "depth instead of refining them adaptively to the tolerance"
+            ),
         )
 
 

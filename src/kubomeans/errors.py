@@ -51,7 +51,13 @@ class QuadratureError(RuntimeError):
 
 
 class IfsBudgetError(QuadratureError):
-    """An IFS recursion depth would exceed the 2**24 support-point budget."""
+    """Self-similar quadrature cannot meet its tolerance within budget.
+
+    A pinned depth would exceed the 2**24 support-point budget, or adaptive
+    refinement would pass that many evaluations, a level's frontier would
+    pass its memory bound, or the tolerance is below the float64 resolution
+    of the estimate.
+    """
 
 
 class SingularPencilError(ArithmeticError):

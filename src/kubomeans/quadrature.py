@@ -2,10 +2,11 @@
 
 Every integral against a UnitMeasure splits structurally: atoms are summed
 directly, each density term is integrated by the rule its endpoint exponents
-call for, and singular-continuous parts are integrated by midpoint sums over
-IFS cylinder sets.  Matrix-valued and scalar integrands share one driver
-(node functions return stacks of shape (k, d, d) or vectors of shape (k,)),
-so a 1x1 matrix integral and the scalar integral agree bitwise; refinement
+call for, and singular-continuous parts are integrated by barycentre sums
+over IFS cylinder sets, refined adaptively unless a depth is pinned.
+Matrix-valued and scalar integrands share one driver (node functions return
+stacks of shape (k, d, d) or vectors of shape (k,)), so a 1x1 matrix
+integral and the scalar integral agree bitwise; refinement
 is driven by the largest absolute entry of the difference, which reduces to
 the value itself for scalars.
 
@@ -33,9 +34,25 @@ no envelope, log_mean : rule for the Cauchy kernel in u = log(t/(1-t)):
 no envelope, other    : tanh-sinh; nodes kept strictly inside (0, 1) at the
                         representable limit.
 
-Singular-continuous parts: QuadratureSpec.scheme is None (the cylinder depth
-comes from abs_tol and the contraction ratio, capped at 24, under a hard
-2**24 atom budget) or ("ifs_recursion", N), which pins the depth at N.
+Singular-continuous parts are refined cylinder by cylinder when
+QuadratureSpec.scheme is None.  Cylinder w carries its mass p_w and one node
+at its barycentre S_w(m1), m1 = int t dmu, which is exact for affine h and
+second order in the cylinder size for any IFS (Hutchinson, Indiana Univ.
+Math. J. 30, 1981; Strichartz, Amer. Math. Monthly 107, 2000).  Level by
+level, a cylinder is replaced by the sum over its children once that sum
+differs from its own value by at most p_w times the part's tolerance bound
+at the current estimate, so the accepted differences, summed as the error
+estimate, stay within that bound; only cylinders next to a steep stretch
+of the integrand go deeper.  The part's row reads "ifs_adaptive:<deepest
+level>".  Refinement raises IfsBudgetError, carrying the best value, its
+error estimate and the evaluations made, before its evaluations would pass
+the 2**24 atom budget or a level's frontier would pass IFS_FRONTIER_BYTES,
+and at once when the tolerance is below the float64 resolution of the
+estimate, where children agreeing with their parent to the last bit would
+otherwise pass for convergence.
+("ifs_recursion", N) instead pins an exact uniform depth: the midpoint sum
+over all branches**N cylinders, with the depth N - 2 sum as the reference
+of its error estimate, under the same atom budget.
 
 Rules are built once, with NumPy only.  Gauss-Jacobi and Gauss-Legendre
 nodes come from Newton's method on the three-term recurrence (O(n) memory),
@@ -75,17 +92,19 @@ __all__ = [
 ]
 
 IFS_ATOM_BUDGET = 2**24
-IFS_DEPTH_CAP = 24
 IFS_CACHE_BYTES = 128 * 2**20
+# cylinder state and node values held by one level of adaptive refinement
+IFS_FRONTIER_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances, node budget and the IFS depth pin shared by all drivers.
 
-    scheme: None, or ("ifs_recursion", depth) to pin the cylinder depth of
-    singular-continuous parts.  Density rules are not configurable: each
-    term's endpoint exponents decide its rule.
+    scheme: None, which refines the cylinders of singular-continuous parts
+    adaptively, or ("ifs_recursion", depth) to sum them at that exact
+    uniform depth.  Density rules are not configurable: each term's endpoint
+    exponents decide its rule.
     """
 
     abs_tol: float = 1e-10
@@ -120,6 +139,9 @@ DEFAULT_SPEC = QuadratureSpec()
 
 _CHUNK = 65536
 _NEWTON_STEPS = 30
+# smallest tolerance, relative to the estimate, that self-similar refinement
+# accepts: below it a zero difference is rounding, not agreement
+_RESOLUTION = 8.0 * np.finfo(float).eps
 # (IfsMeasure, maps_c, depth) -> frozen (t, tc, w), oldest first
 _IFS_CACHE: dict = {}
 
@@ -407,22 +429,31 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
     total = None
     for lo in range(0, len(t), _CHUNK):
         hi = min(lo + _CHUNK, len(t))
-        vals = np.asarray(fnode(t[lo:hi], tc[lo:hi]))
-        if vals.shape[0] != hi - lo:
-            raise ValueError("node function must return one value per node")
-        wt = w[lo:hi].reshape((-1,) + (1,) * (vals.ndim - 1))
+        vals = _weighted_values(fnode, t[lo:hi], tc[lo:hi], w[lo:hi])
         if sequential:
             part = None
-            for row in wt * vals:
+            for row in vals:
                 part = row if part is None else part + row
         else:
-            if vals.base is None and vals.flags.writeable and vals.dtype == float:
-                vals *= wt
-            else:
-                vals = wt * vals
             part = np.sum(vals, axis=0)
         total = part if total is None else total + part
     return total
+
+
+def _weighted_values(fnode, t, tc, w):
+    """w_j * fnode(t, tc)_j per node.
+
+    The node function's own float buffer is weighted in place; any other
+    result, such as a view of the nodes or of cached arrays, is copied.
+    """
+    vals = np.asarray(fnode(t, tc))
+    if vals.shape[0] != len(t):
+        raise ValueError("node function must return one value per node")
+    wt = w.reshape((-1,) + (1,) * (vals.ndim - 1))
+    if vals.base is None and vals.flags.writeable and vals.dtype == float:
+        vals *= wt
+        return vals
+    return wt * vals
 
 
 def _metric(x) -> float:
@@ -595,37 +626,103 @@ def _adaptive_panels(fnode, term, spec: QuadratureSpec):
     return total, nodes, err
 
 
-def _derived_depth(ratio: float, m: int, spec: QuadratureSpec) -> int:
-    """Smallest depth with ratio**N <= abs_tol, capped at 24 and by the budget."""
-    target = max(spec.abs_tol, 1e-15)
-    depth_tol = max(2, math.ceil(math.log(target) / math.log(ratio)))
-    depth_budget = int(math.log(IFS_ATOM_BUDGET) / math.log(m))
-    return min(depth_tol, IFS_DEPTH_CAP, depth_budget)
-
-
 def _integrate_ifs_part(fnode, ifs, weight, spec: QuadratureSpec):
-    pinned = spec.ifs_depth is not None
-    depth = spec.ifs_depth if pinned else _derived_depth(
-        ifs.contraction_ratio, len(ifs.maps), spec
-    )
+    if spec.ifs_depth is None:
+        return _refine_cylinders(fnode, ifs, weight, spec)
+    depth = spec.ifs_depth
     t, tc, w = ifs_nodes(ifs, depth)
     value = weight * _reduce(fnode, t, tc, w)
-    nodes = len(t)
-    coarse_depth = max(depth - 2, 1)
-    t2, tc2, w2 = ifs_nodes(ifs, coarse_depth)
+    t2, tc2, w2 = ifs_nodes(ifs, max(depth - 2, 1))
     coarse = weight * _reduce(fnode, t2, tc2, w2)
-    nodes += len(t2)
-    err = _metric(value - coarse)
-    if not pinned and ifs.contraction_ratio**depth > max(spec.abs_tol, 1e-15):
-        if err > _tol_bound(spec, _metric(value)):
+    return value, len(t) + len(t2), _metric(value - coarse), f"ifs_recursion:{depth}"
+
+
+def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
+    """Adaptive barycentre sum of ``weight * int fnode dmu_ifs``, level by level.
+
+    The frontier holds the active cylinders S_w as the columns of one state
+    array with rows ratio r_w, offset b_w, complement offset c_w
+    (1 - S_w(t) = c_w + r_w (1 - t), composed from maps_c as ``ifs_nodes``
+    does) and mass p_w, and each cylinder's weighted value at its node pair
+    (S_w(m1), 1 - S_w(m1)).  A
+    level evaluates the children of the whole frontier in batches of at
+    most _CHUNK nodes; a cylinder whose children's sum lies within
+    p_w * tol of its own value is replaced by that sum, the others pass
+    their children on.  tol is the tolerance bound at the estimate the level
+    starts from.  Returns (value, evaluations, summed accepted differences,
+    row label).
+    """
+    rs = np.array([r for r, _ in ifs.maps])
+    ps = np.array(ifs.probs)
+    m = len(rs)
+    # child (i, j) of parent j is S_w o S_i: state rows r_w r_i, b_w + r_w b_i,
+    # c_w + r_w c_i and p_w p_i, that is state * grow plus r_w * shift on the
+    # two offset rows
+    grow = np.array([rs, np.ones(m), np.ones(m), ps])[:, :, None]
+    shift = np.array([[b for _, b in ifs.maps], ifs.maps_c])[:, :, None]
+    # 1 - m1 is taken as the conjugate system's own barycentre, so the nodes
+    # of the reflected system are exactly these with t and 1 - t swapped
+    m1, m1c = ifs.moment(1), ifs.conjugate().moment(1)
+    state = np.array([[1.0], [0.0], [0.0], [1.0]])
+    vals = _weighted_values(
+        fnode, state[1] + state[0] * m1, state[2] + state[0] * m1c, weight * state[3]
+    )
+    total = np.zeros(vals.shape[1:])
+    cylinder_bytes = 8 * (4 + total.size)
+    nodes, level, err, pending = 1, 0, 0.0, 0.0
+    step = _CHUNK // m
+    while state.shape[1]:
+        estimate = total + vals.sum(0)
+        scale = _metric(estimate)
+        tol = _tol_bound(spec, scale)
+        children = m * state.shape[1]
+        if (
+            nodes + children > IFS_ATOM_BUDGET
+            or children * cylinder_bytes > IFS_FRONTIER_BYTES
+        ):
+            reason = (
+                f"level {level + 1} needs {children} more evaluations after "
+                f"{nodes} (budget {IFS_ATOM_BUDGET} evaluations and "
+                f"{IFS_FRONTIER_BYTES} bytes of frontier)"
+            )
+        elif tol < _RESOLUTION * scale:
+            reason = f"tolerance {tol:.3e} is below the float64 resolution of the value"
+        else:
+            reason = None
+        if reason is not None:
             raise IfsBudgetError(
-                f"IFS budget {IFS_ATOM_BUDGET} atoms cannot reach abs_tol "
-                f"{spec.abs_tol} (estimate gap {err:.3e} at depth {depth})",
-                value=float(np.sum(np.asarray(value))),
-                error_estimate=err,
+                f"IFS refinement stopped at level {level}: {reason}",
+                value=float(np.sum(estimate)),
+                error_estimate=err + pending if level else None,
                 nodes_used=nodes,
             )
-    return value, nodes, err, f"ifs_recursion:{depth}"
+        level += 1
+        pending = 0.0
+        kept_state, kept_vals = [], []
+        for lo in range(0, state.shape[1], step):
+            part = state[:, lo : lo + step]
+            kid = grow * part[:, None, :]
+            kid[1:3] += shift * part[0]
+            kids = _weighted_values(
+                fnode,
+                (kid[1] + kid[0] * m1).ravel(),
+                (kid[2] + kid[0] * m1c).ravel(),
+                weight * kid[3].ravel(),
+            )
+            nodes += len(kids)
+            kids = kids.reshape(kid.shape[1:] + kids.shape[1:])
+            sums = kids.sum(0)
+            diff = np.abs(sums - vals[lo : lo + step]).reshape(len(sums), -1).max(axis=1)
+            done = diff <= part[3] * tol
+            refine = np.flatnonzero(~done)
+            total = total + sums[done].sum(0)
+            err += float(diff[done].sum())
+            pending += float(diff[refine].sum())
+            kept_state.append(kid[:, :, refine].reshape(4, -1))
+            kept_vals.append(kids[:, refine].reshape((-1,) + kids.shape[2:]))
+        state = np.concatenate(kept_state, axis=1)
+        vals = np.concatenate(kept_vals)
+    return total, nodes, err, f"ifs_adaptive:{level}"
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,18 @@ def test_ifs_budget_exits_four(capsys):
     assert "quadrature did not converge" in captured.err
 
 
+def test_eval_parts_name_the_self_similar_rule(pair_files, capsys):
+    pa, pb, _, _ = pair_files
+    args = ["eval", "--mean", "cantor", "--A", pa, "--B", pb]
+    assert cli.main(args) == 0
+    (label, nodes, err), = json.loads(capsys.readouterr().err)["parts"]
+    assert label.startswith("ifs_adaptive:") and int(label.split(":")[1]) >= 1
+    assert nodes > 0 and err >= 0.0
+    assert cli.main(args + ["--ifs-depth", "8"]) == 0
+    (label, nodes, _err), = json.loads(capsys.readouterr().err)["parts"]
+    assert (label, nodes) == ("ifs_recursion:8", 2**8 + 2**6)
+
+
 def test_f_values_and_closed_form_column(capsys):
     assert cli.main(["f", "--mean", "geometric:0.5", "--x", "4", "--closed-form"]) == 0
     line = capsys.readouterr().out.strip()

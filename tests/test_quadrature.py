@@ -227,7 +227,7 @@ def test_integrate_scalar_mixture_report_parts():
     schemes = [row[0] for row in report.parts]
     assert schemes[0] == "atoms"
     assert schemes[1] == "gauss_legendre"
-    assert schemes[2].startswith("ifs_recursion:")
+    assert schemes[2].startswith("ifs_adaptive:")
     # 0.3/4 + 0.5/3 + 0.2 * 3/8
     want = 0.3 * 0.25 + 0.5 / 3.0 + 0.2 * 0.375
     assert report.value == pytest.approx(want, abs=1e-9)
