@@ -43,7 +43,9 @@ level, a cylinder is replaced by the sum over its children once that sum
 differs from its own value by at most p_w times the part's tolerance bound
 at the current estimate, so the accepted differences, summed as the error
 estimate, stay within that bound; only cylinders next to a steep stretch
-of the integrand go deeper.  The part's row reads "ifs_adaptive:<deepest
+of the integrand go deeper.  No cylinder is accepted before the frontier
+holds 256 cylinders, nor unless its parent passed the same test, so an
+integrand that takes equal values at a few coarse nodes is still refined.  The part's row reads "ifs_adaptive:<deepest
 level>".  Refinement raises IfsBudgetError, carrying the best value, its
 error estimate and the evaluations made, before its evaluations would pass
 the 2**24 atom budget or a level's frontier would pass IFS_FRONTIER_BYTES,
@@ -142,6 +144,9 @@ _NEWTON_STEPS = 30
 # smallest tolerance, relative to the estimate, that self-similar refinement
 # accepts: below it a zero difference is rounding, not agreement
 _RESOLUTION = 8.0 * np.finfo(float).eps
+# self-similar refinement splits every cylinder until the frontier holds at
+# least this many, before it accepts any
+_IFS_MIN_CYLINDERS = 256
 # (IfsMeasure, maps_c, depth) -> frozen (t, tc, w), oldest first
 _IFS_CACHE: dict = {}
 
@@ -644,13 +649,16 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
     array with rows ratio r_w, offset b_w, complement offset c_w
     (1 - S_w(t) = c_w + r_w (1 - t), composed from maps_c as ``ifs_nodes``
     does) and mass p_w, and each cylinder's weighted value at its node pair
-    (S_w(m1), 1 - S_w(m1)).  A
-    level evaluates the children of the whole frontier in batches of at
-    most _CHUNK nodes; a cylinder whose children's sum lies within
-    p_w * tol of its own value is replaced by that sum, the others pass
-    their children on.  tol is the tolerance bound at the estimate the level
-    starts from.  Returns (value, evaluations, summed accepted differences,
-    row label).
+    (S_w(m1), 1 - S_w(m1)).  A level evaluates the children of the whole
+    frontier in batches of at most _CHUNK nodes.  A cylinder agrees when its
+    children's sum lies within p_w * tol of its own value, tol being the
+    tolerance bound at the estimate the level starts from.  It is replaced
+    by that sum once both it and its parent agree and it lies no shallower
+    than the first depth with _IFS_MIN_CYLINDERS cylinders; the others pass
+    their children on.  The depth floor and the second level keep an
+    integrand that happens to take equal values at a few coarse nodes from
+    passing for converged.  Returns (value, evaluations, summed accepted
+    differences, row label).
     """
     rs = np.array([r for r, _ in ifs.maps])
     ps = np.array(ifs.probs)
@@ -664,6 +672,11 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
     # of the reflected system are exactly these with t and 1 - t swapped
     m1, m1c = ifs.moment(1), ifs.conjugate().moment(1)
     state = np.array([[1.0], [0.0], [0.0], [1.0]])
+    # whether each frontier cylinder's parent agreed with its children
+    parent_agreed = np.array([False])
+    min_depth = 1
+    while m**min_depth < _IFS_MIN_CYLINDERS:
+        min_depth += 1
     vals = _weighted_values(
         fnode, state[1] + state[0] * m1, state[2] + state[0] * m1c, weight * state[3]
     )
@@ -698,7 +711,7 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
             )
         level += 1
         pending = 0.0
-        kept_state, kept_vals = [], []
+        kept_state, kept_vals, kept_agreed = [], [], []
         for lo in range(0, state.shape[1], step):
             part = state[:, lo : lo + step]
             kid = grow * part[:, None, :]
@@ -713,15 +726,18 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
             kids = kids.reshape(kid.shape[1:] + kids.shape[1:])
             sums = kids.sum(0)
             diff = np.abs(sums - vals[lo : lo + step]).reshape(len(sums), -1).max(axis=1)
-            done = diff <= part[3] * tol
+            agreed = diff <= part[3] * tol
+            done = agreed & parent_agreed[lo : lo + step] & (level > min_depth)
             refine = np.flatnonzero(~done)
             total = total + sums[done].sum(0)
             err += float(diff[done].sum())
             pending += float(diff[refine].sum())
             kept_state.append(kid[:, :, refine].reshape(4, -1))
             kept_vals.append(kids[:, refine].reshape((-1,) + kids.shape[2:]))
+            kept_agreed.append(np.tile(agreed[refine], m))
         state = np.concatenate(kept_state, axis=1)
         vals = np.concatenate(kept_vals)
+        parent_agreed = np.concatenate(kept_agreed)
     return total, nodes, err, f"ifs_adaptive:{level}"
 
 

@@ -126,6 +126,27 @@ def test_asymmetric_system_and_its_reflection_lie_in_the_enclosure():
     assert float(mirror.value) == pytest.approx(value, rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oscillation_matching_at_coarse_nodes_is_refined(k):
+    # cos(2 pi 3^k t) takes the value -1 at the barycentres of every cylinder
+    # down to depth k, so children agree with their parent there.  Its
+    # integral is Re mu^(3^k) = -prod_{j>=1} cos(2 pi / 3^j) for every k >= 1
+    h = lambda t: np.cos(2.0 * np.pi * 3**k * t)
+    exact = -math.prod(math.cos(2.0 * math.pi / 3**j) for j in range(1, 60))
+    report = integrate_scalar_report(cantor_measure(), h)
+    assert report.value == pytest.approx(exact, abs=_tol(exact))
+    assert abs(report.value - exact) <= 10.0 * report.error_estimate
+
+
+def test_polynomial_vanishing_at_coarse_nodes_is_refined():
+    # zero at 1/2, 1/6 and 5/6; the Cantor measure's central moments are
+    # E (t - 1/2)^2 = 1/8 and E (t - 1/2)^4 = 3 (1/8)^2 - 2 (1/80) = 7/320
+    h = lambda t: ((t - 0.5) ** 2 - 1.0 / 9.0) * (t - 0.5) ** 2
+    exact = 7.0 / 320.0 - 1.0 / 72.0
+    report = integrate_scalar_report(cantor_measure(), h)
+    assert report.value == pytest.approx(exact, abs=_tol(exact))
+
+
 def test_refinement_goes_deeper_next_to_a_pole():
     near_pole = evaluate_report(_cantor(), [[1e-10]], [[1.0]])
     smooth = evaluate_report(_cantor(), [[1.0]], [[2.0]])  # f(2)
@@ -145,13 +166,13 @@ def test_unreachable_tolerance_raises_a_budget_error():
     "limit", [("IFS_ATOM_BUDGET", 4096), ("IFS_FRONTIER_BYTES", 2048)]
 )
 def test_refinement_stops_before_its_budget(monkeypatch, limit):
-    # at the default spec the pole pair needs 8183 evaluations, up to 1024
+    # at the default spec the pole pair needs 17311 evaluations, up to 2048
     # of them in one level
     name, value = limit
     monkeypatch.setattr(quadrature, name, value)
     with pytest.raises(IfsBudgetError) as err:
         evaluate_report(_cantor(), [[1e-10]], [[1.0]])
-    assert 0 < err.value.nodes_used <= min(quadrature.IFS_ATOM_BUDGET, 8183)
+    assert 0 < err.value.nodes_used <= min(quadrature.IFS_ATOM_BUDGET, 17311)
     assert math.isfinite(err.value.value) and err.value.error_estimate > 0.0
 
 
