@@ -260,20 +260,21 @@ def _shift_schedule(A: SpdMatrix, B: SpdMatrix, ready: bool, kernel):
     """``kernel`` at (A, B), through the shift schedule unless ``ready``.
 
     ``kernel(Ae, Be, scale_norm)`` returns the matrix value at the shifted
-    pair ``A + eps I, B + eps I``.  When ``ready`` it runs once at eps = 0
-    with scale_norm None; otherwise ``1 + ||A|| + ||B||`` is computed and
-    the schedule runs.  Returns ``(value, eps_used)``, eps_used None on the
+    pair ``A + eps I, B + eps I``; it must not write to them.  When ``ready``
+    it runs once on the entries themselves with scale_norm None; otherwise
+    the schedule runs with ``1 + ||A|| + ||B||`` from the norms the inputs'
+    validation stored.  Returns ``(value, eps_used)``, eps_used None on the
     direct path.
     """
+    if ready:
+        return kernel(A.entries, B.entries, None), None
+    scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
 
-    def direct(eps, scale_norm=None):
+    def shifted(eps):
         eye = eps * np.eye(A.dim)
         return kernel(A.entries + eye, B.entries + eye, scale_norm)
 
-    if ready:
-        return direct(0.0), None
-    scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
-    return _run_schedule(lambda eps: direct(eps, scale_norm), scale_norm)
+    return _run_schedule(shifted, scale_norm)
 
 
 def _schedule_spec(spec: QuadratureSpec, scale_norm: float | None) -> QuadratureSpec:

@@ -10,6 +10,11 @@ from the canonical serialization.
 
 Violations are reported relative to scale = 1 + ||A|| + ||B|| of the pair
 under test, so tolerances carry across dimensions and condition numbers.
+
+Each trial's random pair is validated once, as the two ``SpdMatrix`` objects
+``random_spd`` returns: they go to ``evaluate`` and to the scale as they are,
+so neither is wrapped nor measured again, and the trials do their own
+arithmetic on ``.entries``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .connections import (
 )
 from .measures import total_mass
 from .quadrature import QuadratureSpec, integrate_scalar
-from .spd import _random_orthogonal, congruence, random_spd, spectral_norm
+from .spd import SpdMatrix, _random_orthogonal, congruence, random_spd, spectral_norm
 
 __all__ = [
     "SuiteReport",
@@ -120,9 +125,7 @@ def _trial_rng(key: int, slot: int) -> np.random.Generator:
 
 
 def _pair(key: int, dim: int, cond: float):
-    a = random_spd(dim, cond, 8 * key + 0)
-    b = random_spd(dim, cond, 8 * key + 1)
-    return a.entries, b.entries
+    return random_spd(dim, cond, 8 * key + 0), random_spd(dim, cond, 8 * key + 1)
 
 
 def _scale(*mats) -> float:
@@ -133,9 +136,9 @@ def _lambda_min_deficit(m) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(np.asarray(m))[0]))
 
 
-def _order_bump(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
+def _order_bump(rng: np.random.Generator, base: SpdMatrix) -> np.ndarray:
     """A positive increment, so base + bump >= base holds by construction."""
-    dim = base.shape[0]
+    dim = base.dim
     q = _random_orthogonal(rng, dim)
     u = rng.uniform(0.0, 0.5, size=dim) * (1.0 + spectral_norm(base))
     return (q * u) @ q.T
@@ -196,8 +199,8 @@ class _SuiteContext:
 
 def _trial_monotonicity(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
-    c = a + _order_bump(_trial_rng(key, 2), a)
-    d = b + _order_bump(_trial_rng(key, 3), b)
+    c = a.entries + _order_bump(_trial_rng(key, 2), a)
+    d = b.entries + _order_bump(_trial_rng(key, 3), b)
     v_small = np.asarray(evaluate(ctx.conn, a, b, ctx.spec))
     v_large = np.asarray(evaluate(ctx.conn, c, d, ctx.spec))
     return _lambda_min_deficit(v_large - v_small) / _scale(c, d)
@@ -227,7 +230,10 @@ def _trial_continuity(ctx, key, trial) -> float:
     eye = np.eye(ctx.dim)
     gaps = []
     for eps in _CONTINUITY_EPS:
-        shifted = np.asarray(evaluate(ctx.conn, a + eps * eye, b + eps * eye, ctx.spec))
+        shift = eps * eye
+        shifted = np.asarray(
+            evaluate(ctx.conn, a.entries + shift, b.entries + shift, ctx.spec)
+        )
         gaps.append(spectral_norm(shifted - limit))
     # sigma(A+eI, B+eI) decreases to sigma(A, B), so the gaps decrease too;
     # allow the quadrature error of the two evaluations per gap.
@@ -256,15 +262,15 @@ def _trial_congruence_eq(ctx, key, trial) -> float:
 
 def _trial_norm_bound(ctx, key, trial) -> float:
     a, b = _pair(key, ctx.dim, ctx.cond)
-    value = np.asarray(evaluate(ctx.conn, a, b, ctx.spec))
+    value = evaluate(ctx.conn, a, b, ctx.spec)
     bound = ctx.mass * max(spectral_norm(a), spectral_norm(b))
     return max(0.0, spectral_norm(value) - bound) / _scale(a, b)
 
 
 def _trial_scalar_reduction(ctx, key, trial) -> float:
-    a = float(random_spd(1, ctx.cond, 8 * key + 0).entries[0, 0])
-    b = float(random_spd(1, ctx.cond, 8 * key + 1).entries[0, 0])
-    value = float(np.asarray(evaluate(ctx.conn, [[a]], [[b]], ctx.spec))[0, 0])
+    pair = _pair(key, 1, ctx.cond)
+    value = float(np.asarray(evaluate(ctx.conn, *pair, ctx.spec))[0, 0])
+    a, b = (float(m.entries[0, 0]) for m in pair)
     if ctx.entry is not None and ctx.entry.closed_form_scalar is not None:
         ref = a * float(np.asarray(ctx.entry.closed_form_scalar(b / a)))
     else:
@@ -279,7 +285,7 @@ def _trial_ordering(ctx, key, trial) -> float:
     m1 = ctx.moment1
     m0 = ctx.mass - m1
     value = np.asarray(evaluate(ctx.conn, a, b, ctx.spec))
-    upper = m0 * a + m1 * b
+    upper = m0 * a.entries + m1 * b.entries
     worst = _lambda_min_deficit(upper - value) / _scale(a, b)
     if ctx.mass > 0.0:
         # Jensen lower bound: 1 !_t x is convex in t.

@@ -20,8 +20,9 @@ results are bit-stable regardless of thread counts in the surrounding code.
 
 Density rules, derived from each term's effective endpoint exponents
 ---------------------------------------------------------------------
-(0, 0)                : bisected Gauss-Legendre 8/16-point panels,
-                        depth-limited at 12.
+(0, 0)                : bisected Gauss-Legendre 8/16-point panels, one
+                        24-node batch per panel, visited in preorder from
+                        an explicit stack and depth-limited at 12.
 any other (p, q)      : node-doubling Gauss-Jacobi on the exponents, with
                         the term's smooth residual as integrand.
 no envelope, log_mean : rule for the Cauchy kernel in u = log(t/(1-t)):
@@ -591,31 +592,36 @@ def _integrate_term(fnode, term, spec: QuadratureSpec):
 
 
 def _adaptive_panels(fnode, term, spec: QuadratureSpec):
-    """Bisected Gauss-Legendre 8/16 panels on g*h, left-to-right, depth <= 12."""
+    """Bisected Gauss-Legendre 8/16 panels on g*h, left-to-right, depth <= 12.
+
+    One node-function call per panel covers both rules: the 8 coarse nodes,
+    then the 16 fine ones, each sum taken over its slice of the weighted
+    values.  Pending panels wait on an explicit stack, left half on top, so
+    they are visited in the preorder of the bisection tree and a rough
+    integrand fails down the leftmost path first.
+    """
     x8, w8 = legendre_rule(8)
     x16, w16 = legendre_rule(16)
-
-    def panel_value(a, b, x, w):
-        half = 0.5 * (b - a)
-        t = a + half * (1.0 + x)
-        tc = (1.0 - b) + half * (1.0 - x)
-        g = term.eval_pair(t, tc)
-        return _reduce(fnode, t, tc, half * w * g)
-
+    x = np.concatenate((x8, x16))
+    w = np.concatenate((w8, w16))
     nodes = 0
     err = 0.0
     total = None
-
-    def visit(a, b, depth):
-        nonlocal nodes, err, total
-        coarse = panel_value(a, b, x8, w8)
-        fine = panel_value(a, b, x16, w16)
+    stack = [(0.0, 1.0, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        half = 0.5 * (b - a)
+        t = a + half * (1.0 + x)
+        tc = (1.0 - b) + half * (1.0 - x)
+        vals = _weighted_values(fnode, t, tc, half * w * term.eval_pair(t, tc))
+        coarse = np.sum(vals[:8], axis=0)
+        fine = np.sum(vals[8:], axis=0)
         nodes += 24
         diff = _metric(fine - coarse)
         if diff <= max((b - a) * spec.abs_tol, spec.rel_tol * _metric(fine)):
             total = fine if total is None else total + fine
             err += diff
-            return
+            continue
         if depth >= 12:
             raise QuadratureError(
                 "gauss_legendre panels exceeded depth 12 (integrand too rough)",
@@ -624,10 +630,8 @@ def _adaptive_panels(fnode, term, spec: QuadratureSpec):
                 nodes_used=nodes,
             )
         mid = 0.5 * (a + b)
-        visit(a, mid, depth + 1)
-        visit(mid, b, depth + 1)
-
-    visit(0.0, 1.0, 0)
+        stack.append((mid, b, depth + 1))
+        stack.append((a, mid, depth + 1))
     return total, nodes, err
 
 
@@ -754,6 +758,12 @@ def _part_count(measure) -> int:
     return n
 
 
+@lru_cache(maxsize=64)
+def _part_spec(spec: QuadratureSpec, nparts: int) -> QuadratureSpec:
+    """``spec`` with both tolerances split evenly over ``nparts`` parts."""
+    return replace(spec, abs_tol=spec.abs_tol / nparts, rel_tol=spec.rel_tol / nparts)
+
+
 def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> IntegrationReport:
     """Integrate a pair-aware node function against a UnitMeasure, by parts.
 
@@ -765,10 +775,7 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
     the spec's bound.
     """
     spec = spec or DEFAULT_SPEC
-    nparts = max(_part_count(measure), 1)
-    part_spec = replace(
-        spec, abs_tol=spec.abs_tol / nparts, rel_tol=spec.rel_tol / nparts
-    )
+    part_spec = _part_spec(spec, max(_part_count(measure), 1))
     rows = []
     values = []
     if measure.atoms:

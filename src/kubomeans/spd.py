@@ -3,7 +3,11 @@
 Everything downstream (connection evaluation, the axiom harness) works on
 real symmetric matrices whose spectral calculus is computed by
 eigendecomposition: ``basis @ diag(f(eigenvalues)) @ basis.T`` with the
-result re-symmetrized.  Tolerances follow the scale conventions
+result re-symmetrized.  An ``SpdMatrix`` is validated once, when it is
+built: that one spectrum gives its PSD verdict, its smallest eigenvalue and
+its spectral norm, and code that receives an ``SpdMatrix`` trusts all three
+instead of wrapping or measuring the matrix again.  Tolerances follow the
+scale conventions
 
 * PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
   (spectral norm),
@@ -92,16 +96,18 @@ class SpdMatrix(SymMatrix):
 
     Construction rejects matrices whose smallest eigenvalue falls below
     ``-1e-10 * (1 + ||A||)`` and records whether the matrix is strictly positive
-    definite (smallest eigenvalue above ``eig_floor``).
+    definite (smallest eigenvalue above ``eig_floor``) and its spectral norm,
+    which ``spectral_norm`` then returns without another eigensolve.
     """
 
     eig_floor: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         super().__post_init__()
-        # One spectrum gives both the norm and the smallest eigenvalue.
+        # One spectrum gives both the norm and the smallest eigenvalue; it is
+        # ascending, so the largest absolute value is at one of its ends.
         eigs = np.linalg.eigvalsh(self.entries)
-        norm = float(np.max(np.abs(eigs)))
+        norm = float(max(eigs[-1], -eigs[0]))
         if self.eig_floor is None:
             object.__setattr__(self, "eig_floor", EIG_FLOOR_FACTOR * norm)
         lam_min = float(eigs[0])
@@ -113,6 +119,7 @@ class SpdMatrix(SymMatrix):
                 tolerance=tol,
             )
         object.__setattr__(self, "_lam_min", lam_min)
+        object.__setattr__(self, "_norm", norm)
 
     @property
     def min_eigenvalue(self) -> float:
@@ -128,7 +135,13 @@ class SpdMatrix(SymMatrix):
 
 
 def spectral_norm(a) -> float:
-    """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
+    """Spectral norm of a symmetric matrix (largest absolute eigenvalue).
+
+    An ``SpdMatrix`` returns the norm its validation computed, equal to the
+    value an eigensolve of its entries gives; anything else is measured.
+    """
+    if isinstance(a, SpdMatrix):
+        return a._norm
     arr = as_entries(a)
     if arr.shape == (1, 1):
         return abs(float(arr[0, 0]))

@@ -369,3 +369,29 @@ def test_congruence_route_matches_the_pencil_oracle(ident, dim):
     got = evaluate(Connection(mu), a, b, spec).entries
     oracle = integrate_measure(connections._harmonic_fnode(a, b), mu, spec).value
     assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+def test_successful_evaluations_leave_no_cyclic_garbage():
+    # Every object an evaluation makes is freed by reference counting;
+    # cycles would wait for the collector and pile up in long runs.
+    import gc
+
+    a, b = _pair(50)
+    ids = ("dual_log_mean", "geometric:0.3", "log_mean", "harmonic:0.5", "cantor_mean")
+    calls = [lambda c=entry_from_id(i).connection: evaluate(c, a, b) for i in ids]
+    cantor = entry_from_id("cantor_mean").connection
+    pinned = QuadratureSpec(scheme=("ifs_recursion", 8))
+    dual = entry_from_id("dual_log_mean").connection
+    calls += [
+        lambda: evaluate(cantor, a, b, pinned),
+        lambda: representing_function(dual, 2.0),
+        lambda: transpose_rep_function(dual, 2.0),
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

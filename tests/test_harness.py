@@ -133,3 +133,21 @@ def test_filtered_run_matches_full_run_seeds():
     only = run_all(profile="quick", seed=3, suites=("norm_bound",))
     full_nb = [r for r in full if r.suite == "norm_bound"]
     assert [r.canonical_json() for r in full_nb] == [r.canonical_json() for r in only]
+
+
+def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
+    # two random inputs and the result per trial; evaluate and the scale
+    # reuse the validated pair instead of wrapping or measuring it again
+    from kubomeans.spd import SpdMatrix
+
+    calls = []
+    post_init = SpdMatrix.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SpdMatrix, "__post_init__", counted)
+    rep = run_suite("norm_bound", "geometric:0.3", trials=5)
+    assert rep.passed
+    assert len(calls) <= 3 * 5

@@ -418,3 +418,76 @@ def test_max_nodes_budget_respected():
             lambda t: np.cos(200.0 * t),
             QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_nodes=32),
         )
+
+
+def test_legendre_panels_keep_their_preorder():
+    # Panels are visited left half first, so a pole next to t = 0 exhausts
+    # the 13 panels of depths 0..12 on the leftmost path (24 nodes each)
+    # before any panel to its right is integrated.
+    from kubomeans.connections import _harmonic_scalar
+
+    m = UnitMeasure(ac=lebesgue_density())
+    with pytest.raises(QuadratureError) as err:
+        integrate_scalar(m, lambda t: 1.0 / t)
+    assert err.value.nodes_used == 13 * 24 == 312
+    # dual_log_mean's f(x) = int x / ((1-t)x + t) dt: f(2) settles on the
+    # first panel, f(1e-3) after 19 panels
+    for x, nodes in ((2.0, 24), (1e-3, 456)):
+        fnode = lambda t, tc: _harmonic_scalar(np.array([x]), t, tc)
+        assert integrate_measure(fnode, m).nodes_used == nodes
+
+
+def _recursive_panels(fnode, term, spec):
+    # reference: one node-function call per rule and panel, in recursion
+    from kubomeans.quadrature import _metric, _reduce
+
+    x8, w8 = legendre_rule(8)
+    x16, w16 = legendre_rule(16)
+    out = {"nodes": 0, "err": 0.0, "total": None}
+
+    def panel_value(a, b, x, w):
+        half = 0.5 * (b - a)
+        t = a + half * (1.0 + x)
+        tc = (1.0 - b) + half * (1.0 - x)
+        return _reduce(fnode, t, tc, half * w * term.eval_pair(t, tc))
+
+    def visit(a, b, depth):
+        coarse = panel_value(a, b, x8, w8)
+        fine = panel_value(a, b, x16, w16)
+        out["nodes"] += 24
+        diff = _metric(fine - coarse)
+        if diff <= max((b - a) * spec.abs_tol, spec.rel_tol * _metric(fine)):
+            total = out["total"]
+            out["total"] = fine if total is None else total + fine
+            out["err"] += diff
+            return
+        assert depth < 12
+        mid = 0.5 * (a + b)
+        visit(a, mid, depth + 1)
+        visit(mid, b, depth + 1)
+
+    visit(0.0, 1.0, 0)
+    return out["total"], out["nodes"], out["err"]
+
+
+def test_panel_batches_sum_like_one_call_per_rule():
+    # Slicing one 24-node batch gives the sums of separate 8- and 16-node
+    # batches bit for bit, for scalar, vector and matrix integrands.
+    from kubomeans.connections import _harmonic_fnode, _harmonic_scalar, _pair_fnode
+    from kubomeans.quadrature import _adaptive_panels
+
+    term = lebesgue_density().terms[0]
+    a, b = (m @ m.T + 1e-3 * np.eye(3) for m in _rng(7).normal(size=(2, 3, 3)))
+    xs = np.array([1e-3, 0.5, 2.0, 50.0])
+    fnodes = [
+        lambda t, tc: _harmonic_scalar(xs, t, tc),
+        lambda t, tc: _harmonic_scalar(np.array([1e-3]), t, tc)[:, 0],
+        _pair_fnode(np.array([0.001, 0.3, 0.999]), np.array([0.999, 0.7, 0.001])),
+        _harmonic_fnode(a, b),
+    ]
+    for fnode in fnodes:
+        value, nodes, err = _adaptive_panels(fnode, term, DEFAULT_SPEC)
+        ref_value, ref_nodes, ref_err = _recursive_panels(fnode, term, DEFAULT_SPEC)
+        assert nodes == ref_nodes > 24
+        assert err == ref_err
+        assert np.array_equal(value, ref_value)

@@ -172,3 +172,18 @@ def test_spd_validation_runs_one_eigensolve(monkeypatch):
     assert len(calls) == 1
     assert err.value.min_eigenvalue == -1.0
     assert err.value.tolerance == 1e-10 * (1.0 + 3.0)
+
+
+def test_spectral_norm_of_spd_matrix_is_the_stored_norm(monkeypatch):
+    # the norm validation computed, equal to an eigensolve of the entries
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    mats = [random_spd(dim, 1e4, 60 + dim) for dim in (1, 2, 7)]
+    mats += [SpdMatrix(singular), SpdMatrix([[0.0]]), SpdMatrix(np.zeros((7, 7)))]
+    expected = [spectral_norm(m.entries) for m in mats]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectral_norm re-solved a validated matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert [spectral_norm(m) for m in mats] == expected
+    assert expected[3] == 2.0 and expected[4] == 0.0
