@@ -4,9 +4,10 @@ reportable checks.
 
 Determinism contract: a report is a pure function of (suite, target, trials,
 dim, cond, seed, tol).  Per-trial randomness comes from counter-derived
-Philox keys (key = seed * 2**20 + trial), so serial, re-run, and thread-pool
-executions produce identical reports; wall time is informational and excluded
-from the canonical serialization.
+Philox keys (key = seed * 2**20 + trial), so re-runs and suite-filtered runs
+produce identical reports; wall time is informational and excluded from the
+canonical serialization.  Suites run in one thread: the IFS node cache they
+reach through ``HARNESS_SPEC`` is unlocked module state.
 
 Violations are reported relative to scale = 1 + ||A|| + ||B|| of the pair
 under test, so tolerances carry across dimensions and condition numbers.
@@ -21,9 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +48,6 @@ __all__ = [
     "run_suite",
     "run_all",
     "applicable_suites",
-    "thread_count",
 ]
 
 # Final-bound suites read their tolerance differently from residual suites.
@@ -100,20 +98,6 @@ class SuiteReport:
 
     def canonical_json(self) -> str:
         return json.dumps(self.canonical(), sort_keys=True)
-
-
-def thread_count() -> int:
-    """Worker count from KUBO_MEANS_THREADS; 0 means auto, unset means 1."""
-    raw = os.environ.get("KUBO_MEANS_THREADS", "1").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"KUBO_MEANS_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("KUBO_MEANS_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
 
 
 def _trial_key(seed: int, trial: int) -> int:
@@ -445,10 +429,8 @@ def run_all(
     quick: 20 trials per suite at dim 4.  full: 200 trials per suite spread
     over dims 2, 6, 12.  ``suites`` restricts the cross product without
     changing any task's derived seed, so a filtered run reproduces the
-    corresponding reports of the full run byte for byte.  Tasks are
-    independent; KUBO_MEANS_THREADS > 1 (or 0 for auto) runs them on a
-    thread pool with the report order, content, and seeds identical to a
-    serial run.
+    corresponding reports of the full run byte for byte.  Tasks run in one
+    thread, in order; to use several cores, run one process per suite.
     """
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; use quick or full")
@@ -458,9 +440,8 @@ def run_all(
             raise ValueError(f"unknown suite {unknown[0]!r}")
     cfg = _PROFILES[profile]
     dims = cfg["dims"]
-    entries = catalog()
-    tasks = []
-    for e_idx, entry in enumerate(entries):
+    reports = []
+    for e_idx, entry in enumerate(catalog()):
         for s_idx, suite in enumerate(applicable_suites(entry)):
             if suites is not None and suite not in suites:
                 continue
@@ -468,18 +449,15 @@ def run_all(
                 per_dim = cfg["trials"] // len(dims)
                 extra = 1 if (cfg["trials"] % len(dims)) > d_idx else 0
                 task_seed = ((seed * 131 + e_idx) * 131 + s_idx) * 131 + d_idx
-                tasks.append(
-                    (suite, entry, per_dim + extra, dim, cfg["cond"], task_seed)
+                reports.append(
+                    run_suite(
+                        suite,
+                        entry,
+                        trials=per_dim + extra,
+                        dim=dim,
+                        cond=cfg["cond"],
+                        seed=task_seed,
+                        spec=spec,
+                    )
                 )
-
-    def run(task):
-        suite, entry, trials, dim, cond, task_seed = task
-        return run_suite(
-            suite, entry, trials=trials, dim=dim, cond=cond, seed=task_seed, spec=spec
-        )
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, tasks))
-    return [run(task) for task in tasks]
+    return reports

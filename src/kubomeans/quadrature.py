@@ -16,7 +16,7 @@ abscissa, logistic nodes give sigma(u) and sigma(-u)), which keeps the
 complement accurate near the endpoints where forming 1 - t would lose digits.
 
 Reductions are fixed-order numpy pairwise sums over a fixed node ordering, so
-results are bit-stable regardless of thread counts in the surrounding code.
+results are bit-stable regardless of the BLAS thread count.
 
 Density rules, derived from each term's effective endpoint exponents
 ---------------------------------------------------------------------
@@ -383,7 +383,10 @@ def ifs_nodes(ifs, depth: int):
     reflected system is the exact pointwise complement of this one.  Raises
     past the 2**24 atom budget.  Results are cached per (system, depth) in a
     least-recently-used store of at most ``IFS_CACHE_BYTES`` of node arrays;
-    a repeated call returns the same read-only arrays.
+    a repeated call returns the same read-only arrays.  ``_IFS_CACHE`` is
+    unlocked module state, so this holds only while one thread calls in at a
+    time, as everything in kubomeans does: a concurrent caller can reorder
+    the store while another sums its sizes.
     """
     m = len(ifs.maps)
     if m**depth > IFS_ATOM_BUDGET:
@@ -430,7 +433,7 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
     accumulation bitwise).  Otherwise a float array the node function
     returns as its own buffer is weighted in place, so a batch holds one
     array of values, and summed along the node axis without BLAS, so the
-    result does not depend on the thread count.
+    result does not depend on the BLAS thread count.
     """
     total = None
     for lo in range(0, len(t), _CHUNK):

@@ -1,6 +1,7 @@
 """Catalog entries: scalar/matrix closed forms, id grammar, declared flags."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ def test_catalog_ids_roundtrip():
     assert len(ids) == len(set(ids)) == len(catalog())
     for ident in ids:
         assert entry_from_id(ident).id == ident
+
+
+def test_catalog_module_is_not_shadowed_by_its_function():
+    import kubomeans.catalog as C
+
+    assert C is sys.modules["kubomeans.catalog"]
+    assert [e.id for e in C.catalog()] == catalog_ids()
 
 
 def test_id_grammar_aliases_and_params():
