@@ -11,12 +11,17 @@ class ShapeError(ValueError):
 
 
 class NotPsdError(ValueError):
-    """A matrix fails the positive-semidefinite acceptance test."""
+    """A matrix fails the positive-semidefinite acceptance test.
 
-    def __init__(self, message, min_eigenvalue=None, tolerance=None):
+    ``index`` names the failing member of a stack, and is None for a single
+    matrix.
+    """
+
+    def __init__(self, message, min_eigenvalue=None, tolerance=None, index=None):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
         self.tolerance = tolerance
+        self.index = index
 
 
 class SpectralDomainError(ValueError):

@@ -140,7 +140,11 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-_CHUNK = 65536
+# values one node-function call may return: a call gets at most
+# _CALL_VALUES // width nodes, width being the values per node.  That is
+# 128 KiB of float64; 2**16 raised the peak RSS of a quick-profile check
+# round by 0.8 MB at the same speed.
+_CALL_VALUES = 2**14
 _NEWTON_STEPS = 30
 # smallest tolerance, relative to the estimate, that self-similar refinement
 # accepts: below it a zero difference is rounding, not agreement
@@ -425,44 +429,73 @@ def _build_ifs_nodes(ifs, depth: int):
 # shared reduction and convergence helpers
 
 
+class _Integrand:
+    """A node function and the number of values it returns per node.
+
+    Every driver calls node functions through ``weighted`` and sizes its
+    calls by ``step``, so no call returns more than _CALL_VALUES values
+    however wide the integrand is.  A node function may state its width as
+    a ``width`` attribute; otherwise the first call made tells it, and a
+    driver that needs it before that evaluates one node to learn it.
+    """
+
+    def __init__(self, fnode, sized=None):
+        self.fnode = fnode
+        # the width the node function states, or the one of ``sized``, the
+        # function it wraps
+        self.width = getattr(sized or fnode, "width", None)
+
+    def step(self, t, tc) -> int:
+        """Nodes per call for an integrand evaluated at (t, tc)."""
+        if self.width is None and len(t) > 1:
+            self.weighted(t[:1], tc[:1], np.ones(1))
+        return max(1, _CALL_VALUES // (self.width or 1))
+
+    def weighted(self, t, tc, w):
+        """w_j * fnode(t, tc)_j per node, in one call.
+
+        The node function's own float buffer is weighted in place; any other
+        result, such as a view of the nodes or of cached arrays, is copied.
+        """
+        vals = np.asarray(self.fnode(t, tc))
+        if vals.shape[0] != len(t):
+            raise ValueError("node function must return one value per node")
+        if self.width is None:
+            self.width = max(1, vals[0].size)
+        wt = w.reshape((-1,) + (1,) * (vals.ndim - 1))
+        if vals.base is None and vals.flags.writeable and vals.dtype == float:
+            vals *= wt
+            return vals
+        return wt * vals
+
+
+def _integrand(fnode, sized=None) -> _Integrand:
+    return fnode if isinstance(fnode, _Integrand) else _Integrand(fnode, sized)
+
+
 def _reduce(fnode, t, tc, w, sequential: bool = False):
     """Sum_j w_j * fnode(t, tc)_j over a fixed node order.
 
     numpy's pairwise summation; ``sequential`` forces a plain left-to-right
     loop (used for atom lists so the sum matches a caller's explicit
-    accumulation bitwise).  Otherwise a float array the node function
-    returns as its own buffer is weighted in place, so a batch holds one
-    array of values, and summed along the node axis without BLAS, so the
-    result does not depend on the BLAS thread count.
+    accumulation bitwise, in calls of any size).  Otherwise a float array
+    the node function returns as its own buffer is weighted in place, so a
+    call holds one array of values, and summed along the node axis without
+    BLAS, so the result does not depend on the BLAS thread count.
     """
+    f = _integrand(fnode)
+    step = f.step(t, tc)
     total = None
-    for lo in range(0, len(t), _CHUNK):
-        hi = min(lo + _CHUNK, len(t))
-        vals = _weighted_values(fnode, t[lo:hi], tc[lo:hi], w[lo:hi])
+    for lo in range(0, len(t), step):
+        hi = lo + step
+        vals = f.weighted(t[lo:hi], tc[lo:hi], w[lo:hi])
         if sequential:
-            part = None
             for row in vals:
-                part = row if part is None else part + row
+                total = row if total is None else total + row
         else:
             part = np.sum(vals, axis=0)
-        total = part if total is None else total + part
+            total = part if total is None else total + part
     return total
-
-
-def _weighted_values(fnode, t, tc, w):
-    """w_j * fnode(t, tc)_j per node.
-
-    The node function's own float buffer is weighted in place; any other
-    result, such as a view of the nodes or of cached arrays, is copied.
-    """
-    vals = np.asarray(fnode(t, tc))
-    if vals.shape[0] != len(t):
-        raise ValueError("node function must return one value per node")
-    wt = w.reshape((-1,) + (1,) * (vals.ndim - 1))
-    if vals.base is None and vals.flags.writeable and vals.dtype == float:
-        vals *= wt
-        return vals
-    return wt * vals
 
 
 def _metric(x) -> float:
@@ -575,6 +608,7 @@ def _density_scheme(term):
 
 
 def _integrate_term(fnode, term, spec: QuadratureSpec):
+    fnode = _integrand(fnode)
     scheme, nodes, sizes = _density_scheme(term)
     if sizes is None:
         value, used, err = _adaptive_panels(fnode, term, spec)
@@ -599,14 +633,18 @@ def _adaptive_panels(fnode, term, spec: QuadratureSpec):
 
     One node-function call per panel covers both rules: the 8 coarse nodes,
     then the 16 fine ones, each sum taken over its slice of the weighted
-    values.  Pending panels wait on an explicit stack, left half on top, so
-    they are visited in the preorder of the bisection tree and a rough
-    integrand fails down the leftmost path first.
+    values.  An integrand too wide for 24 nodes in one call sums each rule
+    in calls of its own.  Pending panels wait on an explicit stack, left
+    half on top, so they are visited in the preorder of the bisection tree
+    and a rough integrand fails down the leftmost path first.
     """
+    fnode = _integrand(fnode)
     x8, w8 = legendre_rule(8)
     x16, w16 = legendre_rule(16)
     x = np.concatenate((x8, x16))
     w = np.concatenate((w8, w16))
+    # whether one call takes a whole panel, asked at the first panel's nodes
+    one_call = fnode.step(0.5 * (1.0 + x), 0.5 * (1.0 - x)) >= 24
     nodes = 0
     err = 0.0
     total = None
@@ -616,9 +654,14 @@ def _adaptive_panels(fnode, term, spec: QuadratureSpec):
         half = 0.5 * (b - a)
         t = a + half * (1.0 + x)
         tc = (1.0 - b) + half * (1.0 - x)
-        vals = _weighted_values(fnode, t, tc, half * w * term.eval_pair(t, tc))
-        coarse = np.sum(vals[:8], axis=0)
-        fine = np.sum(vals[8:], axis=0)
+        wt = half * w * term.eval_pair(t, tc)
+        if one_call:
+            vals = fnode.weighted(t, tc, wt)
+            coarse = np.sum(vals[:8], axis=0)
+            fine = np.sum(vals[8:], axis=0)
+        else:
+            coarse = _reduce(fnode, t[:8], tc[:8], wt[:8])
+            fine = _reduce(fnode, t[8:], tc[8:], wt[8:])
         nodes += 24
         diff = _metric(fine - coarse)
         if diff <= max((b - a) * spec.abs_tol, spec.rel_tol * _metric(fine)):
@@ -639,6 +682,7 @@ def _adaptive_panels(fnode, term, spec: QuadratureSpec):
 
 
 def _integrate_ifs_part(fnode, ifs, weight, spec: QuadratureSpec):
+    fnode = _integrand(fnode)
     if spec.ifs_depth is None:
         return _refine_cylinders(fnode, ifs, weight, spec)
     depth = spec.ifs_depth
@@ -657,9 +701,9 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
     (1 - S_w(t) = c_w + r_w (1 - t), composed from maps_c as ``ifs_nodes``
     does) and mass p_w, and each cylinder's weighted value at its node pair
     (S_w(m1), 1 - S_w(m1)).  A level evaluates the children of the whole
-    frontier in batches of at most _CHUNK nodes.  A cylinder agrees when its
-    children's sum lies within p_w * tol of its own value, tol being the
-    tolerance bound at the estimate the level starts from.  It is replaced
+    frontier in calls of at most _CALL_VALUES values.  A cylinder agrees
+    when its children's sum lies within p_w * tol of its own value, tol
+    being the tolerance bound at the estimate the level starts from.  It is replaced
     by that sum once both it and its parent agree and it lies no shallower
     than the first depth with _IFS_MIN_CYLINDERS cylinders; the others pass
     their children on.  The depth floor and the second level keep an
@@ -667,6 +711,7 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
     passing for converged.  Returns (value, evaluations, summed accepted
     differences, row label).
     """
+    fnode = _integrand(fnode)
     rs = np.array([r for r, _ in ifs.maps])
     ps = np.array(ifs.probs)
     m = len(rs)
@@ -684,13 +729,14 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
     min_depth = 1
     while m**min_depth < _IFS_MIN_CYLINDERS:
         min_depth += 1
-    vals = _weighted_values(
-        fnode, state[1] + state[0] * m1, state[2] + state[0] * m1c, weight * state[3]
+    vals = fnode.weighted(
+        state[1] + state[0] * m1, state[2] + state[0] * m1c, weight * state[3]
     )
     total = np.zeros(vals.shape[1:])
     cylinder_bytes = 8 * (4 + total.size)
     nodes, level, err, pending = 1, 0, 0.0, 0.0
-    step = _CHUNK // m
+    # parents per call; the root call above told the width
+    step = max(1, _CALL_VALUES // (m * fnode.width))
     while state.shape[1]:
         estimate = total + vals.sum(0)
         scale = _metric(estimate)
@@ -723,8 +769,7 @@ def _refine_cylinders(fnode, ifs, weight, spec: QuadratureSpec):
             part = state[:, lo : lo + step]
             kid = grow * part[:, None, :]
             kid[1:3] += shift * part[0]
-            kids = _weighted_values(
-                fnode,
+            kids = fnode.weighted(
                 (kid[1] + kid[0] * m1).ravel(),
                 (kid[2] + kid[0] * m1c).ravel(),
                 weight * kid[3].ravel(),
@@ -773,10 +818,14 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
     ``fnode(t, tc)`` takes equal-length arrays of locations and complements
     and returns an array whose leading axis indexes nodes: shape (k,) for
     scalar integrands, (k, d, d) for matrix ones.  Return a new array per
-    call: the reduction scales it by the weights in place.  Tolerances are
-    split evenly across the parts so the summed error estimate still meets
-    the spec's bound.
+    call: the reduction scales it by the weights in place.  No call gets
+    more nodes than keep its values within 2**14 (_CALL_VALUES); a node
+    function may give its values per node as a ``width`` attribute, and one
+    without it is measured on a single node.  Tolerances are split evenly
+    across the parts so the summed error estimate still meets the spec's
+    bound.
     """
+    fnode = _integrand(fnode)
     spec = spec or DEFAULT_SPEC
     part_spec = _part_spec(spec, max(_part_count(measure), 1))
     rows = []
@@ -799,7 +848,7 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
         values.append(value)
         rows.append((scheme, nodes, err))
     if not values:
-        probe = np.asarray(fnode(np.array([0.5]), np.array([0.5])))
+        probe = np.asarray(fnode.fnode(np.array([0.5]), np.array([0.5])))
         values.append(np.zeros(probe.shape[1:]))
         rows.append(("empty", 0, 0.0))
     total = values[0]
@@ -814,7 +863,9 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
 
 
 def _scalar_fnode(h):
-    return lambda t, tc: np.asarray(h(t), dtype=float)
+    fnode = lambda t, tc: np.asarray(h(t), dtype=float)
+    fnode.width = 1
+    return fnode
 
 
 def integrate_scalar_report(
@@ -884,7 +935,7 @@ def node_table(measure, spec: QuadratureSpec | None = None, n: int = 64):
 def density_mass(density, spec: QuadratureSpec | None = None) -> float:
     """Mass of an absolutely continuous part, term by term."""
     spec = spec or DEFAULT_SPEC
-    ones = lambda t, tc: np.ones_like(t)
+    ones = _scalar_fnode(np.ones_like)
     mass = 0.0
     for term in density.terms:
         value, _, _, _ = _integrate_term(ones, term, spec)
@@ -901,7 +952,8 @@ def integrate_halfline_density(
 ) -> IntegrationReport:
     """``weight * int_0^inf G(lam) rho(lam) dlam`` for an envelope-tagged density.
 
-    ``Gnode(lam)`` maps an array of positive abscissas to per-node values.  The
+    ``Gnode(lam)`` maps an array of positive abscissas to per-node values,
+    and may state their number per node as ``width``, as node functions do.  The
     jacobi_split route integrates [0, 1] with Gauss-Jacobi at exponent pow0
     and [1, inf) through s = 1/lam at exponent decay - 2.  The log_cauchy
     route requires the log-mean kernel 1/(lam*(pi^2 + ln^2 lam)) and reuses
@@ -921,8 +973,8 @@ def integrate_halfline_density(
                 x, xc, w = jacobi_rule(exponent, 0.0, n)
                 yield _reduce(fnode, x, xc, w * smooth(x)), n
 
-        lower = series(p, smooth0, lambda lam, _c: Gnode(lam))
-        upper = series(qd, smooth_inf, lambda s, _c: Gnode(1.0 / s))
+        lower = series(p, smooth0, _integrand(lambda lam, _c: Gnode(lam), Gnode))
+        upper = series(qd, smooth_inf, _integrand(lambda s, _c: Gnode(1.0 / s), Gnode))
         v1, n1, e1 = _converge(lower, half_spec, "halfline-lower")
         v2, n2, e2 = _converge(upper, half_spec, "halfline-upper")
         value = weight * (v1 + v2)
@@ -935,11 +987,13 @@ def integrate_halfline_density(
                 nodes_used=0,
             )
 
+        fnode = _integrand(lambda x, _c: Gnode(x), Gnode)
+
         def series():
             for n in _doubling_sizes(64, spec.max_nodes):
                 u, umax, v = _cauchy_rule(n)
                 lam = np.concatenate(([math.exp(-umax)], np.exp(u), [math.exp(umax)]))
-                yield _reduce(lambda x, _c: Gnode(x), lam, lam, v), n + 2
+                yield _reduce(fnode, lam, lam, v), n + 2
 
         value, nodes, err = _converge(series(), spec, "log-cauchy")
         value = weight * value
@@ -952,7 +1006,7 @@ def integrate_halfline_density(
 
 
 def halfline_mass(dens, weight: float = 1.0, spec: QuadratureSpec | None = None) -> float:
-    report = integrate_halfline_density(
-        lambda lam: np.ones_like(lam), dens, weight, spec
-    )
+    ones = lambda lam: np.ones_like(lam)
+    ones.width = 1
+    report = integrate_halfline_density(ones, dens, weight, spec)
     return float(report.value)

@@ -6,8 +6,10 @@ eigendecomposition: ``basis @ diag(f(eigenvalues)) @ basis.T`` with the
 result re-symmetrized.  An ``SpdMatrix`` is validated once, when it is
 built: that one spectrum gives its PSD verdict, its smallest eigenvalue and
 its spectral norm, and code that receives an ``SpdMatrix`` trusts all three
-instead of wrapping or measuring the matrix again.  Tolerances follow the
-scale conventions
+instead of wrapping or measuring the matrix again.  An ``SpdStack`` does the
+same for n matrices of one dimension with one stacked eigensolve, under the
+same acceptance rule, and hands out its members as ``SpdMatrix`` objects
+without measuring them again.  Tolerances follow the scale conventions
 
 * PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
   (spectral norm),
@@ -27,6 +29,7 @@ from .errors import EigenSolverError, NotPsdError, ShapeError, SpectralDomainErr
 __all__ = [
     "SymMatrix",
     "SpdMatrix",
+    "SpdStack",
     "spectral_norm",
     "spectral_decompose",
     "apply_spectral_function",
@@ -34,6 +37,7 @@ __all__ = [
     "congruence",
     "loewner_leq",
     "random_spd",
+    "random_spd_stack",
     "load_matrix",
     "save_matrix",
     "as_entries",
@@ -61,6 +65,35 @@ def _validated_square(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def _accept_psd(eigs: np.ndarray):
+    """Smallest eigenvalues and spectral norms of ascending spectra (..., d).
+
+    The one PSD acceptance rule, for a matrix and for a stack alike: a
+    spectrum passes when its smallest eigenvalue is at least
+    ``-1e-10 * (1 + ||A||)``.  The norm is the larger of the two ends.  The
+    first spectrum that fails raises NotPsdError, naming its stack index
+    when ``eigs`` holds one spectrum per row.
+    """
+    # .T[0] keeps a single spectrum's ends NumPy scalars, whose arithmetic
+    # is cheaper than that of the 0-d arrays eigs[..., 0] would give
+    lam_min, lam_max = eigs.T[0], eigs.T[-1]
+    norm = np.maximum(lam_max, -lam_min)
+    tol = PSD_TOL_FACTOR * (1.0 + norm)
+    bad = lam_min < -tol
+    if bad.any() if eigs.ndim > 1 else bad:
+        i = int(bad.argmax())
+        index = i if eigs.ndim > 1 else None
+        low, bound = float(np.ravel(lam_min)[i]), float(np.ravel(tol)[i])
+        what = "matrix" if index is None else f"stack member {index}"
+        raise NotPsdError(
+            f"{what} is not PSD: min eigenvalue {low:.6g} < -{bound:.6g}",
+            min_eigenvalue=low,
+            tolerance=bound,
+            index=index,
+        )
+    return lam_min, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,22 +137,23 @@ class SpdMatrix(SymMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        # One spectrum gives both the norm and the smallest eigenvalue; it is
-        # ascending, so the largest absolute value is at one of its ends.
-        eigs = np.linalg.eigvalsh(self.entries)
-        norm = float(max(eigs[-1], -eigs[0]))
+        lam_min, norm = _accept_psd(np.linalg.eigvalsh(self.entries))
+        self._accept(float(lam_min), float(norm))
+
+    def _accept(self, lam_min: float, norm: float) -> None:
         if self.eig_floor is None:
             object.__setattr__(self, "eig_floor", EIG_FLOOR_FACTOR * norm)
-        lam_min = float(eigs[0])
-        tol = PSD_TOL_FACTOR * (1.0 + norm)
-        if lam_min < -tol:
-            raise NotPsdError(
-                f"matrix is not PSD: min eigenvalue {lam_min:.6g} < -{tol:.6g}",
-                min_eigenvalue=lam_min,
-                tolerance=tol,
-            )
         object.__setattr__(self, "_lam_min", lam_min)
         object.__setattr__(self, "_norm", norm)
+
+    @classmethod
+    def _member(cls, entries, lam_min: float, norm: float, eig_floor: float):
+        """A matrix whose spectrum a stack's validation already checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "eig_floor", eig_floor)
+        m._accept(lam_min, norm)
+        return m
 
     @property
     def min_eigenvalue(self) -> float:
@@ -134,18 +168,77 @@ class SpdMatrix(SymMatrix):
         return spectral_decompose(self)
 
 
-def spectral_norm(a) -> float:
+@dataclass(frozen=True, eq=False)
+class SpdStack:
+    """n positive semidefinite d x d matrices, validated by one eigensolve.
+
+    Construction takes an (n, d, d) array or a sequence of matrices, stores
+    the symmetrized stack read-only and checks every spectrum by the rule
+    ``SpdMatrix`` uses; a failing member raises NotPsdError carrying its
+    index.  ``norms``, ``min_eigenvalues``, ``eig_floors`` and ``strictly_pd``
+    hold one entry per member, and ``stack[i]`` is member i as an
+    ``SpdMatrix`` that trusts them.
+    """
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.entries, dtype=float)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ShapeError(
+                f"expected a stack of square matrices, got shape {arr.shape}"
+            )
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ShapeError("a stack needs a matrix of dimension at least 1")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
+        sym = 0.5 * (arr + arr.swapaxes(1, 2))
+        lam_min, norms = _accept_psd(np.linalg.eigvalsh(sym))
+        floors = EIG_FLOOR_FACTOR * norms
+        for name, value in (
+            ("entries", sym),
+            ("min_eigenvalues", lam_min),
+            ("norms", norms),
+            ("eig_floors", floors),
+            ("strictly_pd", lam_min > floors),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.entries.shape[0]
+
+    def __getitem__(self, i: int) -> SpdMatrix:
+        return SpdMatrix._member(
+            self.entries[i],
+            float(self.min_eigenvalues[i]),
+            float(self.norms[i]),
+            float(self.eig_floors[i]),
+        )
+
+    def __array__(self, dtype=None, copy=None):
+        if dtype is not None:
+            return self.entries.astype(dtype)
+        return self.entries
+
+
+def spectral_norm(a):
     """Spectral norm of a symmetric matrix (largest absolute eigenvalue).
 
     An ``SpdMatrix`` returns the norm its validation computed, equal to the
-    value an eigensolve of its entries gives; anything else is measured.
+    value an eigensolve of its entries gives, and an ``SpdStack`` its array
+    of member norms; anything else is measured, an (n, d, d) array giving one
+    norm per matrix.
     """
     if isinstance(a, SpdMatrix):
         return a._norm
+    if isinstance(a, SpdStack):
+        return a.norms
     arr = as_entries(a)
     if arr.shape == (1, 1):
         return abs(float(arr[0, 0]))
-    return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
+    norms = np.max(np.abs(np.linalg.eigvalsh(arr)), axis=-1)
+    return float(norms) if arr.ndim == 2 else norms
 
 
 def spectral_decompose(a):
@@ -262,19 +355,44 @@ def loewner_leq(a, b, tol: float = 1e-10) -> bool:
     return gap >= -tol * scale
 
 
-def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim))
+def _orthogonal(g: np.ndarray) -> np.ndarray:
+    """The Q factors of square blocks (..., d, d), R-diagonal signs positive.
+
+    Fixing the gauge makes the factorization, and hence the matrix, unique.
+    numpy factors a stack block by block with the routine it uses for one
+    block, so each factor is bitwise the one its block alone would give.
+    """
     q, r = np.linalg.qr(g)
-    # Fix the gauge so the factorization (and hence the matrix) is unique.
-    return q * np.sign(np.diag(r))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _random_spd_from(rng: np.random.Generator, dim: int, cond: float) -> np.ndarray:
+def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _orthogonal(rng.normal(size=(dim, dim)))
+
+
+def random_spd_stack(dim: int, cond: float, seeds) -> SpdStack:
+    """``random_spd`` for each seed, drawn per seed and factored as one stack.
+
+    Member i equals ``random_spd(dim, cond, seeds[i])`` bit for bit: the
+    Philox draws stay per seed, and the QR factorization, the product
+    ``Q diag(lam) Q^T`` and the validation run once on the stack.
+    """
+    if dim < 1:
+        raise ShapeError("dim must be at least 1")
+    if cond < 1.0:
+        raise ValueError("cond must be >= 1")
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("seed must be a nonnegative integer")
     half = 0.5 * np.log(cond)
-    lam = np.exp(rng.uniform(-half, half, size=dim))
-    q = _random_orthogonal(rng, dim)
-    a = (q * lam) @ q.T
-    return 0.5 * (a + a.T)
+    lam = np.empty((len(seeds), dim))
+    g = np.empty((len(seeds), dim, dim))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        lam[i] = np.exp(rng.uniform(-half, half, size=dim))
+        g[i] = rng.normal(size=(dim, dim))
+    q = _orthogonal(g)
+    a = (q * lam[:, None, :]) @ q.swapaxes(1, 2)
+    return SpdStack(0.5 * (a + a.swapaxes(1, 2)))
 
 
 def random_spd(dim: int, cond: float, seed: int) -> SpdMatrix:
@@ -287,14 +405,7 @@ def random_spd(dim: int, cond: float, seed: int) -> SpdMatrix:
     QR-factored (R-diagonal signs fixed positive) into the conjugating
     orthogonal basis.
     """
-    if dim < 1:
-        raise ShapeError("dim must be at least 1")
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return SpdMatrix(_random_spd_from(rng, dim, cond))
+    return random_spd_stack(dim, cond, (seed,))[0]
 
 
 def load_matrix(path) -> SymMatrix:

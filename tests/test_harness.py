@@ -126,18 +126,51 @@ def test_filtered_run_matches_full_run_seeds():
 
 
 def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
-    # two random inputs and the result per trial; evaluate and the scale
-    # reuse the validated pair instead of wrapping or measuring it again
-    from kubomeans.spd import SpdMatrix
+    # the task's two input stacks and its result stack, each validated once
+    # for all trials; evaluation and the scales reuse the stored norms
+    # instead of wrapping or measuring a matrix again
+    from kubomeans.spd import SpdMatrix, SpdStack
 
     calls = []
-    post_init = SpdMatrix.__post_init__
+    for cls in (SpdMatrix, SpdStack):
+        post_init = cls.__post_init__
 
-    def counted(self):
-        calls.append(self)
-        post_init(self)
+        def counted(self, post_init=post_init):
+            calls.append(type(self).__name__)
+            post_init(self)
 
-    monkeypatch.setattr(SpdMatrix, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     rep = run_suite("norm_bound", "geometric:0.3", trials=5)
     assert rep.passed
-    assert len(calls) <= 3 * 5
+    assert calls == ["SpdStack"] * 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_stacked_draws_equal_the_per_key_draws(dim):
+    # slots 0 and 1 are random_spd, slots 2 and 3 start with
+    # _random_orthogonal and go on with uniforms from the same generator
+    from kubomeans.harness import _draws, _pairs, _trial_key, _trial_rng
+    from kubomeans.spd import _random_orthogonal
+
+    keys = [_trial_key(seed, trial) for seed in (0, 9) for trial in (0, 1, 5)]
+    a, b = _pairs(keys, dim, 100.0)
+    for i, key in enumerate(keys):
+        assert np.array_equal(a.entries[i], random_spd(dim, 100.0, 8 * key).entries)
+        assert np.array_equal(b.entries[i], random_spd(dim, 100.0, 8 * key + 1).entries)
+    for slot in (2, 3):
+        q, u, v = _draws(keys, slot, dim, (0.0, 0.5), (-0.5, 0.5))
+        for i, key in enumerate(keys):
+            rng = _trial_rng(key, slot)
+            assert np.array_equal(q[i], _random_orthogonal(rng, dim))
+            assert np.array_equal(u[i], rng.uniform(0.0, 0.5, size=dim))
+            assert np.array_equal(v[i], rng.uniform(-0.5, 0.5, size=dim))
+
+
+def test_quick_profile_reports_are_pinned():
+    # sha256 of the canonical reports of run_all("quick", 0), one JSON line
+    # per report: evaluating a task's trials together must not change them
+    import hashlib
+
+    text = "\n".join(r.canonical_json() for r in run_all("quick", 0))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "0140c72f3bd0a16bc849ace04abae1399129185d7896ad93269b43cee8398b7c"

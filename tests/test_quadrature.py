@@ -491,3 +491,68 @@ def test_panel_batches_sum_like_one_call_per_rule():
         assert nodes == ref_nodes > 24
         assert err == ref_err
         assert np.array_equal(value, ref_value)
+
+
+def _capped_calls(fnode, declared):
+    # the values every call returns; a declared width is copied onto the
+    # wrapper, otherwise the drivers measure it
+    sizes = []
+
+    def wrapped(t, tc):
+        out = fnode(t, tc)
+        sizes.append(np.asarray(out).size)
+        return out
+
+    if declared:
+        wrapped.width = fnode.width
+    return wrapped, sizes
+
+
+@pytest.mark.parametrize("declared", [True, False])
+@pytest.mark.parametrize(
+    "case", ["ifs_pinned", "ifs_adaptive", "logistic_4096", "legendre_panels"]
+)
+def test_node_calls_stay_within_the_value_cap(case, declared):
+    # a 640-wide integrand (160 pairs at d = 4) gets at most _CALL_VALUES
+    # values per node-function call, on every route that hands out many nodes
+    from kubomeans.connections import _pair_fnode
+    from kubomeans.quadrature import _CALL_VALUES
+
+    a = np.linspace(1e-3, 1.0 - 1e-3, 640)
+    fnode, sizes = _capped_calls(_pair_fnode(a, 1.0 - a), declared)
+    if case == "ifs_pinned":
+        pinned = QuadratureSpec(scheme=("ifs_recursion", 12))
+        report = integrate_measure(fnode, cantor_measure(), pinned)
+        assert report.nodes_used == 4096 + 1024
+    elif case == "ifs_adaptive":
+        report = integrate_measure(fnode, cantor_measure())
+        assert report.nodes_used > _CALL_VALUES // 640
+    elif case == "logistic_4096":
+        # unreachable tolerance: the doubling runs through the 4096-node rule
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(QuadratureError) as err:
+            integrate_measure(fnode, UnitMeasure(ac=logmean_density()), spec)
+        sizes_run = (64, 128, 256, 512, 1024, 2048, 4096)
+        assert err.value.nodes_used == sum(n + 2 for n in sizes_run)
+    else:
+        report = integrate_measure(fnode, UnitMeasure(ac=lebesgue_density()))
+        assert report.parts[0][0] == "gauss_legendre" and report.nodes_used > 24
+    assert max(sizes) <= _CALL_VALUES == 2**14
+    if case != "legendre_panels":  # 24 nodes of 640 values fit one call
+        assert sum(sizes) > _CALL_VALUES
+
+
+def test_panels_too_wide_for_one_call_sum_each_rule_apart():
+    # 4096 values per node leave room for 4 nodes a call: each panel then
+    # sums its 8- and 16-point rules in calls of their own, to the same value
+    from kubomeans.connections import _pair_fnode
+    from kubomeans.quadrature import _CALL_VALUES
+
+    lebesgue = UnitMeasure(ac=lebesgue_density())
+    a = np.linspace(1e-3, 1.0 - 1e-3, 4096)
+    fnode, sizes = _capped_calls(_pair_fnode(a, 1.0 - a), True)
+    wide = integrate_measure(fnode, lebesgue).value
+    assert max(sizes) <= _CALL_VALUES
+    for i in (0, 1000, 2048, 4095):
+        one = integrate_measure(_pair_fnode(a[i : i + 1], 1.0 - a[i : i + 1]), lebesgue)
+        assert abs(wide[i] - one.value[0]) <= 1e-10 * abs(one.value[0])

@@ -8,6 +8,7 @@ import pytest
 from kubomeans.errors import NotPsdError, ShapeError, SpectralDomainError
 from kubomeans.spd import (
     SpdMatrix,
+    SpdStack,
     SymMatrix,
     apply_spectral_function,
     congruence,
@@ -15,6 +16,7 @@ from kubomeans.spd import (
     loewner_leq,
     matrix_power,
     random_spd,
+    random_spd_stack,
     save_matrix,
     spectral_norm,
 )
@@ -187,3 +189,79 @@ def test_spectral_norm_of_spd_matrix_is_the_stored_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     assert [spectral_norm(m) for m in mats] == expected
     assert expected[3] == 2.0 and expected[4] == 0.0
+
+
+# ||A|| = 1 for both, so the acceptance bound is -1e-10 * (1 + 1) = -2e-10
+_INSIDE = np.diag([1.0, -1.9e-10])
+_OUTSIDE = np.diag([1.0, -2.1e-10])
+
+
+def test_psd_tolerance_accepts_inside_and_rejects_outside():
+    assert SpdMatrix(_INSIDE).min_eigenvalue == -1.9e-10
+    with pytest.raises(NotPsdError) as err:
+        SpdMatrix(_OUTSIDE)
+    assert err.value.min_eigenvalue == -2.1e-10
+    assert err.value.tolerance == pytest.approx(2e-10, rel=1e-15)
+    assert err.value.index is None
+
+
+def test_stack_applies_the_matrix_rule_and_names_the_failing_member():
+    ok = random_spd(2, 10.0, 3).entries
+    stack = SpdStack([ok, _INSIDE, ok])
+    assert stack.min_eigenvalues[1] == -1.9e-10
+    assert list(stack.strictly_pd) == [True, False, True]
+    with pytest.raises(NotPsdError) as err:
+        SpdStack([ok, _INSIDE, _OUTSIDE, ok])
+    assert err.value.index == 2
+    assert "stack member 2" in str(err.value)
+    assert err.value.min_eigenvalue == -2.1e-10
+    assert err.value.tolerance == pytest.approx(2e-10, rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7])
+def test_stack_members_match_matrices_validated_alone(dim):
+    mats = [random_spd(dim, 1e3, seed).entries for seed in range(5)]
+    mats.append(np.zeros((dim, dim)))
+    stack = SpdStack(np.array(mats))
+    assert len(stack) == 6 and stack.entries.shape[1:] == (dim, dim)
+    assert not stack.entries.flags.writeable
+    for i, m in enumerate(mats):
+        alone, member = SpdMatrix(m), stack[i]
+        assert np.array_equal(member.entries, alone.entries)
+        assert member.min_eigenvalue == alone.min_eigenvalue
+        assert spectral_norm(member) == spectral_norm(alone) == stack.norms[i]
+        assert member.eig_floor == alone.eig_floor
+        assert member.is_strictly_pd == alone.is_strictly_pd == stack.strictly_pd[i]
+    assert np.array_equal(spectral_norm(stack), stack.norms)
+    assert np.array_equal(spectral_norm(stack.entries), stack.norms)
+
+
+def test_stack_validates_shape_and_entries():
+    with pytest.raises(ShapeError):
+        SpdStack(np.eye(3))
+    with pytest.raises(ShapeError):
+        SpdStack(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        SpdStack(np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError):
+        SpdStack(np.full((1, 2, 2), np.nan))
+
+
+def _reference_spd(dim, cond, seed):
+    # the documented recipe, written out: dim log-uniform eigenvalues, then
+    # the gauge-fixed QR factor of a dim x dim normal block, one Philox key
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    lam = np.exp(rng.uniform(-0.5 * np.log(cond), 0.5 * np.log(cond), size=dim))
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    a = (q * lam) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_random_spd_stack_draws_each_seed_as_alone(dim):
+    seeds = [0, 5, 8 * 2**20 + 1, 2**40 + 3]
+    stack = random_spd_stack(dim, 100.0, seeds)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(stack.entries[i], _reference_spd(dim, 100.0, seed))
+        assert np.array_equal(random_spd(dim, 100.0, seed).entries, stack.entries[i])
