@@ -31,11 +31,13 @@ import numpy as np
 
 from .connections import (
     Connection,
+    _on_range,
     _pair,
-    _shift_schedule,
+    _runs_directly,
     _sym,
     parallel_sum,
 )
+from .errors import SingularPencilError
 from .measures import (
     UnitMeasure,
     cantor_measure,
@@ -151,22 +153,46 @@ def _congruence_closed(f):
     """A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for a scalar f.
 
     The inner spectrum is clamped at 0 before f sees it, so a singular B
-    needs only f(0).  A singular A goes through the shift schedule.
+    needs only f(0).  A pair whose A + B is singular is compressed onto
+    range(A + B) first.  When A is singular there, the transposed form
+    B^{1/2} f^T(B^{-1/2} A B^{-1/2}) B^{1/2} with f^T(x) = x f(1/x) and
+    f^T(0) = 0 (these entries carry no atom at 1) takes over if B is
+    strictly PD; with both singular there the closed form raises.
     """
 
-    def kernel(ae, be, _scale_norm):
-        A = SpdMatrix(ae)
-        rt = np.asarray(apply_spectral_function(A, np.sqrt))
-        rti = np.asarray(apply_spectral_function(A, lambda w: 1.0 / np.sqrt(w)))
-        inner = SpdMatrix(rti @ be @ rti)
-        outer = apply_spectral_function(
-            inner, lambda w: f(np.maximum(w, 0.0)), name="closed form"
+    def transposed(w):
+        out = np.zeros_like(w)
+        pos = w > 0.0
+        out[pos] = w[pos] * f(1.0 / w[pos])
+        return out
+
+    def lifted(outer, inner, g):
+        # outer^{1/2} g(outer^{-1/2} inner outer^{-1/2}) outer^{1/2}
+        rt = np.asarray(apply_spectral_function(outer, np.sqrt))
+        rti = np.asarray(apply_spectral_function(outer, lambda w: 1.0 / np.sqrt(w)))
+        mid = SpdMatrix(rti @ inner @ rti)
+        value = apply_spectral_function(
+            mid, lambda w: g(np.maximum(w, 0.0)), name="closed form"
         )
-        return rt @ np.asarray(outer) @ rt
+        return rt @ np.asarray(value) @ rt
+
+    def kernel(ae, be):
+        A = SpdMatrix(ae)
+        if A.is_strictly_pd:
+            return lifted(A, be, f)
+        B = SpdMatrix(be)
+        if B.is_strictly_pd:
+            return lifted(B, ae, transposed)
+        raise SingularPencilError(
+            "closed form needs A or B strictly PD on range(A + B)"
+        )
 
     def closed(a, b) -> SpdMatrix:
         A, B = _pair(a, b)
-        value, _eps = _shift_schedule(A, B, A.is_strictly_pd, kernel)
+        if _runs_directly(A, B, True):
+            value = kernel(A.entries, B.entries)
+        else:
+            value = _on_range(A.entries, B.entries, kernel)
         return SpdMatrix(_sym(np.asarray(value, dtype=float)))
 
     return closed

@@ -7,7 +7,8 @@ suites, list the catalog, or dump quadrature node tables.  Exit codes:
     0  success
     1  a property suite failed, or --verify found a mismatch
     2  usage, parse, or shape error
-    3  positive-definiteness violation (including unstabilizable singular input)
+    3  an input is not positive semidefinite (or, under --verify, the closed
+       form cannot take the pair: both inputs singular on range(A + B))
     4  quadrature non-convergence (the message carries the best estimate)
 
 All floats are printed in shortest round-trip form; files named by --out are
@@ -147,8 +148,7 @@ def _cmd_eval(args) -> int:
         "dim": int(np.asarray(report.value.entries).shape[0]),
         "nodes_used": int(report.nodes_used),
         "error_estimate": float(report.error_estimate),
-        "regularized": report.regularized,
-        "eps_used": report.eps_used,
+        "compressed": report.compressed,
         "parts": [[s, int(n), float(e)] for s, n, e in report.parts],
     }
     verify_failed = False

@@ -24,23 +24,23 @@ measure of atoms only keeps the exact finite sum of pencil solves, stacked.
 Singular inputs: evaluation runs directly when A + B is strictly positive
 definite (every interior pencil satisfies (1-t)B + tA >= min(t, 1-t)(A + B))
 or when mu does not charge (0, 1).  With A singular and B PD this returns
-the limit from above (M3) exactly.  Only when A + B is singular, that is when
-the inputs share a null direction, does evaluation run the fixed shift
-schedule eps = 1e-4, 1e-6, 1e-8, accepting once successive results differ by
-less than 1e-6 * (1 + ||A|| + ||B||) in spectral norm; anything else raises.
-Such a pair runs through the schedule on its own, so it leaves the values of
-the other pairs of its stack as they are.  The weighted harmonic mean is the
+the limit from above (M3) exactly.  When A + B is singular, the inputs share
+the null space N of A + B, which reduces both of them; the limit from above
+is then exactly P (A_R sigma B_R) P^T, where P holds the eigenvectors of
+A + B above its eigenvalue floor, A_R = P^T A P and B_R = P^T B P.  Such a
+pair is evaluated alone on range(A + B), so it leaves the values of the
+other pairs of its stack as they are.  The weighted harmonic mean is the
 one-atom case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, ShapeError, SingularPencilError
+from .errors import ShapeError, SingularPencilError
 from .measures import (
     Density,
     HalfLineMeasure,
@@ -61,13 +61,19 @@ from .quadrature import (
     integrate_halfline_density,
     integrate_measure,
 )
-from .spd import SpdMatrix, SpdStack, as_entries, spectral_norm
+from .spd import SpdMatrix, SpdStack, as_entries, spectral_decompose
+
+# Unused here; perfbench/tracing.py rebinds these names in each importing
+# module.  _run_schedule named the eps shift schedule, which compression onto
+# range(A + B) replaced; it stays as a placeholder for the tracer.
+from .spd import spectral_norm  # noqa: F401
+
+_run_schedule = None
 
 __all__ = [
     "Connection",
     "RepFunction",
     "EvalReport",
-    "EPS_SCHEDULE",
     "weighted_harmonic",
     "parallel_sum",
     "evaluate",
@@ -86,8 +92,6 @@ __all__ = [
     "mean_convex_decomposition",
 ]
 
-EPS_SCHEDULE = (1e-4, 1e-6, 1e-8)
-REG_ACCEPT_FACTOR = 1e-6
 # values per temporary row block in the node kernels (64 KB, below glibc's
 # default mmap threshold)
 _BLOCK = 8192
@@ -103,29 +107,23 @@ class Connection:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Evaluation result with quadrature accounting and regularization trace.
+    """Evaluation result with quadrature accounting.
 
     ``value`` is an ``SpdMatrix`` from ``evaluate_report`` and the
     ``SpdStack`` of all results from ``evaluate_many``.  ``route`` is
     "atoms" (exact pencil sums) or "congruence" (one integration on the
-    spectra of the A + B congruence basis).  ``scheduled`` counts the pairs
-    that went through the shift schedule, each in an integration of its
-    own: ``nodes_used`` and ``parts`` cover every integration and
-    ``error_estimate`` is the largest, and ``eps_used`` is the largest shift
-    accepted, None when no pair needed one.
+    spectra of the A + B congruence basis).  ``compressed`` counts the pairs
+    evaluated on range(A + B), each in an integration of its own:
+    ``nodes_used`` and ``parts`` cover every integration and
+    ``error_estimate`` is the largest.
     """
 
     value: SpdMatrix | SpdStack
     nodes_used: int
     error_estimate: float
     parts: tuple[tuple[str, int, float], ...]
-    eps_used: float | None = None
     route: str = "congruence"
-    scheduled: int = 0
-
-    @property
-    def regularized(self) -> bool:
-        return self.eps_used is not None
+    compressed: int = 0
 
 
 def _pair(a, b) -> tuple[SpdMatrix, SpdMatrix]:
@@ -237,8 +235,8 @@ def _lift(M: np.ndarray, g) -> np.ndarray:
 
 
 def _runs_directly(A: SpdMatrix, B: SpdMatrix, charges_interior: bool) -> bool:
-    """True when no shift is needed: A + B strictly PD, or the measure sees
-    only the endpoints (where A !_0 B = A and A !_1 B = B need no solve).
+    """True when no compression is needed: A + B strictly PD, or the measure
+    sees only the endpoints (where A !_0 B = A and A !_1 B = B need no solve).
 
     Two strictly PD inputs have a strictly PD sum, which spares one
     eigenvalue check on the common path.
@@ -260,81 +258,30 @@ def _stack_runs_directly(A: SpdStack, B: SpdStack, charges_interior: bool):
     return direct
 
 
-def _run_schedule(direct, scale_norm: float):
-    """Shift schedule for singular inputs: accept on successive agreement.
+def _on_range(Ae: np.ndarray, Be: np.ndarray, kernel) -> np.ndarray:
+    """``kernel`` at a pair whose A + B is singular, taken on range(A + B).
 
-    Slow continuous extensions (the geometric mean drifts like sqrt(eps) off
-    a singular input) never meet the acceptance gap, and ever-sharper
-    boundary layers can defeat the quadrature outright; both surface as the
-    same singularity error, because the root cause is the input.
+    N = null(A + B) reduces both inputs, so the limit from above is exactly
+    P kernel(P^T A P, P^T B P) P^T, with P the eigenvectors of A + B above
+    the eigenvalue floor its strict-PD test uses; the compressed sum is PD.
+    A sum of rank 0 gives zeros without calling ``kernel``.
     """
-    accept = REG_ACCEPT_FACTOR * scale_norm
-    prev = None
-    prev_eps = None
-    last_gap = None
-    for eps in EPS_SCHEDULE:
-        try:
-            cur = direct(eps)
-        except QuadratureError as exc:
-            raise SingularPencilError(
-                f"regularized evaluation at eps {eps:g} did not integrate: {exc}"
-            ) from exc
-        if prev is not None:
-            last_gap = spectral_norm(cur - prev)
-            if last_gap < accept:
-                return cur, eps
-        prev, prev_eps = cur, eps
-    raise SingularPencilError(
-        "regularization schedule did not stabilize "
-        f"(last gap {last_gap:.3e} at eps {prev_eps:g}, accept < {accept:.3e})"
-    )
-
-
-def _shift_schedule(A: SpdMatrix, B: SpdMatrix, ready: bool, kernel):
-    """``kernel`` at (A, B), through the shift schedule unless ``ready``.
-
-    ``kernel(Ae, Be, scale_norm)`` returns the matrix value at the shifted
-    pair ``A + eps I, B + eps I``; it must not write to them.  When ``ready``
-    it runs once on the entries themselves with scale_norm None; otherwise
-    the schedule runs with ``1 + ||A|| + ||B||`` from the norms the inputs'
-    validation stored.  Returns ``(value, eps_used)``, eps_used None on the
-    direct path.
-    """
-    if ready:
-        return kernel(A.entries, B.entries, None), None
-    scale_norm = 1.0 + spectral_norm(A) + spectral_norm(B)
-
-    def shifted(eps):
-        eye = eps * np.eye(A.dim)
-        return kernel(A.entries + eye, B.entries + eye, scale_norm)
-
-    return _run_schedule(shifted, scale_norm)
-
-
-def _schedule_spec(spec: QuadratureSpec, scale_norm: float | None) -> QuadratureSpec:
-    """Quadrature tolerance for shifted evaluations inside the schedule.
-
-    The schedule accepts at 1e-6 * scale.  Integrands live on the spectra of
-    the congruence basis, in [0, 1], and the lift M diag(g) M^T multiplies an
-    error in g by at most ||A + B + 2 eps I|| < scale; so integrating g to
-    1e-8 leaves two orders of headroom while keeping the ever-sharper eps
-    boundary layers inside the node budget.  Unshifted evaluations
-    (scale_norm None) keep the spec as given.
-    """
-    if scale_norm is None:
-        return spec
-    loose = 1e-2 * REG_ACCEPT_FACTOR
-    return replace(
-        spec, abs_tol=max(spec.abs_tol, loose), rel_tol=max(spec.rel_tol, loose)
-    )
+    total = SpdMatrix(Ae + Be)
+    w, v = spectral_decompose(total)
+    P = v[:, w > total.eig_floor]
+    if not P.shape[1]:
+        return np.zeros(Ae.shape)
+    value = kernel(_sym(P.T @ Ae @ P), _sym(P.T @ Be @ P))
+    return P @ value @ P.T
 
 
 def weighted_harmonic(a, b, t: float) -> SpdMatrix:
     """A !_t B = [(1-t)A^{-1} + tB^{-1}]^{-1}, extended to singular endpoints.
 
     The connection of the unit atom at t: B((1-t)B + tA)^{-1}A, symmetrized,
-    with t=0 giving A and t=1 giving B exactly.  A singular interior pencil
-    goes through the shift schedule.
+    with t=0 giving A and t=1 giving B exactly.  When A + B is singular and
+    0 < t < 1, the pencil is solved on range(A + B) and the value is 0 on
+    the shared null space, the limit from above.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -346,27 +293,28 @@ def parallel_sum(a, b) -> SpdMatrix:
     """A : B = (A^{-1} + B^{-1})^{-1} = half the equal-weight harmonic mean."""
     A, B = _pair(a, b)
 
-    def kernel(Ae, Be, _scale_norm):
+    def kernel(Ae, Be):
         try:
             x = np.linalg.solve(Ae + Be, Be)
         except np.linalg.LinAlgError as exc:
             raise SingularPencilError("A + B is singular") from exc
         return Ae @ x
 
-    value, _eps = _shift_schedule(A, B, _runs_directly(A, B, True), kernel)
+    if _runs_directly(A, B, True):
+        value = kernel(A.entries, B.entries)
+    else:
+        value = _on_range(A.entries, B.entries, kernel)
     return SpdMatrix(_sym(value))
 
 
-def _evaluate_stack(conn: Connection, Ae, Be, shifted, pair, spec):
+def _evaluate_stack(conn: Connection, Ae, Be, compressed, spec):
     """The one evaluation core: A_i sigma B_i for entry stacks (n, d, d).
 
-    ``shifted`` lists the pairs that need the shift schedule, and ``pair(i)``
-    returns pair i as two validated ``SpdMatrix`` objects for it.  The
-    other pairs share one integration: the stacked pencil sums for
-    atom-only measures, or one integration over all their congruence
-    spectra followed by one batched lift.  Each shifted pair runs on its
-    own through the schedule.  Returns the unvalidated values and the
-    fields of their report.
+    ``compressed`` lists the pairs whose A + B is singular.  The other pairs
+    share one integration: the stacked pencil sums for atom-only measures,
+    or one integration over all their congruence spectra followed by one
+    batched lift.  Each compressed pair runs on its own on range(A + B).
+    Returns the unvalidated values and the fields of their report.
     """
     spec = spec or DEFAULT_SPEC
     mu = conn.measure
@@ -378,7 +326,7 @@ def _evaluate_stack(conn: Connection, Ae, Be, shifted, pair, spec):
 
     reports = []
 
-    def direct(Ae, Be, spec):
+    def direct(Ae, Be):
         if atoms_only:
             # the exact finite sum of pencil solves; a lone pair keeps the
             # (k, d, d) node values that perfbench's node_eval metrics read
@@ -394,36 +342,25 @@ def _evaluate_stack(conn: Connection, Ae, Be, shifted, pair, spec):
         reports.append(report)
         return value
 
-    eps_used = []
-    if not len(shifted):
-        values = direct(Ae, Be, spec)
+    if not len(compressed):
+        values = direct(Ae, Be)
     else:
         values = np.empty(Ae.shape)
         ready = np.ones(len(Ae), dtype=bool)
-        ready[shifted] = False
+        ready[compressed] = False
         if ready.any():
-            values[ready] = direct(Ae[ready], Be[ready], spec)
-        for i in shifted:
-
-            def kernel(Ae, Be, scale_norm):
-                return direct(Ae[None], Be[None], _schedule_spec(spec, scale_norm))[0]
-
-            done = len(reports)
-            values[i], eps = _shift_schedule(*pair(i), False, kernel)
-            # the accepted shift's integration stands for the pair
-            del reports[done:-1]
-            eps_used.append(eps)
+            values[ready] = direct(Ae[ready], Be[ready])
+        for i in compressed:
+            values[i] = _on_range(
+                Ae[i], Be[i], lambda Ar, Br: direct(Ar[None], Br[None])[0]
+            )
     nodes, err, parts = 0, 0.0, ()
     for r in reports:
         nodes += r.nodes_used
         err = max(err, r.error_estimate)
         parts += r.parts
     fields.update(
-        nodes_used=nodes,
-        error_estimate=err,
-        parts=parts,
-        eps_used=max(eps_used) if eps_used else None,
-        scheduled=len(eps_used),
+        nodes_used=nodes, error_estimate=err, parts=parts, compressed=len(compressed)
     )
     return values, fields
 
@@ -439,9 +376,9 @@ def evaluate_report(
     ||A + B|| times it.
     """
     A, B = _pair(a, b)
-    shifted = () if _runs_directly(A, B, conn.measure.charges_interior()) else (0,)
+    compressed = () if _runs_directly(A, B, conn.measure.charges_interior()) else (0,)
     values, fields = _evaluate_stack(
-        conn, A.entries[None], B.entries[None], shifted, lambda _i: (A, B), spec
+        conn, A.entries[None], B.entries[None], compressed, spec
     )
     return EvalReport(SpdMatrix(values[0]), **fields)
 
@@ -459,9 +396,9 @@ def evaluate_many(
     share one integration, refined until the largest difference over all
     their spectral values meets the tolerance, so their values may differ
     from ``evaluate``'s in the last bits; atom-only measures give exactly
-    the values of ``evaluate``.  A pair that needs the shift schedule runs
-    alone and changes no other pair's value.  An error in the shared
-    integration raises for the whole stack.
+    the values of ``evaluate``.  A pair whose A + B is singular runs alone
+    on range(A + B) and changes no other pair's value.  An error in the
+    shared integration raises for the whole stack.
     """
     A = As if isinstance(As, SpdStack) else SpdStack(As)
     B = Bs if isinstance(Bs, SpdStack) else SpdStack(Bs)
@@ -470,9 +407,8 @@ def evaluate_many(
             f"stack shape mismatch: {A.entries.shape} vs {B.entries.shape}"
         )
     ready = _stack_runs_directly(A, B, conn.measure.charges_interior())
-    shifted = np.flatnonzero(~ready)
     values, fields = _evaluate_stack(
-        conn, A.entries, B.entries, shifted, lambda i: (A[i], B[i]), spec
+        conn, A.entries, B.entries, np.flatnonzero(~ready), spec
     )
     return EvalReport(SpdStack(values), **fields)
 
@@ -483,8 +419,9 @@ def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdM
     Satisfies the norm bound ||A sigma B|| <= max(||A||, ||B||) * mu([0,1])
     up to quadrature tolerance.  Densities and self-similar parts are
     integrated on the spectra of the A + B congruence basis and lifted once;
-    atom-only measures are exact sums of pencil solves.  Engages the shift
-    schedule only when A + B is singular and mu charges (0, 1).
+    atom-only measures are exact sums of pencil solves.  When A + B is
+    singular and mu charges (0, 1), evaluates on range(A + B) and returns 0
+    on its null space, the limit from above.
     """
     return evaluate_report(conn, a, b, spec).value
 
@@ -589,14 +526,15 @@ def evaluate_canonical(
     small-lam division.  The density part is integrated in the congruence
     basis of A + B as the vector (lam+1) ab / (lam a + b) and lifted once.
     Runs directly when A + B is strictly PD or nu charges only 0 and
-    infinity.  Agrees with evaluate(pushforward_psi(nu), A, B).
+    infinity, and on range(A + B) otherwise.  Agrees with
+    evaluate(pushforward_psi(nu), A, B).
     """
     A, B = _pair(a, b)
     spec = spec or DEFAULT_SPEC
     has_density = nu.ac is not None and nu.weight > 0.0
 
-    def kernel(Ae, Be, scale_norm):
-        total = np.zeros((A.dim, A.dim))
+    def kernel(Ae, Be):
+        total = np.zeros(Ae.shape)
         for lam, w in nu.atoms:
             if lam == 0.0:
                 total = total + w * Ae
@@ -620,15 +558,14 @@ def evaluate_canonical(
 
             Gnode.width = len(ab)
 
-            report = integrate_halfline_density(
-                Gnode, nu.ac, nu.weight, _schedule_spec(spec, scale_norm)
-            )
+            report = integrate_halfline_density(Gnode, nu.ac, nu.weight, spec)
             total = total + _lift(M, report.value)
         return _sym(total)
 
     charges = has_density or any(0.0 < lam < math.inf for lam, _w in nu.atoms)
-    value, _eps = _shift_schedule(A, B, _runs_directly(A, B, charges), kernel)
-    return SpdMatrix(value)
+    if _runs_directly(A, B, charges):
+        return SpdMatrix(kernel(A.entries, B.entries))
+    return SpdMatrix(_on_range(A.entries, B.entries, kernel))
 
 
 # ---------------------------------------------------------------------------

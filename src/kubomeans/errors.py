@@ -66,4 +66,4 @@ class IfsBudgetError(QuadratureError):
 
 
 class SingularPencilError(ArithmeticError):
-    """Epsilon-regularization failed to stabilize a singular evaluation."""
+    """A pencil or sum that the evaluation must invert is singular."""

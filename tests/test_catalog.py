@@ -190,6 +190,28 @@ def test_dual_log_closed_form_is_the_limit_on_singular_b():
     assert spectral_norm(value - above) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("seed", [23, 63])
+@pytest.mark.parametrize("ident", ["geometric:0.3", "geometric:0.5", "dual_log_mean"])
+def test_density_closed_forms_take_a_singular_a(ident, seed):
+    # A singular and B PD: the transposed form B^1/2 f^T(B^-1/2 A B^-1/2) B^1/2
+    # with f^T(x) = x f(1/x) gives the value evaluate returns
+    proj = np.diag([1.0, 1.0, 0.0])
+    a = proj @ random_spd(3, 10.0, seed).entries @ proj
+    b = random_spd(3, 10.0, seed + 1).entries
+    closed = closed_form_eval(ident, a, b).entries
+    quad = evaluate(entry_from_id(ident).connection, a, b).entries
+    assert np.linalg.norm(quad - closed) <= 1e-7 * np.linalg.norm(closed)
+
+
+def test_closed_form_needs_one_input_pd_on_the_range():
+    from kubomeans.errors import SingularPencilError
+
+    # A + B is PD, but A and B are each singular on it
+    a, b = np.diag([1.0, 0.0]), np.diag([0.0, 2.0])
+    with pytest.raises(SingularPencilError):
+        closed_form_eval("geometric:0.5", a, b)
+
+
 def test_scalar_closed_forms_vectorize():
     xs = np.array([0.5, 1.0, 2.0])
     vals = representing_function_closed("log_mean", xs)

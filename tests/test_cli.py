@@ -37,7 +37,7 @@ def test_eval_scalar_harmonic(tmp_path, capsys):
     assert code == 0
     assert captured.out == "1.5\n"
     meta = json.loads(captured.err)
-    assert meta["regularized"] is False
+    assert meta["compressed"] == 0
     assert meta["nodes_used"] == 1
 
 
@@ -101,18 +101,27 @@ def test_eval_exit_codes(tmp_path, pair_files, capsys):
     capsys.readouterr()
 
 
-def test_singular_geometric_exits_three(tmp_path, capsys):
+def test_singular_geometric_returns_the_limit(tmp_path, capsys):
     # a shared null vector (A + B singular) plus one more null direction of A:
-    # the shift schedule cannot settle the geometric mean's sqrt(eps) drift
+    # evaluation and the closed form both compress onto range(A + B)
     first, proj = np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])
     a = first @ random_spd(3, 10.0, 63).entries @ first
     b = proj @ random_spd(3, 10.0, 64).entries @ proj
     pa, pb = tmp_path / "sa.csv", tmp_path / "sb.csv"
     save_matrix(pa, a)
     save_matrix(pb, b)
-    code = cli.main(["eval", "--mean", "geometric:0.5", "--A", str(pa), "--B", str(pb)])
-    assert code == 3
-    assert "error" in capsys.readouterr().err
+    args = ["eval", "--mean", "geometric:0.5", "--A", str(pa), "--B", str(pb)]
+    code = cli.main(args + ["--verify"])
+    captured = capsys.readouterr()
+    assert code == 0
+    meta = json.loads(captured.err)
+    assert meta["compressed"] == 1 and meta["verify"]["passed"]
+    got = np.array([[float(v) for v in row.split(",")] for row in captured.out.split()])
+    # with A = x x^T of rank one, A # B = x x^T / (x^T B^-1 x)^1/2 on the
+    # range; here x = a11^1/2 e1, so the value is (a11 / (B_2^-1)_11)^1/2 e1 e1^T
+    want = np.zeros((3, 3))
+    want[0, 0] = np.sqrt(a[0, 0] / np.linalg.inv(b[:2, :2])[0, 0])
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_ifs_budget_exits_four(capsys):

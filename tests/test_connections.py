@@ -1,12 +1,12 @@
 """Connection evaluation, representing functions, transpose, decomposition,
-and the shift schedule for singular inputs."""
+and compression onto range(A + B) for inputs that share a null direction."""
 
 import math
 
 import numpy as np
 import pytest
 
-from kubomeans.catalog import entry_from_id
+from kubomeans.catalog import closed_form_eval, entry_from_id
 from kubomeans.connections import (
     Connection,
     add_connections,
@@ -25,7 +25,7 @@ from kubomeans.connections import (
     transpose_rep_function,
     weighted_harmonic,
 )
-from kubomeans.errors import NotPsdError, ShapeError, SingularPencilError
+from kubomeans.errors import NotPsdError, ShapeError
 from kubomeans.measures import (
     HalfLineMeasure,
     UnitMeasure,
@@ -136,50 +136,101 @@ def test_evaluate_geometric_density_matches_congruence():
 def test_report_fields_on_pd_inputs():
     a, b = _pair(9)
     report = evaluate_report(Connection(UnitMeasure(ac=geometric_density(0.3))), a, b)
-    assert not report.regularized and report.eps_used is None
+    assert report.compressed == 0
     assert report.nodes_used > 0
     assert report.error_estimate < 1e-8
 
 
-def test_schedule_engages_for_harmonic_type_singular_input():
-    # inputs sharing a null vector make the pencil singular: accepted, O(eps)
+def test_harmonic_type_shared_null_input_is_compressed():
+    # inputs sharing a null vector make A + B singular: the pencil is solved
+    # on range(A + B) and the value is 0 on the null vector, exactly
     d = 3
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(d, 10.0, 21).entries @ proj
     b = proj @ random_spd(d, 10.0, 22).entries @ proj
     conn = Connection(dirac(0.5))
     report = evaluate_report(conn, a, b)
-    assert report.regularized and report.eps_used is not None
+    assert report.compressed == 1
     # A !_{1/2} B = 2 A(A+B)^-1 B on the common range, 0 on the null vector
     a2, b2 = a[:2, :2], b[:2, :2]
     block = a2 @ np.linalg.solve(0.5 * (a2 + b2), b2)
     want = np.zeros((d, d))
     want[:2, :2] = 0.5 * (block + block.T)
     scale = 1.0 + spectral_norm(a) + spectral_norm(b)
-    assert spectral_norm(report.value.entries - want) <= 1e-5 * scale
+    assert spectral_norm(report.value.entries - want) <= 1e-12 * scale
 
 
-def test_schedule_rejects_geometric_on_singular_input():
+def _transposed_geometric(a, b, alpha):
+    """A #_alpha B = B^1/2 (B^-1/2 A B^-1/2)^(1-alpha) B^1/2 for a PD B,
+    with the zero eigenvalues of a singular A's inner matrix set to 0."""
+    w, v = np.linalg.eigh(b)
+    rt, rti = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    wi, vi = np.linalg.eigh(rti @ a @ rti)
+    wi = np.where(wi > 1e-12 * wi.max(), wi, 0.0)
+    return rt @ ((vi * wi ** (1.0 - alpha)) @ vi.T) @ rt
+
+
+def test_geometric_on_singular_input_returns_the_limit():
     conn = Connection(UnitMeasure(ac=geometric_density(0.5)))
     # A singular, B PD: A + B is PD, so the M3 limit comes back directly
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(3, 10.0, 23).entries @ proj
     b = random_spd(3, 10.0, 24).entries
     report = evaluate_report(conn, a, b)
-    assert report.eps_used is None
-    w, v = np.linalg.eigh(b)
-    rt, rti = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
-    wi, vi = np.linalg.eigh(rti @ a @ rti)
-    want = rt @ ((vi * np.sqrt(np.maximum(wi, 0.0))) @ vi.T) @ rt
+    assert report.compressed == 0
+    want = _transposed_geometric(a, b, 0.5)
     got = report.value.entries
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-    # a shared null vector makes A + B singular; A's extra null direction
-    # drifts like sqrt(eps), which never meets the acceptance gap
+    # a shared null vector makes A + B singular, and A has one more null
+    # direction: the limit is the transposed form on the first two
+    # coordinates, where B is PD
     first = np.diag([1.0, 0.0, 0.0])
     a = first @ random_spd(3, 10.0, 23).entries @ first
     b = proj @ b @ proj
-    with pytest.raises(SingularPencilError):
-        evaluate(conn, a, b)
+    report = evaluate_report(conn, a, b)
+    assert report.compressed == 1
+    want = np.zeros((3, 3))
+    want[:2, :2] = _transposed_geometric(a[:2, :2], b[:2, :2], 0.5)
+    got = report.value.entries
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def _shared_null_pair(seed, dim=6):
+    """A and B sharing one null vector, with one more null direction in A."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    shared, extra = np.outer(q[:, -1], q[:, -1]), np.outer(q[:, -2], q[:, -2])
+    pa = np.eye(dim) - shared - extra
+    pb = np.eye(dim) - shared
+    a = pa @ random_spd(dim, 10.0, seed).entries @ pa
+    b = pb @ random_spd(dim, 10.0, seed + 1).entries @ pb
+    return 0.5 * (a + a.T), 0.5 * (b + b.T), q[:, :-1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "ident",
+    ["geometric:0.3", "geometric:0.5", "dual_log_mean", "harmonic:0.5",
+     "finite_atomic", "parallel_sum", "cantor_mean"],
+)
+def test_shared_null_pairs_return_the_limit_on_the_range(ident, seed):
+    # A sigma B = P (A_R sigma B_R) P^T with P spanning range(A + B),
+    # A_R = P^T A P and B_R = P^T B P (A_R singular, B_R PD)
+    entry = entry_from_id(ident)
+    spec = QuadratureSpec(scheme=("ifs_recursion", 12)) if ident == "cantor_mean" else None
+    a, b, P = _shared_null_pair(seed)
+    report = evaluate_report(entry.connection, a, b, spec)
+    assert report.compressed == 1
+    got = report.value.entries
+    a_r, b_r = P.T @ a @ P, P.T @ b @ P
+    on_range = P @ evaluate(entry.connection, a_r, b_r, spec).entries @ P.T
+    assert np.linalg.norm(got - on_range) <= 1e-12 * np.linalg.norm(on_range)
+    if entry.closed_form_matrix is not None:
+        closed = P @ closed_form_eval(ident, a_r, b_r).entries @ P.T
+        assert np.linalg.norm(got - closed) <= 1e-7 * np.linalg.norm(closed)
+    zero = evaluate_report(entry.connection, np.zeros((6, 6)), np.zeros((6, 6)), spec)
+    assert zero.compressed == 1 and zero.nodes_used == 0
+    assert np.array_equal(zero.value.entries, np.zeros((6, 6)))
 
 
 def test_no_schedule_for_endpoint_measures_on_singular_input():
@@ -188,7 +239,7 @@ def test_no_schedule_for_endpoint_measures_on_singular_input():
     b = random_spd(2, 10.0, 26).entries
     conn = Connection(UnitMeasure(atoms=((0.0, 0.5), (1.0, 0.5))))
     report = evaluate_report(conn, a, b)
-    assert not report.regularized
+    assert report.compressed == 0
     assert np.array_equal(report.value.entries, 0.5 * a + 0.5 * b)
 
 
@@ -310,48 +361,66 @@ def test_connection_is_frozen():
 
 
 def test_pd_inputs_never_compute_the_schedule_scale(monkeypatch):
-    # the scale 1 + ||A|| + ||B|| belongs to the shift schedule alone
-    import kubomeans.connections as connections
+    # the eigenvectors of A + B belong to the compression of singular pairs
+    # alone: a strictly PD pair runs no eigensolve of A + B
+    solved = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
 
-    def forbidden(a):
-        raise AssertionError("spectral_norm called on strictly PD inputs")
+        def counted(x, *args, solver=solver, **kwargs):
+            solved.append(np.array(x))
+            return solver(x, *args, **kwargs)
 
-    monkeypatch.setattr(connections, "spectral_norm", forbidden)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def eigensolves_of(total):
+        return sum(np.array_equal(x, total) for x in solved)
+
     a, b = _pair(31)
     report = evaluate_report(Connection(UnitMeasure(ac=geometric_density(0.3))), a, b)
-    assert report.eps_used is None
+    assert report.compressed == 0
     value = evaluate_canonical(halfline_geometric(0.3), a, b)
     assert np.all(np.isfinite(value.entries))
+    parallel_sum(a, b)
+    assert eigensolves_of(a + b) == 0
+    # the count sees them where they run
+    proj = np.diag([1.0, 1.0, 0.0, 1.0])
+    a, b = proj @ a @ proj, proj @ b @ proj
+    assert evaluate_report(Connection(dirac(0.5)), a, b).compressed == 1
+    assert eigensolves_of(a + b) > 0
 
 
-def test_rank_deficient_input_runs_the_schedule(monkeypatch):
+def test_rank_deficient_input_runs_on_the_range(monkeypatch):
     import kubomeans.connections as connections
 
     runs = []
-    run_schedule = connections._run_schedule
+    on_range = connections._on_range
 
-    def counted(direct, scale_norm):
-        runs.append(scale_norm)
-        return run_schedule(direct, scale_norm)
+    def counted(Ae, Be, kernel):
+        def seen(Ar, Br):
+            runs.append(Ar.shape)
+            return kernel(Ar, Br)
 
-    monkeypatch.setattr(connections, "_run_schedule", counted)
+        return on_range(Ae, Be, seen)
+
+    monkeypatch.setattr(connections, "_on_range", counted)
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(3, 10.0, 21).entries @ proj
     b = proj @ random_spd(3, 10.0, 22).entries @ proj
     report = evaluate_report(Connection(dirac(0.5)), a, b)
-    assert report.eps_used == 1e-8
+    assert report.compressed == 1
     assert report.parts == (("atoms", 1, 0.0),)
-    assert runs == [1.0 + spectral_norm(a) + spectral_norm(b)]
+    assert runs == [(2, 2)]
 
 
 def test_atoms_on_rank_deficient_pair_with_pd_pencil_run_directly():
-    # A and B singular but A + B PD: the atom's pencil is PD, so no schedule
+    # A and B singular but A + B PD: the atom's pencil is PD, so it runs directly
     drop_last = np.diag([1.0, 1.0, 0.0])
     drop_first = np.diag([0.0, 1.0, 1.0])
     a = drop_last @ random_spd(3, 10.0, 21).entries @ drop_last
     b = drop_first @ random_spd(3, 10.0, 22).entries @ drop_first
     report = evaluate_report(Connection(dirac(0.5)), a, b)
-    assert report.eps_used is None
+    assert report.compressed == 0
     assert np.array_equal(report.value.entries, weighted_harmonic(a, b, 0.5).entries)
 
 

@@ -1,4 +1,4 @@
-"""Stacked evaluation: parity with evaluate, isolation of scheduled pairs,
+"""Stacked evaluation: parity with evaluate, isolation of compressed pairs,
 validation and the report's route."""
 
 import numpy as np
@@ -36,7 +36,7 @@ def test_stack_matches_a_loop_of_evaluate(entry, dim):
     report = evaluate_many(entry.connection, a, b, spec)
     assert isinstance(report.value, SpdStack) and len(report.value) == 6
     assert report.route == ("atoms" if _atoms_only(entry) else "congruence")
-    assert report.scheduled == 0 and report.eps_used is None
+    assert report.compressed == 0
     for i in range(6):
         alone = evaluate(entry.connection, a[i], b[i], spec).entries
         got = report.value.entries[i]
@@ -61,8 +61,8 @@ def test_one_pair_stack_is_evaluate_report():
     "ident", ["harmonic:0.5", "finite_atomic", "geometric:0.5", "log_mean", "cantor_mean"]
 )
 def test_shared_null_pair_leaves_the_others_unchanged(ident):
-    # the shared-null pair runs through the schedule on its own: the other
-    # pairs' values are bitwise those of the stack without it
+    # the shared-null pair runs on range(A + B) on its own: the other pairs'
+    # values are bitwise those of the stack without it
     conn = entry_from_id(ident).connection
     a, b = _stacks(4, 3, key=7)
     proj = np.diag([1.0, 1.0, 0.0])
@@ -76,12 +76,15 @@ def test_shared_null_pair_leaves_the_others_unchanged(ident):
     without = evaluate_many(conn, a, b)
     others = np.delete(with_null.value.entries, 2, axis=0)
     assert np.array_equal(others, without.value.entries)
-    assert with_null.scheduled == 1 and without.scheduled == 0
-    assert with_null.eps_used is not None and without.eps_used is None
+    assert with_null.compressed == 1 and without.compressed == 0
     alone = evaluate_report(conn, null_a, null_b)
-    assert alone.scheduled == 1 and alone.eps_used == with_null.eps_used
+    assert alone.compressed == 1
     assert np.array_equal(with_null.value.entries[2], alone.value.entries)
     assert len(with_null.parts) == len(without.parts) + len(alone.parts)
+    # the limit from above: the pair's value on the common range, 0 off it
+    want = np.zeros((3, 3))
+    want[:2, :2] = evaluate(conn, null_a[:2, :2], null_b[:2, :2]).entries
+    assert np.linalg.norm(alone.value.entries - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_mismatched_stacks_raise_shape_errors():
@@ -125,10 +128,11 @@ def test_each_stack_is_validated_by_one_eigensolve(monkeypatch):
 
 
 def test_route_and_schedule_count_stay_out_of_canonical_reports():
+    # route and the count of pairs compressed onto range(A + B)
     from kubomeans.harness import run_suite
 
     report = evaluate_report(Connection(UnitMeasure()), np.eye(2), np.eye(2))
-    assert report.route == "atoms" and report.scheduled == 0
+    assert report.route == "atoms" and report.compressed == 0
     doc = run_suite("norm_bound", "geometric:0.3", trials=2).canonical()
     assert set(doc) == {
         "suite", "target", "trials", "dim", "cond", "seed", "tol", "passed", "failures"
