@@ -152,12 +152,15 @@ class CatalogEntry:
 def _congruence_closed(f):
     """A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for a scalar f.
 
-    The inner spectrum is clamped at 0 before f sees it, so a singular B
-    needs only f(0).  A pair whose A + B is singular is compressed onto
-    range(A + B) first.  When A is singular there, the transposed form
-    B^{1/2} f^T(B^{-1/2} A B^{-1/2}) B^{1/2} with f^T(x) = x f(1/x) and
-    f^T(0) = 0 (these entries carry no atom at 1) takes over if B is
-    strictly PD; with both singular there the closed form raises.
+    Inner eigenvalues at or below the inner matrix's eig_floor are set to 0
+    before f sees them, as ``spd.matrix_power`` does, so a singular B needs
+    only f(0), and its float-noise eigenvalues (about 1e-17, which x**alpha
+    would lift far above rounding) never reach f.  A pair whose A + B is
+    singular is compressed onto range(A + B) first.  When A is singular
+    there, the transposed form B^{1/2} f^T(B^{-1/2} A B^{-1/2}) B^{1/2} with
+    f^T(x) = x f(1/x) and f^T(0) = 0 (these entries carry no atom at 1)
+    takes over if B is strictly PD; with both singular there the closed
+    form raises.
     """
 
     def transposed(w):
@@ -172,7 +175,9 @@ def _congruence_closed(f):
         rti = np.asarray(apply_spectral_function(outer, lambda w: 1.0 / np.sqrt(w)))
         mid = SpdMatrix(rti @ inner @ rti)
         value = apply_spectral_function(
-            mid, lambda w: g(np.maximum(w, 0.0)), name="closed form"
+            mid,
+            lambda w: g(np.where(w > mid.eig_floor, w, 0.0)),
+            name="closed form",
         )
         return rt @ np.asarray(value) @ rt
 

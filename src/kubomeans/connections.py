@@ -524,7 +524,9 @@ def evaluate_canonical(
     alpha and beta are nu's atoms at 0 and infinity; a finite atom is formed
     as (lam+1) * A(lam A + B)^{-1} B, which is the same matrix without the
     small-lam division.  The density part is integrated in the congruence
-    basis of A + B as the vector (lam+1) ab / (lam a + b) and lifted once.
+    basis of A + B and lifted once: after t = lam/(1+lam) its kernel
+    (lam+1) ab / (lam a + b) is the pair kernel a !_t b, integrated against
+    the pullback of nu's density.
     Runs directly when A + B is strictly PD or nu charges only 0 and
     infinity, and on range(A + B) otherwise.  Agrees with
     evaluate(pushforward_psi(nu), A, B).
@@ -550,15 +552,9 @@ def evaluate_canonical(
                 total = total + (w * (lam + 1.0)) * _sym(Ae @ x)
         if has_density:
             a_eig, b_eig, M = _congruence_basis(Ae, Be)
-            ab = a_eig * b_eig
-
-            def Gnode(lams):
-                lam = lams[:, None]
-                return (lam + 1.0) * ab / (lam * a_eig + b_eig)
-
-            Gnode.width = len(ab)
-
-            report = integrate_halfline_density(Gnode, nu.ac, nu.weight, spec)
+            report = integrate_halfline_density(
+                _pair_fnode(a_eig, b_eig), nu.ac, nu.weight, spec
+            )
             total = total + _lift(M, report.value)
         return _sym(total)
 

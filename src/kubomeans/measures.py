@@ -530,35 +530,54 @@ def decompose_measure(m: UnitMeasure) -> tuple[UnitMeasure, UnitMeasure, UnitMea
 
 @dataclass(frozen=True)
 class HalfLineDensity:
-    """Density rho on (0, inf) with envelope metadata for split quadrature.
+    """Density rho on (0, inf), integrated through its pullback to [0, 1].
 
     ``pow0``: rho ~ c * lambda**pow0 near 0 (pow0 > -1).  ``decay``: rho ~
-    c * lambda**(-decay) at infinity (decay > 1 for finite mass).  Optional
-    residuals: ``smooth0(lam) = rho(lam) * lam**(-pow0)`` on (0, 1] and
-    ``smooth_inf(s) = rho(1/s) * s**(-decay)`` on (0, 1].  ``hint`` may be
-    "jacobi_split" (default) or "log_cauchy" for Cauchy-kernel densities in
-    log lambda with no power envelope (then pow0/decay are ignored).
+    c * lambda**(-decay) at infinity (decay > 1 for finite mass).  Both None
+    mark a density with no power envelope (the log-mean density decays like
+    1/(lambda log^2 lambda)), which must then name its pushforward.
     ``pushforward_ident`` names the unit-interval density this transforms
     into under Psi, when known.
     """
 
     fn: Callable = field(compare=False)
-    pow0: float = 0.0
-    decay: float = 2.0
-    hint: str = "jacobi_split"
-    smooth0: Callable | None = field(default=None, compare=False)
-    smooth_inf: Callable | None = field(default=None, compare=False)
+    pow0: float | None = 0.0
+    decay: float | None = 2.0
     ident: str | None = None
     pushforward_ident: str | None = None
 
     def __post_init__(self):
-        if self.hint not in ("jacobi_split", "log_cauchy"):
-            raise ValueError(f"unknown half-line hint {self.hint!r}")
-        if self.hint == "jacobi_split":
-            if self.pow0 <= -1.0:
-                raise ValueError("pow0 must exceed -1 (integrability at 0)")
-            if self.decay <= 1.0:
-                raise ValueError("decay must exceed 1 (finite mass at infinity)")
+        if (self.pow0 is None) != (self.decay is None):
+            raise ValueError("pow0 and decay must both be set or both be None")
+        if self.pow0 is None:
+            if self.pushforward_ident is None:
+                raise ValueError(
+                    "a half-line density without a power envelope needs a "
+                    "pushforward_ident"
+                )
+            return
+        if self.pow0 <= -1.0:
+            raise ValueError("pow0 must exceed -1 (integrability at 0)")
+        if self.decay <= 1.0:
+            raise ValueError("decay must exceed 1 (finite mass at infinity)")
+
+    def pullback(self, weight: float) -> DensityTerm:
+        """The unit-interval term of ``weight * rho`` under Psi.
+
+        ``g(t) = rho(t/(1-t)) / (1-t)**2`` with envelope exponents
+        (pow0, decay - 2), or none; the term carries ``pushforward_ident``,
+        so the rule table treats it as it treats that catalog density.
+        """
+        rho = self.fn
+
+        def g(t):
+            omt = 1.0 - t
+            return rho(t / omt) / (omt * omt)
+
+        exponents = None if self.pow0 is None else (self.pow0, self.decay - 2.0)
+        return DensityTerm(
+            ident=self.pushforward_ident, weight=weight, fn=g, exponents=exponents
+        )
 
 
 @dataclass(frozen=True)
@@ -608,8 +627,6 @@ def halfline_geometric(alpha: float) -> HalfLineMeasure:
             fn=fn,
             pow0=alpha - 1.0,
             decay=2.0 - alpha,
-            smooth0=lambda lam: c / (1.0 + lam),
-            smooth_inf=lambda s: c / (1.0 + s),
             ident=f"halfline_geometric:{alpha!r}",
             pushforward_ident=f"geometric:{alpha!r}",
         )
@@ -626,7 +643,8 @@ def halfline_logmean() -> HalfLineMeasure:
     return HalfLineMeasure(
         ac=HalfLineDensity(
             fn=fn,
-            hint="log_cauchy",
+            pow0=None,
+            decay=None,
             ident="halfline_log_mean",
             pushforward_ident="log_mean",
         )
@@ -637,9 +655,8 @@ def pushforward_psi(nu: HalfLineMeasure) -> UnitMeasure:
     """Image under Psi(lambda) = lambda / (lambda + 1), with Psi(inf) = 1.
 
     Atoms map to t = lambda/(1+lambda) (complement 1/(1+lambda) computed
-    directly for accuracy); a density rho maps to
-    ``g(t) = rho(t/(1-t)) / (1-t)**2`` with envelope exponents
-    (pow0, decay - 2).
+    directly for accuracy); a density with a named pushforward maps to that
+    catalog density, any other to its ``pullback``.
     """
     atoms = []
     atoms_c = []
@@ -655,26 +672,7 @@ def pushforward_psi(nu: HalfLineMeasure) -> UnitMeasure:
         if nu.ac.pushforward_ident is not None:
             ac = _density_from_ident(nu.ac.pushforward_ident, nu.weight)
         else:
-            rho = nu.ac.fn
-            if nu.ac.hint == "log_cauchy":
-                raise ValueError(
-                    "generic log_cauchy half-line densities need a named pushforward"
-                )
-            p, q = nu.ac.pow0, nu.ac.decay - 2.0
-            if q <= -1.0:
-                raise ValueError("decay must exceed 1 for a finite pushforward")
-
-            def g(t):
-                omt = 1.0 - t
-                return rho(t / omt) / (omt * omt)
-
-            term = DensityTerm(
-                ident=None,
-                weight=nu.weight,
-                fn=g,
-                exponents=(p, q),
-            )
-            ac = Density((term,))
+            ac = Density((nu.ac.pullback(nu.weight),))
     return UnitMeasure(atoms=tuple(atoms), ac=ac, atoms_c=tuple(atoms_c))
 
 

@@ -35,6 +35,10 @@ no envelope, log_mean : rule for the Cauchy kernel in u = log(t/(1-t)):
 no envelope, other    : tanh-sinh; nodes kept strictly inside (0, 1) at the
                         representable limit.
 
+A half-line density is no separate case: ``integrate_halfline_density``
+pulls it back to [0, 1] under t = lam/(1+lam) and integrates that term by
+the same table.
+
 Singular-continuous parts are refined cylinder by cylinder when
 QuadratureSpec.scheme is None.  Cylinder w carries its mass p_w and one node
 at its barycentre S_w(m1), m1 = int t dmu, which is exact for affine h and
@@ -323,41 +327,26 @@ def jacobi_rule(p: float, q: float, n: int):
     return _freeze(0.5 * (1.0 + x), 0.5 * (1.0 - x), w)
 
 
-def _logistic_umax(n: int) -> float:
-    return min(60.0, max(12.0, 0.15 * n))
-
-
-def _cauchy_rule(n: int):
-    """Interior abscissas u, truncation U(n) and weights of the Cauchy rule.
-
-    Weight du/(pi^2 + u^2) on the whole line, compactified by
-    u = pi*tan(theta) and integrated by n-point Gauss-Legendre on
-    |theta| <= arctan(U(n)/pi).  The weights carry two extra entries, first
-    and last, holding each tail's exact mass (pi/2 - arctan(U/pi))/pi.
-    """
-    umax = _logistic_umax(n)
-    thmax = math.atan(umax / math.pi)
-    x, gw = legendre_rule(n)
-    u = math.pi * np.tan(thmax * x)
-    tail = (0.5 * math.pi - thmax) / math.pi
-    v = np.concatenate(([tail], (thmax / math.pi) * gw, [tail]))
-    return u, umax, v
-
-
 @lru_cache(maxsize=None)
 def logistic_rule(n: int):
     """Rule for the Cauchy-kernel density 1/(t(1-t)(pi^2 + log^2(t/(1-t)))).
 
     In u = log(t/(1-t)) the integral carries weight du/(pi^2 + u^2) on the
-    whole line: the Cauchy rule of ``_cauchy_rule``, mapped to
-    t = sigma(u).  The two exact tail masses sit on the endpoint nodes 0 and
-    1, so total mass is exactly 1 at every n and the truncation error enters
-    only through h's variation over the tails.
+    whole line.  That is compactified by u = pi*tan(theta), integrated by
+    n-point Gauss-Legendre on |theta| <= arctan(U/pi) with
+    U = min(60, max(12, 0.15 n)), and mapped to t = sigma(u).  Each tail's
+    exact mass (pi/2 - arctan(U/pi))/pi sits on an endpoint node, 0 or 1, so
+    total mass is exactly 1 at every n and the truncation error enters only
+    through h's variation over the tails.
     """
-    u, _umax, v = _cauchy_rule(n)
+    umax = min(60.0, max(12.0, 0.15 * n))
+    thmax = math.atan(umax / math.pi)
+    x, gw = legendre_rule(n)
+    u = math.pi * np.tan(thmax * x)
+    tail = (0.5 * math.pi - thmax) / math.pi
     t = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-u)), [1.0]))
     tc = np.concatenate(([1.0], 1.0 / (1.0 + np.exp(u)), [0.0]))
-    return _freeze(t, tc, v)
+    return _freeze(t, tc, np.concatenate(([tail], (thmax / math.pi) * gw, [tail])))
 
 
 @lru_cache(maxsize=None)
@@ -943,70 +932,29 @@ def density_mass(density, spec: QuadratureSpec | None = None) -> float:
     return mass
 
 
-# ---------------------------------------------------------------------------
-# half-line densities (canonical-form route)
-
-
 def integrate_halfline_density(
-    Gnode, dens, weight: float, spec: QuadratureSpec | None = None
+    fnode, dens, weight: float, spec: QuadratureSpec | None = None
 ) -> IntegrationReport:
-    """``weight * int_0^inf G(lam) rho(lam) dlam`` for an envelope-tagged density.
+    """``weight * int_0^inf G(lam) rho(lam) dlam`` through rho's pullback.
 
-    ``Gnode(lam)`` maps an array of positive abscissas to per-node values,
-    and may state their number per node as ``width``, as node functions do.  The
-    jacobi_split route integrates [0, 1] with Gauss-Jacobi at exponent pow0
-    and [1, inf) through s = 1/lam at exponent decay - 2.  The log_cauchy
-    route requires the log-mean kernel 1/(lam*(pi^2 + ln^2 lam)) and reuses
-    the compactified Cauchy rule in u = ln(lam), with tail nodes at
-    lam = exp(+-U).
+    With t = lam/(1+lam) the integral is ``int_0^1 G(t/(1-t)) g(t) dt`` for
+    the term g = ``dens.pullback(weight)``, integrated by the rule its
+    exponents (or its ident) pick, as any density term is.  ``fnode(t, tc)``
+    is G in t and takes node pairs, as ``integrate_measure``'s node
+    functions do: the logistic rule's tail node sits at tc = 0, where
+    lam = t/tc is infinite.
     """
-    spec = spec or DEFAULT_SPEC
-    if dens.hint == "jacobi_split":
-        half_spec = replace(spec, abs_tol=spec.abs_tol / 2, rel_tol=spec.rel_tol / 2)
-        p = dens.pow0
-        smooth0 = dens.smooth0 or (lambda lam: dens.fn(lam) * lam ** (-p))
-        qd = dens.decay - 2.0
-        smooth_inf = dens.smooth_inf or (lambda s: dens.fn(1.0 / s) * s**dens.decay)
-
-        def series(exponent, smooth, fnode):
-            for n in _doubling_sizes(16, spec.max_nodes):
-                x, xc, w = jacobi_rule(exponent, 0.0, n)
-                yield _reduce(fnode, x, xc, w * smooth(x)), n
-
-        lower = series(p, smooth0, _integrand(lambda lam, _c: Gnode(lam), Gnode))
-        upper = series(qd, smooth_inf, _integrand(lambda s, _c: Gnode(1.0 / s), Gnode))
-        v1, n1, e1 = _converge(lower, half_spec, "halfline-lower")
-        v2, n2, e2 = _converge(upper, half_spec, "halfline-upper")
-        value = weight * (v1 + v2)
-        nodes, err = n1 + n2, e1 + e2
-        rows = (("halfline-jacobi", nodes, err),)
-    elif dens.hint == "log_cauchy":
-        if dens.pushforward_ident != "log_mean":
-            raise QuadratureError(
-                "log_cauchy route is specific to the log-mean kernel",
-                nodes_used=0,
-            )
-
-        fnode = _integrand(lambda x, _c: Gnode(x), Gnode)
-
-        def series():
-            for n in _doubling_sizes(64, spec.max_nodes):
-                u, umax, v = _cauchy_rule(n)
-                lam = np.concatenate(([math.exp(-umax)], np.exp(u), [math.exp(umax)]))
-                yield _reduce(fnode, lam, lam, v), n + 2
-
-        value, nodes, err = _converge(series(), spec, "log-cauchy")
-        value = weight * value
-        rows = (("log-cauchy", nodes, err),)
-    else:  # pragma: no cover - HalfLineDensity validates hints
-        raise QuadratureError(f"unknown half-line hint {dens.hint!r}", nodes_used=0)
+    value, nodes, err, scheme = _integrate_term(
+        fnode, dens.pullback(weight), spec or DEFAULT_SPEC
+    )
     return IntegrationReport(
-        value=value, nodes_used=nodes, error_estimate=float(err), parts=rows
+        value=value,
+        nodes_used=nodes,
+        error_estimate=float(err),
+        parts=((scheme, nodes, err),),
     )
 
 
 def halfline_mass(dens, weight: float = 1.0, spec: QuadratureSpec | None = None) -> float:
-    ones = lambda lam: np.ones_like(lam)
-    ones.width = 1
-    report = integrate_halfline_density(ones, dens, weight, spec)
+    report = integrate_halfline_density(_scalar_fnode(np.ones_like), dens, weight, spec)
     return float(report.value)

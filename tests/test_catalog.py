@@ -203,6 +203,19 @@ def test_density_closed_forms_take_a_singular_a(ident, seed):
     assert np.linalg.norm(quad - closed) <= 1e-7 * np.linalg.norm(closed)
 
 
+@pytest.mark.parametrize("ident", ["geometric:0.1", "geometric:0.3"])
+def test_closed_form_zeroes_the_noise_eigenvalues_of_a_singular_b(ident):
+    # B is singular on a random plane, so A^-1/2 B A^-1/2 has a float-noise
+    # eigenvalue of about 1e-17, which x**alpha would lift far above rounding
+    a = random_spd(3, 10.0, 30).entries
+    q = np.linalg.qr(np.random.default_rng(30010).normal(size=(3, 2)))[0]
+    proj = q @ q.T
+    b = proj @ random_spd(3, 10.0, 31).entries @ proj
+    closed = closed_form_eval(ident, a, b).entries
+    quad = evaluate(entry_from_id(ident).connection, a, b).entries
+    assert np.linalg.norm(quad - closed) <= 1e-10 * np.linalg.norm(closed)
+
+
 def test_closed_form_needs_one_input_pd_on_the_range():
     from kubomeans.errors import SingularPencilError
 

@@ -85,6 +85,21 @@ def test_eval_verify_mismatch_exits_one(pair_files, capsys, monkeypatch):
     assert meta["verify"]["passed"] is False
 
 
+def test_eval_verify_skips_a_pair_the_closed_form_cannot_take(tmp_path, capsys):
+    # A + B is PD, but A and B are each singular on it: the closed form
+    # raises, and the evaluation's value and exit code stand
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_matrix(pa, np.diag([1.0, 0.0]))
+    save_matrix(pb, np.diag([0.0, 2.0]))
+    args = ["eval", "--mean", "geometric:0.5", "--A", str(pa), "--B", str(pb)]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(args + ["--verify"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert "strictly PD" in json.loads(captured.err)["verify"]["skipped"]
+
+
 def test_eval_exit_codes(tmp_path, pair_files, capsys):
     pa, pb, _, _ = pair_files
     # unknown id -> usage

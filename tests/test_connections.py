@@ -27,6 +27,7 @@ from kubomeans.connections import (
 )
 from kubomeans.errors import NotPsdError, ShapeError
 from kubomeans.measures import (
+    HalfLineDensity,
     HalfLineMeasure,
     UnitMeasure,
     cantor_measure,
@@ -34,10 +35,11 @@ from kubomeans.measures import (
     geometric_density,
     halfline_dirac,
     halfline_geometric,
+    halfline_logmean,
     lebesgue_density,
     pushforward_psi,
 )
-from kubomeans.quadrature import QuadratureSpec, integrate_measure
+from kubomeans.quadrature import QuadratureSpec, halfline_mass, integrate_measure
 from kubomeans.spd import loewner_leq, random_spd, spectral_norm
 
 
@@ -295,13 +297,25 @@ def test_evaluate_canonical_atoms():
     np.testing.assert_allclose(got1, want1, rtol=1e-12, atol=1e-13)
 
 
-def test_evaluate_canonical_matches_pushforward_route():
+@pytest.mark.parametrize(
+    "nu, ident",
+    [
+        (halfline_geometric(0.5), "geometric:0.5"),
+        (halfline_logmean(), "log_mean"),
+        # no named pushforward: rho pulls back to Lebesgue measure on [0, 1]
+        (HalfLineMeasure(ac=HalfLineDensity(fn=lambda lam: (1.0 + lam) ** -2.0)), "dual_log_mean"),
+    ],
+    ids=["halfline_geometric:0.5", "halfline_log_mean", "unnamed_dual_log_mean"],
+)
+def test_evaluate_canonical_matches_pushforward_route(nu, ident):
     a, b = _pair(11, dim=3)
-    nu = halfline_geometric(0.5)
     direct = evaluate_canonical(nu, a, b).entries
     pushed = evaluate(Connection(pushforward_psi(nu)), a, b).entries
     scale = 1.0 + spectral_norm(a) + spectral_norm(b)
     assert spectral_norm(direct - pushed) <= 1e-6 * scale
+    closed = closed_form_eval(ident, a, b).entries
+    assert spectral_norm(direct - closed) <= 1e-12 * spectral_norm(closed)
+    assert halfline_mass(nu.ac, nu.weight) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_is_mean_and_symmetry_predicates():

@@ -9,6 +9,7 @@ import pytest
 from kubomeans.measures import (
     Density,
     DensityTerm,
+    HalfLineDensity,
     HalfLineMeasure,
     IfsMeasure,
     UnitMeasure,
@@ -173,6 +174,26 @@ def test_pushforward_psi_halfline_constructors():
     assert geo.ac is not None and geo.atoms == ()
     lm = pushforward_psi(halfline_logmean())
     assert lm == UnitMeasure(ac=logmean_density())
+
+
+def test_halfline_density_envelope_validation():
+    rho = lambda lam: (1.0 + lam) ** -2.0
+    # the envelope is both exponents or neither
+    with pytest.raises(ValueError):
+        HalfLineDensity(fn=rho, pow0=None)
+    with pytest.raises(ValueError):
+        HalfLineDensity(fn=rho, decay=None)
+    # no envelope, so nothing picks a rule unless the pushforward is named
+    with pytest.raises(ValueError):
+        HalfLineDensity(fn=rho, pow0=None, decay=None)
+    with pytest.raises(ValueError):
+        HalfLineDensity(fn=rho, pow0=-1.0)
+    with pytest.raises(ValueError):
+        HalfLineDensity(fn=rho, decay=1.0)
+    term = HalfLineDensity(fn=rho).pullback(0.5)
+    assert term.ident is None and term.weight == 0.5 and term.exponents == (0.0, 0.0)
+    np.testing.assert_allclose(term.fn(np.array([0.1, 0.5, 0.9])), 1.0, rtol=1e-14)
+    assert halfline_logmean().ac.pullback(1.0) == logmean_density().terms[0]
 
 
 def test_json_roundtrip_catalog_measures():

@@ -49,9 +49,8 @@ def beta_fn(a, b):
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-# Jacobi exponents the catalog's densities reach: geometric:0.3 and its
-# reflection, geometric:0.5, Lebesgue, and the two half-line pieces of
-# halfline_geometric(0.3)
+# Jacobi exponents the catalog's densities reach (geometric:0.3 and its
+# reflection, geometric:0.5, Lebesgue) and two one-sided envelopes
 CATALOG_EXPONENTS = (
     (-0.7, -0.3),
     (-0.3, -0.7),
@@ -348,14 +347,14 @@ def test_halfline_geometric_pullback_mass():
 
 
 def test_integrate_halfline_density_matches_scalar_oracle():
-    # int_0^inf lam/(lam+2) dnu for the geometric-1/2 pullback equals the
-    # [0,1] integral of the pushed-forward integrand
+    # int_0^inf lam/(lam+2) dnu, integrated through rho's own pullback,
+    # equals the [0,1] integral against the catalog geometric-1/2 density
     dens = halfline_geometric(0.5).ac
 
-    def Gnode(lam):
-        return lam / (lam + 2.0)
+    def fnode(t, tc):
+        return t / (t + 2.0 * tc)
 
-    report = integrate_halfline_density(Gnode, dens, 1.0)
+    report = integrate_halfline_density(fnode, dens, 1.0)
     from kubomeans.measures import pushforward_psi
 
     mu = pushforward_psi(halfline_geometric(0.5))
