@@ -180,14 +180,19 @@ def _harmonic_fnode(A: np.ndarray, B: np.ndarray):
     return fnode
 
 
-def _congruence_basis(A: np.ndarray, B: np.ndarray):
+def _congruence_basis(A: np.ndarray, B: np.ndarray, floors=None):
     """Spectra a, b = 1 - a and basis M with A = M diag(a) M^T, B = M diag(b) M^T.
 
     A + B = L L^T by Cholesky and L^{-1} A L^{-T} = V diag(a) V^T, so M = L V.
     Factoring A + B rather than A keeps every eigenvalue in [0, 1] however
-    ill-conditioned either input is; a singular A or B only puts 0 or 1 into
-    the spectrum.  A and B may be (n, d, d) stacks: numpy factors them
-    matrix by matrix, each bitwise as it would alone.
+    ill-conditioned either input is; a singular A or B puts 0 or 1 into the
+    spectrum, up to float noise.  ``floors`` (last axis: A's, then B's
+    eig_floor, 0 for a strictly PD input) removes the noise: w = L^{-T} v
+    has w^T A w = a and w^T B w = b, so where a <= floor_A |w|^2 the
+    direction is in A's null space and a is set to 0 (b likewise).  The
+    means f(x) ~ 1/|log x| or x**alpha turn noise of 1e-16 into errors of
+    percents.  A and B may be (n, d, d) stacks: numpy factors them matrix
+    by matrix, each bitwise as it would alone.
     """
     try:
         lower = np.linalg.cholesky(A + B)
@@ -198,7 +203,22 @@ def _congruence_basis(A: np.ndarray, B: np.ndarray):
     x = np.linalg.solve(lower, A)
     mu, vecs = np.linalg.eigh(_sym(np.linalg.solve(lower, x.swapaxes(-1, -2))))
     a = np.clip(mu, 0.0, 1.0)
+    if floors is not None and floors.any():
+        w2 = np.sum(np.linalg.solve(lower.swapaxes(-1, -2), vecs) ** 2, axis=-2)
+        a[a <= floors[..., :1] * w2] = 0.0
+        a[1.0 - a <= floors[..., 1:] * w2] = 1.0
     return a, 1.0 - a, lower @ vecs
+
+
+def _null_floors(A, B) -> np.ndarray:
+    """(..., 2) floors for ``_congruence_basis`` of a pair or of two stacks."""
+    if isinstance(A, SpdStack):
+        fa = np.where(A.strictly_pd, 0.0, A.eig_floors)
+        fb = np.where(B.strictly_pd, 0.0, B.eig_floors)
+    else:
+        fa = 0.0 if A.is_strictly_pd else A.eig_floor
+        fb = 0.0 if B.is_strictly_pd else B.eig_floor
+    return np.stack((fa, fb), axis=-1)
 
 
 def _pair_fnode(a: np.ndarray, b: np.ndarray):
@@ -307,9 +327,10 @@ def parallel_sum(a, b) -> SpdMatrix:
     return SpdMatrix(_sym(value))
 
 
-def _evaluate_stack(conn: Connection, Ae, Be, compressed, spec):
+def _evaluate_stack(conn: Connection, Ae, Be, floors, compressed, spec):
     """The one evaluation core: A_i sigma B_i for entry stacks (n, d, d).
 
+    ``floors`` holds the (n, 2) floors of ``_null_floors``, and
     ``compressed`` lists the pairs whose A + B is singular.  The other pairs
     share one integration: the stacked pencil sums for atom-only measures,
     or one integration over all their congruence spectra followed by one
@@ -326,7 +347,7 @@ def _evaluate_stack(conn: Connection, Ae, Be, compressed, spec):
 
     reports = []
 
-    def direct(Ae, Be):
+    def direct(Ae, Be, floors):
         if atoms_only:
             # the exact finite sum of pencil solves; a lone pair keeps the
             # (k, d, d) node values that perfbench's node_eval metrics read
@@ -334,7 +355,7 @@ def _evaluate_stack(conn: Connection, Ae, Be, compressed, spec):
             report = integrate_measure(_harmonic_fnode(*mats), mu, spec)
             value = _sym(report.value.reshape(Ae.shape))
         else:
-            a_eig, b_eig, M = _congruence_basis(Ae, Be)
+            a_eig, b_eig, M = _congruence_basis(Ae, Be, floors)
             report = integrate_measure(
                 _pair_fnode(a_eig.ravel(), b_eig.ravel()), mu, spec
             )
@@ -343,16 +364,18 @@ def _evaluate_stack(conn: Connection, Ae, Be, compressed, spec):
         return value
 
     if not len(compressed):
-        values = direct(Ae, Be)
+        values = direct(Ae, Be, floors)
     else:
         values = np.empty(Ae.shape)
         ready = np.ones(len(Ae), dtype=bool)
         ready[compressed] = False
         if ready.any():
-            values[ready] = direct(Ae[ready], Be[ready])
+            values[ready] = direct(Ae[ready], Be[ready], floors[ready])
         for i in compressed:
+            # compression keeps each input's norm, so its floor holds too
+            fi = floors[i : i + 1]
             values[i] = _on_range(
-                Ae[i], Be[i], lambda Ar, Br: direct(Ar[None], Br[None])[0]
+                Ae[i], Be[i], lambda Ar, Br: direct(Ar[None], Br[None], fi)[0]
             )
     nodes, err, parts = 0, 0.0, ()
     for r in reports:
@@ -377,8 +400,9 @@ def evaluate_report(
     """
     A, B = _pair(a, b)
     compressed = () if _runs_directly(A, B, conn.measure.charges_interior()) else (0,)
+    floors = _null_floors(A, B)[None]
     values, fields = _evaluate_stack(
-        conn, A.entries[None], B.entries[None], compressed, spec
+        conn, A.entries[None], B.entries[None], floors, compressed, spec
     )
     return EvalReport(SpdMatrix(values[0]), **fields)
 
@@ -408,7 +432,7 @@ def evaluate_many(
         )
     ready = _stack_runs_directly(A, B, conn.measure.charges_interior())
     values, fields = _evaluate_stack(
-        conn, A.entries, B.entries, np.flatnonzero(~ready), spec
+        conn, A.entries, B.entries, _null_floors(A, B), np.flatnonzero(~ready), spec
     )
     return EvalReport(SpdStack(values), **fields)
 
@@ -534,6 +558,7 @@ def evaluate_canonical(
     A, B = _pair(a, b)
     spec = spec or DEFAULT_SPEC
     has_density = nu.ac is not None and nu.weight > 0.0
+    floors = _null_floors(A, B)
 
     def kernel(Ae, Be):
         total = np.zeros(Ae.shape)
@@ -551,7 +576,7 @@ def evaluate_canonical(
                     ) from exc
                 total = total + (w * (lam + 1.0)) * _sym(Ae @ x)
         if has_density:
-            a_eig, b_eig, M = _congruence_basis(Ae, Be)
+            a_eig, b_eig, M = _congruence_basis(Ae, Be, floors)
             report = integrate_halfline_density(
                 _pair_fnode(a_eig, b_eig), nu.ac, nu.weight, spec
             )

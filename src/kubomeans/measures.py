@@ -75,7 +75,10 @@ class DensityTerm:
     those exponents, and no envelope the logistic rule for ``log_mean`` or
     tanh-sinh for any other term.  ``smooth`` is the residual phi with
     ``g = phi(t) * t**p * (1-t)**q`` when available; the Gauss-Jacobi driver
-    prefers it to avoid endpoint cancellation.  ``reflected`` toggles
+    prefers it to avoid endpoint cancellation.  ``fn_pair``, when given, is
+    the same density as a function of (t, 1 - t), for a formula that needs
+    the complement exactly where 1 - t rounds; the rules, which carry both
+    coordinates, then call it in place of ``fn``.  ``reflected`` toggles
     evaluation at 1 - t; reflecting twice restores the original term exactly.
 
     Equality compares identity, weight, exponents and orientation; the
@@ -89,6 +92,7 @@ class DensityTerm:
     smooth: Callable | None = field(default=None, compare=False)
     unit_mass: float | None = field(default=None, compare=False)
     reflected: bool = False
+    fn_pair: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.weight < 0.0:
@@ -108,19 +112,23 @@ class DensityTerm:
     def reflect(self) -> "DensityTerm":
         return replace(self, reflected=not self.reflected)
 
+    def _unweighted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The unreflected density at x, whose complement 1 - x is y."""
+        return self.fn(x) if self.fn_pair is None else self.fn_pair(x, y)
+
     def eval_pair(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         """Density values given both coordinates t and 1 - t."""
-        return self.weight * (self.fn(tc) if self.reflected else self.fn(t))
+        x, y = (tc, t) if self.reflected else (t, tc)
+        return self.weight * self._unweighted(x, y)
 
     def smooth_pair(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         """Weighted Jacobi residual phi at (t, 1-t), on the effective exponents."""
+        x, y = (tc, t) if self.reflected else (t, tc)
         if self.smooth is not None:
-            phi = self.smooth(tc) if self.reflected else self.smooth(t)
+            phi = self.smooth(x)
         else:
             p, q = self.exponents
-            base = self.fn(tc) if self.reflected else self.fn(t)
-            x, y = (tc, t) if self.reflected else (t, tc)
-            phi = base * x ** (-p) * y ** (-q)
+            phi = self._unweighted(x, y) * x ** (-p) * y ** (-q)
         return self.weight * phi
 
 
@@ -535,9 +543,8 @@ class HalfLineDensity:
     ``pow0``: rho ~ c * lambda**pow0 near 0 (pow0 > -1).  ``decay``: rho ~
     c * lambda**(-decay) at infinity (decay > 1 for finite mass).  Both None
     mark a density with no power envelope (the log-mean density decays like
-    1/(lambda log^2 lambda)), which must then name its pushforward.
-    ``pushforward_ident`` names the unit-interval density this transforms
-    into under Psi, when known.
+    1/(lambda log^2 lambda)).  ``pushforward_ident`` names the unit-interval
+    density this transforms into under Psi, when known.
     """
 
     fn: Callable = field(compare=False)
@@ -550,11 +557,6 @@ class HalfLineDensity:
         if (self.pow0 is None) != (self.decay is None):
             raise ValueError("pow0 and decay must both be set or both be None")
         if self.pow0 is None:
-            if self.pushforward_ident is None:
-                raise ValueError(
-                    "a half-line density without a power envelope needs a "
-                    "pushforward_ident"
-                )
             return
         if self.pow0 <= -1.0:
             raise ValueError("pow0 must exceed -1 (integrability at 0)")
@@ -566,17 +568,22 @@ class HalfLineDensity:
 
         ``g(t) = rho(t/(1-t)) / (1-t)**2`` with envelope exponents
         (pow0, decay - 2), or none; the term carries ``pushforward_ident``,
-        so the rule table treats it as it treats that catalog density.
+        so the rule table treats it as it treats that catalog density.  The
+        rules evaluate g from t and the exact 1 - t (``fn_pair``), which
+        near t = 1 holds the digits that lambda = t/(1-t) needs.
         """
         rho = self.fn
 
-        def g(t):
-            omt = 1.0 - t
-            return rho(t / omt) / (omt * omt)
+        def g_pair(t, tc):
+            return rho(t / tc) / (tc * tc)
 
         exponents = None if self.pow0 is None else (self.pow0, self.decay - 2.0)
         return DensityTerm(
-            ident=self.pushforward_ident, weight=weight, fn=g, exponents=exponents
+            ident=self.pushforward_ident,
+            weight=weight,
+            fn=lambda t: g_pair(t, 1.0 - t),
+            exponents=exponents,
+            fn_pair=g_pair,
         )
 
 

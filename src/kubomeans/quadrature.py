@@ -27,11 +27,11 @@ any other (p, q)      : node-doubling Gauss-Jacobi on the exponents, with
                         the term's smooth residual as integrand.
 no envelope, log_mean : rule for the Cauchy kernel in u = log(t/(1-t)):
                         Gauss-Legendre in theta after u = pi*tan(theta),
-                        truncated at U(n) with the exact tail mass attached
-                        to endpoint nodes (so the rule's mass is exact at
-                        every n and the truncation shows up only through the
-                        variation of h across the tail, which the doubling
-                        test controls).
+                        truncated at U(n) with each tail's exact mass on a
+                        node at the tail's mean, inside (0, 1) (so the
+                        rule's mass is exact at every n and the truncation
+                        shows up only through the curvature of h across the
+                        tail, which the doubling test controls).
 no envelope, other    : tanh-sinh; nodes kept strictly inside (0, 1) at the
                         representable limit.
 
@@ -334,18 +334,27 @@ def logistic_rule(n: int):
     In u = log(t/(1-t)) the integral carries weight du/(pi^2 + u^2) on the
     whole line.  That is compactified by u = pi*tan(theta), integrated by
     n-point Gauss-Legendre on |theta| <= arctan(U/pi) with
-    U = min(60, max(12, 0.15 n)), and mapped to t = sigma(u).  Each tail's
-    exact mass (pi/2 - arctan(U/pi))/pi sits on an endpoint node, 0 or 1, so
-    total mass is exactly 1 at every n and the truncation error enters only
-    through h's variation over the tails.
+    U = min(60, max(12, 0.15 n)), and mapped to t = sigma(u).  Each tail
+    |u| > U puts its exact mass (pi/2 - arctan(U/pi))/pi on one node at the
+    tail's mean distance s from its endpoint (t = s and 1 - t = s), found by
+    16-point Gauss-Laguerre in u - U.  So total mass is exactly 1 at every
+    n, h's linear variation over a tail is integrated exactly, and the tail
+    nodes stay inside (0, 1), where h can differ from its endpoint value
+    (a !_t 0 is 0 for t > 0, but a at t = 0).
     """
     umax = min(60.0, max(12.0, 0.15 * n))
     thmax = math.atan(umax / math.pi)
     x, gw = legendre_rule(n)
     u = math.pi * np.tan(thmax * x)
     tail = (0.5 * math.pi - thmax) / math.pi
-    t = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-u)), [1.0]))
-    tc = np.concatenate(([1.0], 1.0 / (1.0 + np.exp(u)), [0.0]))
+    # int_U^inf sigma(-u) du / (pi (pi^2 + u^2)), with u = U + v and the
+    # rule taking the factor e^-v of sigma(-u)
+    v, lw = np.polynomial.laguerre.laggauss(16)
+    tu = umax + v
+    s = np.sum(lw / ((1.0 + np.exp(-tu)) * math.pi * (math.pi**2 + tu**2)))
+    s *= math.exp(-umax) / tail
+    t = np.concatenate(([s], 1.0 / (1.0 + np.exp(-u)), [1.0 - s]))
+    tc = np.concatenate(([1.0 - s], 1.0 / (1.0 + np.exp(u)), [s]))
     return _freeze(t, tc, np.concatenate(([tail], (thmax / math.pi) * gw, [tail])))
 
 
@@ -941,8 +950,8 @@ def integrate_halfline_density(
     the term g = ``dens.pullback(weight)``, integrated by the rule its
     exponents (or its ident) pick, as any density term is.  ``fnode(t, tc)``
     is G in t and takes node pairs, as ``integrate_measure``'s node
-    functions do: the logistic rule's tail node sits at tc = 0, where
-    lam = t/tc is infinite.
+    functions do: near t = 1 only the exact tc keeps lam = t/tc finite and
+    accurate.
     """
     value, nodes, err, scheme = _integrate_term(
         fnode, dens.pullback(weight), spec or DEFAULT_SPEC

@@ -33,6 +33,7 @@ from kubomeans.measures import (
     scale,
     total_mass,
 )
+from kubomeans.quadrature import halfline_mass
 
 
 def test_atoms_sorted_merged_and_validated():
@@ -183,9 +184,6 @@ def test_halfline_density_envelope_validation():
         HalfLineDensity(fn=rho, pow0=None)
     with pytest.raises(ValueError):
         HalfLineDensity(fn=rho, decay=None)
-    # no envelope, so nothing picks a rule unless the pushforward is named
-    with pytest.raises(ValueError):
-        HalfLineDensity(fn=rho, pow0=None, decay=None)
     with pytest.raises(ValueError):
         HalfLineDensity(fn=rho, pow0=-1.0)
     with pytest.raises(ValueError):
@@ -193,6 +191,10 @@ def test_halfline_density_envelope_validation():
     term = HalfLineDensity(fn=rho).pullback(0.5)
     assert term.ident is None and term.weight == 0.5 and term.exponents == (0.0, 0.0)
     np.testing.assert_allclose(term.fn(np.array([0.1, 0.5, 0.9])), 1.0, rtol=1e-14)
+    # with no envelope and no named pushforward the pullback goes to tanh-sinh
+    bare = HalfLineDensity(fn=rho, pow0=None, decay=None)
+    assert bare.pullback(1.0).exponents is None
+    assert halfline_mass(bare) == pytest.approx(1.0, abs=1e-12)
     assert halfline_logmean().ac.pullback(1.0) == logmean_density().terms[0]
 
 

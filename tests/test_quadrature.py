@@ -164,7 +164,9 @@ def test_logistic_rule_mass_exact_and_kernel():
         t, tc, v = logistic_rule(n)
         assert len(t) == n + 2
         assert float(np.sum(v)) == pytest.approx(1.0, abs=1e-15)
-        assert t[0] == 0.0 and t[-1] == 1.0
+        # each tail's node lies inside (0, 1), beyond every interior node
+        assert 0.0 < t[0] < t[1] and 0.0 < tc[-1] < tc[-2]
+        assert t[0] == tc[-1] and tc[0] == t[-1]
     # first moment of the log-mean kernel is 1/2 by symmetry
     t, tc, v = logistic_rule(256)
     assert float(np.sum(v * t)) == pytest.approx(0.5, abs=1e-12)
