@@ -4,8 +4,12 @@ reportable checks.
 
 Determinism contract: a report is a pure function of (suite, target, trials,
 dim, cond, seed, tol).  Per-trial randomness comes from counter-derived
-Philox keys (key = seed * 2**20 + trial), so re-runs and suite-filtered runs
-produce identical reports; wall time is informational and excluded from the
+Philox keys (key = 8 * (seed * 2**20 + trial) + slot, one slot per input a
+trial draws), so re-runs and suite-filtered runs produce identical reports;
+a seed whose keys would leave Philox's [0, 2**128) is rejected before any
+draw.  Each draw goes through one bit generator per call, re-keyed in place
+for each key (``spd._keyed_generators``), bit for bit as a fresh generator
+per key would draw; wall time is informational and excluded from the
 canonical serialization.  Suites run in one thread: the IFS node cache they
 reach through ``HARNESS_SPEC`` is unlocked module state.
 
@@ -43,7 +47,13 @@ from .connections import (
 )
 from .measures import total_mass
 from .quadrature import QuadratureSpec, integrate_scalar
-from .spd import SpdStack, _orthogonal, random_spd_stack, spectral_norm
+from .spd import (
+    SpdStack,
+    _keyed_generators,
+    _orthogonal,
+    random_spd_stack,
+    spectral_norm,
+)
 
 __all__ = [
     "SuiteReport",
@@ -107,15 +117,26 @@ def _trial_key(seed: int, trial: int) -> int:
     return seed * 2**20 + trial
 
 
-def _trial_rng(key: int, slot: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=8 * key + slot))
+def _check_seed(seed: int, task_seed: int, trials: int) -> None:
+    """Reject ``seed`` unless every Philox key of the task it derives
+    (``task_seed``, ``trials`` trials, slots 0 to 7) lies in [0, 2**128)."""
+    if seed < 0 or 8 * _trial_key(task_seed, trials - 1) + 7 >= 2**128:
+        raise ValueError(
+            f"seed {seed} is out of range: it must be a nonnegative integer "
+            "whose trial keys stay below 2**128"
+        )
+
+
+def _slot_keys(keys, slot: int) -> list[int]:
+    """The Philox key of each trial's input ``slot``."""
+    return [8 * key + slot for key in keys]
 
 
 def _pairs(keys, dim: int, cond: float) -> tuple[SpdStack, SpdStack]:
     """Every trial's random pair: ``random_spd`` on slots 0 and 1, stacked."""
     return (
-        random_spd_stack(dim, cond, [8 * key + 0 for key in keys]),
-        random_spd_stack(dim, cond, [8 * key + 1 for key in keys]),
+        random_spd_stack(dim, cond, _slot_keys(keys, 0)),
+        random_spd_stack(dim, cond, _slot_keys(keys, 1)),
     )
 
 
@@ -123,22 +144,22 @@ def _draws(keys, slot: int, dim: int, *ranges):
     """Per trial, ``_random_orthogonal`` on the slot's generator, then dim
     uniforms on each ``(low, high)`` of ``ranges`` from the same generator;
     the QR factorizations run as one stack."""
-    normals = []
-    uniforms = [[] for _ in ranges]
-    for key in keys:
-        rng = _trial_rng(key, slot)
-        normals.append(rng.normal(size=(dim, dim)))
-        for out, (low, high) in zip(uniforms, ranges):
-            out.append(rng.uniform(low, high, size=dim))
-    return (_orthogonal(np.array(normals)),) + tuple(np.array(u) for u in uniforms)
+    normals = np.empty((len(keys), dim, dim))
+    uniforms = np.empty((len(ranges), len(keys), dim))
+    for i, rng in enumerate(_keyed_generators(_slot_keys(keys, slot))):
+        normals[i] = rng.normal(size=(dim, dim))
+        for j, (low, high) in enumerate(ranges):
+            uniforms[j, i] = rng.uniform(low, high, size=dim)
+    return (_orthogonal(normals), *uniforms)
 
 
 def _log_uniform(keys, low: float, high: float, size: int) -> np.ndarray:
     """Per trial, ``size`` log-uniform x in [low, high] from slot 2."""
+    log_low, log_high = np.log(low), np.log(high)
     return np.exp(
         np.array([
-            _trial_rng(key, 2).uniform(np.log(low), np.log(high), size=size)
-            for key in keys
+            rng.uniform(log_low, log_high, size=size)
+            for rng in _keyed_generators(_slot_keys(keys, 2))
         ])
     )
 
@@ -413,8 +434,9 @@ def run_suite(
     """Run one property suite against a connection or catalog id.
 
     Records (trial key, violation) for every trial whose scale-relative
-    violation exceeds tol.  Unknown suites, unknown catalog ids, and suites
-    that need a closed form the target lacks are usage errors.
+    violation exceeds tol.  Unknown suites, unknown catalog ids, suites
+    that need a closed form the target lacks, and seeds whose Philox keys
+    leave [0, 2**128) are usage errors.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -422,6 +444,7 @@ def run_suite(
         raise ValueError("trials must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    _check_seed(seed, seed, trials)
     conn, entry, name = _resolve(target)
     if _lacks_closed_form(suite, entry):
         raise ValueError(f"{name} has no closed-form {_NEEDS_CLOSED_FORM[suite][1]}")
@@ -468,8 +491,10 @@ def run_all(
     quick: 20 trials per suite at dim 4.  full: 200 trials per suite spread
     over dims 2, 6, 12.  ``suites`` restricts the cross product without
     changing any task's derived seed, so a filtered run reproduces the
-    corresponding reports of the full run byte for byte.  Tasks run in one
-    thread, in order; to use several cores, run one process per suite.
+    corresponding reports of the full run byte for byte.  A seed whose
+    task keys would leave Philox's [0, 2**128) is rejected before any task
+    runs.  Tasks run in one thread, in order; to use several cores, run one
+    process per suite.
     """
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}; use quick or full")
@@ -479,7 +504,7 @@ def run_all(
             raise ValueError(f"unknown suite {unknown[0]!r}")
     cfg = _PROFILES[profile]
     dims = cfg["dims"]
-    reports = []
+    tasks = []
     for e_idx, entry in enumerate(catalog()):
         for s_idx, suite in enumerate(applicable_suites(entry)):
             if suites is not None and suite not in suites:
@@ -488,15 +513,10 @@ def run_all(
                 per_dim = cfg["trials"] // len(dims)
                 extra = 1 if (cfg["trials"] % len(dims)) > d_idx else 0
                 task_seed = ((seed * 131 + e_idx) * 131 + s_idx) * 131 + d_idx
-                reports.append(
-                    run_suite(
-                        suite,
-                        entry,
-                        trials=per_dim + extra,
-                        dim=dim,
-                        cond=cfg["cond"],
-                        seed=task_seed,
-                        spec=spec,
-                    )
+                tasks.append(
+                    {"suite": suite, "target": entry, "trials": per_dim + extra,
+                     "dim": dim, "seed": task_seed}
                 )
-    return reports
+    for task in tasks:
+        _check_seed(seed, task["seed"], task["trials"])
+    return [run_suite(**task, cond=cfg["cond"], spec=spec) for task in tasks]

@@ -14,10 +14,16 @@ without measuring them again.  Tolerances follow the scale conventions
 * PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
   (spectral norm),
 * strict positivity floor: ``eig_floor = 1e-13 * ||A||`` unless overridden.
+
+Random inputs (``random_spd``, ``random_spd_stack``) come from Philox keyed
+directly by the seed.  A call draws through one bit generator that it
+re-keys for each seed, bit for bit as a fresh generator per seed would
+draw; no generator outlives the call, so concurrent calls share no state.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -370,24 +376,45 @@ def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _orthogonal(rng.normal(size=(dim, dim)))
 
 
+def _keyed_generators(keys):
+    """One Philox generator per call, re-keyed in place for each key.
+
+    Yields, for each key in [0, 2**128), the same ``Generator``, its Philox
+    bit generator set to that key with a zero counter and empty buffers:
+    draws from it equal those of ``Generator(Philox(key=key))`` bit for bit,
+    without building (and seeding from OS entropy) a generator per key.
+    Draw from each yield before taking the next.
+    """
+    bit_gen = np.random.Philox(0)
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    for key in map(operator.index, keys):
+        if not 0 <= key < 2**128:
+            raise ValueError(f"Philox key {key} must lie in [0, 2**128)")
+        state["state"]["key"][:] = (key & (2**64 - 1), key >> 64)
+        state["state"]["counter"][:] = 0
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        bit_gen.state = state
+        yield rng
+
+
 def random_spd_stack(dim: int, cond: float, seeds) -> SpdStack:
     """``random_spd`` for each seed, drawn per seed and factored as one stack.
 
     Member i equals ``random_spd(dim, cond, seeds[i])`` bit for bit: the
-    Philox draws stay per seed, and the QR factorization, the product
+    Philox draws stay per seed, from one bit generator re-keyed for each
+    (``_keyed_generators``), and the QR factorization, the product
     ``Q diag(lam) Q^T`` and the validation run once on the stack.
     """
     if dim < 1:
         raise ShapeError("dim must be at least 1")
     if cond < 1.0:
         raise ValueError("cond must be >= 1")
-    if any(seed < 0 for seed in seeds):
-        raise ValueError("seed must be a nonnegative integer")
     half = 0.5 * np.log(cond)
     lam = np.empty((len(seeds), dim))
     g = np.empty((len(seeds), dim, dim))
-    for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=seed))
+    for i, rng in enumerate(_keyed_generators(seeds)):
         lam[i] = np.exp(rng.uniform(-half, half, size=dim))
         g[i] = rng.normal(size=(dim, dim))
     q = _orthogonal(g)
@@ -399,11 +426,11 @@ def random_spd(dim: int, cond: float, seed: int) -> SpdMatrix:
     """Deterministic random SPD matrix with condition number <= `cond`.
 
     Uses the counter-based Philox4x64-10 generator keyed directly by `seed`
-    (no seed scrambling), so any implementation of Philox reproduces the same
-    stream: `dim` uniforms give eigenvalues log-uniform on
-    ``[cond**-0.5, cond**0.5]``, then a `dim` x `dim` standard-normal block is
-    QR-factored (R-diagonal signs fixed positive) into the conjugating
-    orthogonal basis.
+    (no seed scrambling; a seed outside [0, 2**128) raises ValueError), so
+    any implementation of Philox reproduces the same stream: `dim` uniforms
+    give eigenvalues log-uniform on ``[cond**-0.5, cond**0.5]``, then a
+    `dim` x `dim` standard-normal block is QR-factored (R-diagonal signs
+    fixed positive) into the conjugating orthogonal basis.
     """
     return random_spd_stack(dim, cond, (seed,))[0]
 

@@ -285,6 +285,16 @@ def test_check_exit_codes(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_check_rejects_out_of_range_seeds_with_one_message(capsys):
+    for seed in ("-1", str(2**110)):
+        messages = set()
+        for suite in ("norm_bound", "representation_agreement"):
+            assert cli.main(["check", "--suite", suite, "--seed", seed]) == 2
+            messages.add(capsys.readouterr().err)
+        assert messages == {f"error: seed {seed} is out of range: it must be a "
+                            "nonnegative integer whose trial keys stay below 2**128\n"}
+
+
 def test_check_rejects_unknown_suite(capsys):
     assert cli.main(["check", "--suite", "nosuch"]) == 2
     capsys.readouterr()

@@ -36,6 +36,23 @@ def test_run_suite_validates_usage():
         run_suite("monotonicity", 3.14)
 
 
+def test_seeds_whose_keys_leave_philox_range_are_rejected_up_front():
+    # one message naming the seed, whichever suite runs and before any draw
+    for suite in ("norm_bound", "representation_agreement"):
+        with pytest.raises(ValueError, match="seed -1 is out of range"):
+            run_suite(suite, "log_mean", seed=-1)
+        with pytest.raises(ValueError, match=f"seed {2**110} is out of range"):
+            run_suite(suite, "log_mean", seed=2**110)
+    for seed in (-1, 2**100):
+        with pytest.raises(ValueError, match=f"seed {seed} is out of range"):
+            run_all("quick", seed=seed, suites=("norm_bound",))
+    # the largest seed of a one-trial task: its last key is 2**128 - 8 + 7
+    top = 2**105 - 1
+    assert run_suite("norm_bound", "log_mean", trials=1, seed=top).passed
+    with pytest.raises(ValueError, match=f"seed {top + 1} is out of range"):
+        run_suite("norm_bound", "log_mean", trials=1, seed=top + 1)
+
+
 def test_report_canonical_excludes_wall_time():
     rep = run_suite("norm_bound", "arithmetic:0.3", trials=5, seed=1)
     assert rep.passed
@@ -149,7 +166,7 @@ def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
 def test_stacked_draws_equal_the_per_key_draws(dim):
     # slots 0 and 1 are random_spd, slots 2 and 3 start with
     # _random_orthogonal and go on with uniforms from the same generator
-    from kubomeans.harness import _draws, _pairs, _trial_key, _trial_rng
+    from kubomeans.harness import _draws, _pairs, _trial_key
     from kubomeans.spd import _random_orthogonal
 
     keys = [_trial_key(seed, trial) for seed in (0, 9) for trial in (0, 1, 5)]
@@ -160,7 +177,8 @@ def test_stacked_draws_equal_the_per_key_draws(dim):
     for slot in (2, 3):
         q, u, v = _draws(keys, slot, dim, (0.0, 0.5), (-0.5, 0.5))
         for i, key in enumerate(keys):
-            rng = _trial_rng(key, slot)
+            # a fresh generator per key: the recipe re-keying must reproduce
+            rng = np.random.Generator(np.random.Philox(key=8 * key + slot))
             assert np.array_equal(q[i], _random_orthogonal(rng, dim))
             assert np.array_equal(u[i], rng.uniform(0.0, 0.5, size=dim))
             assert np.array_equal(v[i], rng.uniform(-0.5, 0.5, size=dim))

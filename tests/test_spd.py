@@ -10,6 +10,7 @@ from kubomeans.spd import (
     SpdMatrix,
     SpdStack,
     SymMatrix,
+    _keyed_generators,
     apply_spectral_function,
     congruence,
     load_matrix,
@@ -260,8 +261,32 @@ def _reference_spd(dim, cond, seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])
 def test_random_spd_stack_draws_each_seed_as_alone(dim):
-    seeds = [0, 5, 8 * 2**20 + 1, 2**40 + 3]
+    seeds = [0, 5, 8 * 2**20 + 1, 2**40 + 3, 2**64 - 1, 2**64, 2**100 + 3, 2**128 - 1]
     stack = random_spd_stack(dim, 100.0, seeds)
     for i, seed in enumerate(seeds):
         assert np.array_equal(stack.entries[i], _reference_spd(dim, 100.0, seed))
         assert np.array_equal(random_spd(dim, 100.0, seed).entries, stack.entries[i])
+
+
+def _draw_mix(rng):
+    # the doubles leave buffer_pos mid-block, and three uint32 draws take
+    # two 64-bit words and leave half of the second buffered (has_uint32)
+    return (
+        rng.uniform(-1.0, 1.0, size=5),
+        rng.normal(size=7),
+        rng.integers(0, 2**32, size=3, dtype=np.uint32),
+    )
+
+
+def test_keyed_generators_draw_as_fresh_generators():
+    keys = [0, 5, 2**64 - 1, 2**64, 2**100 + 3, 2**128 - 1, 5, 5]
+    seen = []
+    for key, rng in zip(keys, _keyed_generators(keys)):
+        seen.append(rng)
+        got, want = _draw_mix(rng), _draw_mix(_rng(key))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), key
+    assert all(rng is seen[0] for rng in seen)
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError, match="Philox key"):
+            next(_keyed_generators([bad]))
