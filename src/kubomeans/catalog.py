@@ -7,10 +7,11 @@ sum_j w_j delta_{t_j} is the sum of weighted harmonic means
 sum_j w_j A !_{t_j} B, with A !_0 B = A, A !_1 B = B and an interior atom
 the parallel sum (A/(1-t)) : (B/t) = [(1-t)A^{-1} + tB^{-1}]^{-1}; its
 scalar is sum_j w_j x / ((1-t_j)x + t_j).  A density entry (geometric,
-log-mean, dual-log-mean) lifts its own scalar f by the Kubo-Ando
-congruence A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}.  Neither goes through
-the measure's quadrature route, so both stay independent of it.  Ids are
-stable strings used by the CLI:
+log-mean, dual-log-mean) lifts its own scalar f in a congruence basis M that
+carries A to diag(a) and B to diag(b), as M diag(a_i f(b_i / a_i)) M^T; M
+comes from the eigendecomposition of A + B, not from the Cholesky factor
+evaluation uses.  Neither goes through the measure's quadrature route, so
+both stay independent of it.  Ids are stable strings used by the CLI:
 
     left_trivial  right_trivial  arithmetic:a  harmonic:t  geometric:a
     sum  parallel_sum  log_mean  dual_log_mean  finite_atomic:w@t,...
@@ -29,15 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import (
-    Connection,
-    _on_range,
-    _pair,
-    _runs_directly,
-    _sym,
-    parallel_sum,
-)
-from .errors import SingularPencilError
+from .connections import Connection, _pair, _sym, parallel_sum
 from .measures import (
     UnitMeasure,
     cantor_measure,
@@ -45,7 +38,7 @@ from .measures import (
     lebesgue_density,
     logmean_density,
 )
-from .spd import SpdMatrix, apply_spectral_function
+from .spd import SpdMatrix
 
 # Unused here; perfbench/tracing.py rebinds these names in each importing module.
 from .connections import _run_schedule  # noqa: F401
@@ -150,55 +143,42 @@ class CatalogEntry:
 
 
 def _congruence_closed(f):
-    """A sigma B = A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for a scalar f.
+    """A sigma B = M diag(a_i f(b_i / a_i)) M^T for a scalar f.
 
-    Inner eigenvalues at or below the inner matrix's eig_floor are set to 0
-    before f sees them, as ``spd.matrix_power`` does, so a singular B needs
-    only f(0), and its float-noise eigenvalues (about 1e-17, which x**alpha
-    would lift far above rounding) never reach f.  A pair whose A + B is
-    singular is compressed onto range(A + B) first.  When A is singular
-    there, the transposed form B^{1/2} f^T(B^{-1/2} A B^{-1/2}) B^{1/2} with
-    f^T(x) = x f(1/x) and f^T(0) = 0 (these entries carry no atom at 1)
-    takes over if B is strictly PD; with both singular there the closed
-    form raises.
+    With A + B = Q Lambda Q^T (eigenpairs above that sum's eig_floor) and
+    S = Q Lambda^{-1/2}, the whitened S^T A S = V diag(mu) V^T diagonalises
+    both inputs at once: M = Q Lambda^{1/2} V carries A to diag(a) and B to
+    diag(b), where a_i and b_i are the quadratic forms of A and B at the
+    columns w_i of S V.  Each keeps the relative accuracy of its own input,
+    and a pair whose A + B is singular is taken on range(A + B) by the same
+    step, so every PSD pair has a value: the limit from above (M3).  For a
+    non-strictly-PD input, forms at or below its eig_floor |w_i|^2 are float
+    noise in its null space and are set to 0, so x**alpha or 1/|log x| never
+    lift them.  g_i = a_i f(b_i / a_i) is homogeneous, and g_i = 0 where
+    a_i = 0 (these entries carry no atom at 1).
     """
-
-    def transposed(w):
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        out[pos] = w[pos] * f(1.0 / w[pos])
-        return out
-
-    def lifted(outer, inner, g):
-        # outer^{1/2} g(outer^{-1/2} inner outer^{-1/2}) outer^{1/2}
-        rt = np.asarray(apply_spectral_function(outer, np.sqrt))
-        rti = np.asarray(apply_spectral_function(outer, lambda w: 1.0 / np.sqrt(w)))
-        mid = SpdMatrix(rti @ inner @ rti)
-        value = apply_spectral_function(
-            mid,
-            lambda w: g(np.where(w > mid.eig_floor, w, 0.0)),
-            name="closed form",
-        )
-        return rt @ np.asarray(value) @ rt
-
-    def kernel(ae, be):
-        A = SpdMatrix(ae)
-        if A.is_strictly_pd:
-            return lifted(A, be, f)
-        B = SpdMatrix(be)
-        if B.is_strictly_pd:
-            return lifted(B, ae, transposed)
-        raise SingularPencilError(
-            "closed form needs A or B strictly PD on range(A + B)"
-        )
 
     def closed(a, b) -> SpdMatrix:
         A, B = _pair(a, b)
-        if _runs_directly(A, B, True):
-            value = kernel(A.entries, B.entries)
-        else:
-            value = _on_range(A.entries, B.entries, kernel)
-        return SpdMatrix(_sym(np.asarray(value, dtype=float)))
+        total = SpdMatrix(A.entries + B.entries)
+        lam, q = np.linalg.eigh(total.entries)
+        keep = lam > total.eig_floor
+        lam, q = lam[keep], q[:, keep]
+        s = q / np.sqrt(lam)
+        vecs = np.linalg.eigh(_sym(s.T @ A.entries @ s))[1]
+        w = s @ vecs
+        forms = []
+        for x in (A, B):
+            form = np.maximum(np.sum(w * (x.entries @ w), axis=0), 0.0)
+            if not x.is_strictly_pd:
+                form[form <= x.eig_floor * np.sum(w**2, axis=0)] = 0.0
+            forms.append(form)
+        ai, bi = forms
+        g = np.zeros_like(ai)
+        pos = ai > 0.0
+        g[pos] = ai[pos] * f(bi[pos] / ai[pos])
+        m = (q * np.sqrt(lam)) @ vecs
+        return SpdMatrix(_sym((m * g) @ m.T))
 
     return closed
 

@@ -153,21 +153,16 @@ def _cmd_eval(args) -> int:
     }
     verify_failed = False
     if args.verify:
-        try:
-            closed = closed_form_eval(entry.id, a, b)
-        except SingularPencilError as exc:
-            # the closed form cannot take this pair; the value stands
-            meta["verify"] = {"skipped": str(exc)}
-        else:
-            gap = np.asarray(report.value.entries) - np.asarray(closed.entries)
-            ref = float(np.linalg.norm(np.asarray(closed.entries)))
-            rel = float(np.linalg.norm(gap)) / max(ref, 1e-300)
-            verify_failed = rel > VERIFY_TOL
-            meta["verify"] = {
-                "rel_diff": rel,
-                "tol": VERIFY_TOL,
-                "passed": not verify_failed,
-            }
+        closed = closed_form_eval(entry.id, a, b)
+        gap = np.asarray(report.value.entries) - np.asarray(closed.entries)
+        ref = float(np.linalg.norm(np.asarray(closed.entries)))
+        rel = float(np.linalg.norm(gap)) / max(ref, 1e-300)
+        verify_failed = rel > VERIFY_TOL
+        meta["verify"] = {
+            "rel_diff": rel,
+            "tol": VERIFY_TOL,
+            "passed": not verify_failed,
+        }
     csv_text = _matrix_csv(report.value)
     if args.out is None:
         sys.stdout.write(csv_text)
@@ -353,10 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help=(
-            "cross-check against the closed form; exit 1 beyond 1e-6 relative "
-            "(skipped when the closed form cannot take the pair)"
-        ),
+        help="cross-check against the closed form; exit 1 beyond 1e-6 relative",
     )
     _add_quadrature_flags(p)
     p.set_defaults(func=_cmd_eval)

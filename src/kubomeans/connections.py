@@ -14,12 +14,14 @@ and scalar answers never come from different rules.
 One core evaluates a stack of n pairs; ``evaluate_report`` is its one-pair
 case.  Two routes evaluate the integral.  A measure with a density or
 self-similar part is integrated in one congruence basis (Kubo-Ando): with
-A + B = L L^T and L^{-1} A L^{-T} = V diag(a) V^T, M = L V carries A to
-diag(a) and B to diag(1 - a), so the integral is M diag(g) M^T with
+A + B = L L^T and L^{-1} A L^{-T} = V diag(mu) V^T, M = L V carries A to
+diag(a) and B to diag(b), with a_i and b_i the quadratic forms of A and B at
+the columns of M^{-T}, so the integral is M diag(g) M^T with
 g_i = int a_i !_t b_i dmu, the scalar pair kernel integrated at d
-eigenvalues and lifted once.  Every pair's spectrum lies in [0, 1], so the
-n*d spectra of a stack go through one integration and one batched lift.  A
-measure of atoms only keeps the exact finite sum of pencil solves, stacked.
+spectral pairs and lifted once.  Every pair has a + b = 1 up to rounding,
+so the n*d spectra of a stack go through one integration and one batched
+lift.  A measure of atoms only keeps the exact finite sum of pencil solves,
+stacked.
 
 Singular inputs: evaluation runs directly when A + B is strictly positive
 definite (every interior pencil satisfies (1-t)B + tA >= min(t, 1-t)(A + B))
@@ -181,18 +183,20 @@ def _harmonic_fnode(A: np.ndarray, B: np.ndarray):
 
 
 def _congruence_basis(A: np.ndarray, B: np.ndarray, floors=None):
-    """Spectra a, b = 1 - a and basis M with A = M diag(a) M^T, B = M diag(b) M^T.
+    """Spectra a, b and basis M with A = M diag(a) M^T, B = M diag(b) M^T.
 
-    A + B = L L^T by Cholesky and L^{-1} A L^{-T} = V diag(a) V^T, so M = L V.
-    Factoring A + B rather than A keeps every eigenvalue in [0, 1] however
-    ill-conditioned either input is; a singular A or B puts 0 or 1 into the
-    spectrum, up to float noise.  ``floors`` (last axis: A's, then B's
-    eig_floor, 0 for a strictly PD input) removes the noise: w = L^{-T} v
-    has w^T A w = a and w^T B w = b, so where a <= floor_A |w|^2 the
-    direction is in A's null space and a is set to 0 (b likewise).  The
-    means f(x) ~ 1/|log x| or x**alpha turn noise of 1e-16 into errors of
-    percents.  A and B may be (n, d, d) stacks: numpy factors them matrix
-    by matrix, each bitwise as it would alone.
+    A + B = L L^T by Cholesky and L^{-1} A L^{-T} = V diag(mu) V^T, so
+    M = L V.  The columns w_i of W = L^{-T} V = M^{-T} give a_i = w_i^T A w_i
+    and b_i = w_i^T B w_i, the two quadratic forms: each keeps the relative
+    accuracy of its own input, where b = 1 - mu would keep only the absolute
+    accuracy of mu (a b of 1e-10 would be 1e-6 off).  Factoring A + B rather
+    than A keeps a + b = 1 up to rounding however ill-conditioned either
+    input is.  ``floors`` (last axis: A's, then B's eig_floor, 0 for a
+    strictly PD input) removes the float noise of a singular input: where
+    a <= floor_A |w|^2 the direction is in A's null space and a is set to 0
+    (b likewise).  The means f(x) ~ 1/|log x| or x**alpha turn noise of
+    1e-16 into errors of percents.  A and B may be (n, d, d) stacks: numpy
+    factors them matrix by matrix, each bitwise as it would alone.
     """
     try:
         lower = np.linalg.cholesky(A + B)
@@ -200,14 +204,16 @@ def _congruence_basis(A: np.ndarray, B: np.ndarray, floors=None):
         raise SingularPencilError(
             "A + B is singular; inputs share a null direction"
         ) from exc
-    x = np.linalg.solve(lower, A)
-    mu, vecs = np.linalg.eigh(_sym(np.linalg.solve(lower, x.swapaxes(-1, -2))))
-    a = np.clip(mu, 0.0, 1.0)
+    inv = np.linalg.inv(lower)
+    vecs = np.linalg.eigh(_sym(inv @ A @ inv.swapaxes(-1, -2)))[1]
+    w = inv.swapaxes(-1, -2) @ vecs
+    a = np.maximum(np.sum(w * (A @ w), axis=-2), 0.0)
+    b = np.maximum(np.sum(w * (B @ w), axis=-2), 0.0)
     if floors is not None and floors.any():
-        w2 = np.sum(np.linalg.solve(lower.swapaxes(-1, -2), vecs) ** 2, axis=-2)
+        w2 = np.sum(w**2, axis=-2)
         a[a <= floors[..., :1] * w2] = 0.0
-        a[1.0 - a <= floors[..., 1:] * w2] = 1.0
-    return a, 1.0 - a, lower @ vecs
+        b[b <= floors[..., 1:] * w2] = 0.0
+    return a, b, lower @ vecs
 
 
 def _null_floors(A, B) -> np.ndarray:
@@ -224,7 +230,7 @@ def _null_floors(A, B) -> np.ndarray:
 def _pair_fnode(a: np.ndarray, b: np.ndarray):
     """Batched t -> a !_t b = ab / ((1-t)b + ta) over spectra; shape (k, d).
 
-    The denominator is at least min(t, 1-t) because a + b = 1; the endpoints
+    The denominator is at least min(t, 1-t)(a + b); the endpoints
     short-circuit to a and b, as A !_0 B = A and A !_1 B = B.
     """
     ab = a * b

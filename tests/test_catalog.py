@@ -193,8 +193,8 @@ def test_dual_log_closed_form_is_the_limit_on_singular_b():
 @pytest.mark.parametrize("seed", [23, 63])
 @pytest.mark.parametrize("ident", ["geometric:0.3", "geometric:0.5", "dual_log_mean"])
 def test_density_closed_forms_take_a_singular_a(ident, seed):
-    # A singular and B PD: the transposed form B^1/2 f^T(B^-1/2 A B^-1/2) B^1/2
-    # with f^T(x) = x f(1/x) gives the value evaluate returns
+    # A singular and B PD: A's null directions get a_i = 0 and g_i = 0, the
+    # limit from above, which is the value evaluate returns
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(3, 10.0, seed).entries @ proj
     b = random_spd(3, 10.0, seed + 1).entries
@@ -216,13 +216,22 @@ def test_closed_form_zeroes_the_noise_eigenvalues_of_a_singular_b(ident):
     assert np.linalg.norm(quad - closed) <= 1e-10 * np.linalg.norm(closed)
 
 
-def test_closed_form_needs_one_input_pd_on_the_range():
-    from kubomeans.errors import SingularPencilError
-
-    # A + B is PD, but A and B are each singular on it
+def test_closed_form_takes_a_pair_singular_on_both_sides():
+    # A + B is PD, but A and B are each singular on it: the limit from above
     a, b = np.diag([1.0, 0.0]), np.diag([0.0, 2.0])
-    with pytest.raises(SingularPencilError):
-        closed_form_eval("geometric:0.5", a, b)
+    closed = closed_form_eval("geometric:0.5", a, b).entries
+    assert np.array_equal(closed, np.zeros((2, 2)))
+    quad = evaluate(entry_from_id("geometric:0.5").connection, a, b).entries
+    assert np.array_equal(quad, closed)
+    # two rank-2 inputs whose ranges meet in a line: a nonzero limit
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 2)))[0]
+    proj_a, proj_b = np.diag([1.0, 1.0, 0.0]), q @ q.T
+    a = proj_a @ random_spd(3, 10.0, 40).entries @ proj_a
+    b = proj_b @ random_spd(3, 10.0, 41).entries @ proj_b
+    for ident in ("geometric:0.3", "dual_log_mean"):
+        closed = closed_form_eval(ident, a, b).entries
+        quad = evaluate(entry_from_id(ident).connection, a, b).entries
+        assert np.linalg.norm(quad - closed) <= 1e-9 * np.linalg.norm(closed), ident
 
 
 def test_scalar_closed_forms_vectorize():

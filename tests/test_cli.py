@@ -85,9 +85,9 @@ def test_eval_verify_mismatch_exits_one(pair_files, capsys, monkeypatch):
     assert meta["verify"]["passed"] is False
 
 
-def test_eval_verify_skips_a_pair_the_closed_form_cannot_take(tmp_path, capsys):
+def test_eval_verify_takes_a_pair_singular_on_both_sides(tmp_path, capsys):
     # A + B is PD, but A and B are each singular on it: the closed form
-    # raises, and the evaluation's value and exit code stand
+    # takes the pair too, and both give the limit from above
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     save_matrix(pa, np.diag([1.0, 0.0]))
     save_matrix(pb, np.diag([0.0, 2.0]))
@@ -97,7 +97,8 @@ def test_eval_verify_skips_a_pair_the_closed_form_cannot_take(tmp_path, capsys):
     assert cli.main(args + ["--verify"]) == 0
     captured = capsys.readouterr()
     assert captured.out == plain
-    assert "strictly PD" in json.loads(captured.err)["verify"]["skipped"]
+    verify = json.loads(captured.err)["verify"]
+    assert verify["passed"] is True and verify["rel_diff"] == 0.0
 
 
 def test_eval_exit_codes(tmp_path, pair_files, capsys):
