@@ -159,8 +159,8 @@ def _congruence_closed(f):
     """
 
     def closed(a, b) -> SpdMatrix:
-        A, B = _pair(a, b)
-        total = SpdMatrix(A.entries + B.entries)
+        pair = _pair(a, b)
+        A, B, total = pair.A, pair.B, pair.total
         lam, q = np.linalg.eigh(total.entries)
         keep = lam > total.eig_floor
         lam, q = lam[keep], q[:, keep]
@@ -199,7 +199,8 @@ def _atomic(ident: str, atoms) -> CatalogEntry:
     pairs = measure.atom_pairs()
 
     def closed(a, b):
-        A, B = _pair(a, b)
+        pair = _pair(a, b)
+        A, B = pair.A, pair.B
         total = np.zeros((A.dim, A.dim))
         for t, tc, w in pairs:
             if t == 0.0:

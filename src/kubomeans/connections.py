@@ -11,9 +11,10 @@ with A !_0 B = A and A !_1 B = B regardless of invertibility.  The scalar
 shadow is f(x) = I sigma (xI) evaluated through the same node sets, so matrix
 and scalar answers never come from different rules.
 
-One core evaluates a stack of n pairs; ``evaluate_report`` is its one-pair
-case.  Two routes evaluate the integral.  A measure with a density or
-self-similar part is integrated in one congruence basis (Kubo-Ando): with
+``evaluate_many`` evaluates a stack of n pairs and ``evaluate_report`` one
+pair, through the same integration step (``_integrate``).  Two routes
+evaluate the integral.  A measure with a density or self-similar part is
+integrated in one congruence basis (Kubo-Ando): with
 A + B = L L^T and L^{-1} A L^{-T} = V diag(mu) V^T, M = L V carries A to
 diag(a) and B to diag(b), with a_i and b_i the quadratic forms of A and B at
 the columns of M^{-T}, so the integral is M diag(g) M^T with
@@ -22,6 +23,15 @@ spectral pairs and lifted once.  Every pair has a + b = 1 up to rounding,
 so the n*d spectra of a stack go through one integration and one batched
 lift.  A measure of atoms only keeps the exact finite sum of pencil solves,
 stacked.
+
+Consecutive evaluations on one pair share the work that depends on the pair
+alone (``_pair``): input validation, the strict-PD test of A + B, the
+projection onto range(A + B) of a pair that fails it, and the congruence
+basis.  One pair is retained, the last one validated; raw inputs match it
+only with the same shape and exactly the same float64 bits as its stored,
+symmetrized entries, so an input mutated in place since is validated anew.
+Nothing that depends on the measure or the spec is kept: every call
+integrates, lifts and validates its own value.  Stacks are not memoized.
 
 Singular inputs: evaluation runs directly when A + B is strictly positive
 definite (every interior pencil satisfies (1-t)B + tA >= min(t, 1-t)(A + B))
@@ -126,14 +136,6 @@ class EvalReport:
     parts: tuple[tuple[str, int, float], ...]
     route: str = "congruence"
     compressed: int = 0
-
-
-def _pair(a, b) -> tuple[SpdMatrix, SpdMatrix]:
-    A = a if isinstance(a, SpdMatrix) else SpdMatrix(as_entries(a))
-    B = b if isinstance(b, SpdMatrix) else SpdMatrix(as_entries(b))
-    if A.dim != B.dim:
-        raise ShapeError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    return A, B
 
 
 def _sym(h: np.ndarray) -> np.ndarray:
@@ -260,21 +262,11 @@ def _lift(M: np.ndarray, g) -> np.ndarray:
     return _sym((M * g[..., None, :]) @ M.swapaxes(-1, -2))
 
 
-def _runs_directly(A: SpdMatrix, B: SpdMatrix, charges_interior: bool) -> bool:
-    """True when no compression is needed: A + B strictly PD, or the measure
-    sees only the endpoints (where A !_0 B = A and A !_1 B = B need no solve).
-
-    Two strictly PD inputs have a strictly PD sum, which spares one
-    eigenvalue check on the common path.
-    """
-    if not charges_interior or (A.is_strictly_pd and B.is_strictly_pd):
-        return True
-    return SpdMatrix(A.entries + B.entries).is_strictly_pd
-
-
 def _stack_runs_directly(A: SpdStack, B: SpdStack, charges_interior: bool):
-    """``_runs_directly`` per pair of two stacks, with one eigensolve for
-    the sums it has to check."""
+    """Per pair of two stacks: True when no compression is needed, because
+    A + B is strictly PD or the measure sees only the endpoints (where
+    A !_0 B = A and A !_1 B = B need no solve).  One eigensolve checks the
+    sums of the pairs that are not both strictly PD."""
     if not charges_interior:
         return np.ones(len(A), dtype=bool)
     direct = A.strictly_pd & B.strictly_pd
@@ -284,21 +276,146 @@ def _stack_runs_directly(A: SpdStack, B: SpdStack, charges_interior: bool):
     return direct
 
 
+def _range_of(total: SpdMatrix, Ae: np.ndarray, Be: np.ndarray):
+    """P, P^T A P and P^T B P for total = A + B, read-only.
+
+    P holds the eigenvectors of A + B above the eigenvalue floor its
+    strict-PD test uses; it has no columns when the sum has rank 0.
+    """
+    w, v = spectral_decompose(total)
+    P = v[:, w > total.eig_floor]
+    out = P, _sym(P.T @ Ae @ P), _sym(P.T @ Be @ P)
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 def _on_range(Ae: np.ndarray, Be: np.ndarray, kernel) -> np.ndarray:
     """``kernel`` at a pair whose A + B is singular, taken on range(A + B).
 
     N = null(A + B) reduces both inputs, so the limit from above is exactly
-    P kernel(P^T A P, P^T B P) P^T, with P the eigenvectors of A + B above
-    the eigenvalue floor its strict-PD test uses; the compressed sum is PD.
-    A sum of rank 0 gives zeros without calling ``kernel``.
+    P kernel(P^T A P, P^T B P) P^T, with P from ``_range_of``; the
+    compressed sum is PD.  A sum of rank 0 gives zeros without calling
+    ``kernel``.  Ae and Be that are the stored entries of the last validated
+    pair (``_pair``) reuse its projection.
     """
-    total = SpdMatrix(Ae + Be)
-    w, v = spectral_decompose(total)
-    P = v[:, w > total.eig_floor]
+    last = _last
+    if last is not None and Ae is last.A.entries and Be is last.B.entries:
+        P, Ar, Br = last.on_range
+    else:
+        P, Ar, Br = _range_of(SpdMatrix(Ae + Be), Ae, Be)
     if not P.shape[1]:
         return np.zeros(Ae.shape)
-    value = kernel(_sym(P.T @ Ae @ P), _sym(P.T @ Be @ P))
-    return P @ value @ P.T
+    return P @ kernel(Ar, Br) @ P.T
+
+
+class _Pair:
+    """A validated pair and the work that depends on the pair alone.
+
+    ``A`` and ``B`` are immutable ``SpdMatrix`` objects, and ``raw`` says
+    which of them ``_pair`` validated from raw entries: only those may
+    stand for a later raw input, since an ``SpdMatrix`` passed in may carry
+    an eig_floor of its own.  The rest is computed on first use and shared
+    by every evaluation on the pair, whatever its measure or spec:
+    ``total`` (A + B, validated), ``sum_pd`` (A + B strictly PD, the test
+    that decides compression), the projection ``on_range`` of a pair that
+    fails the test, and the read-only congruence ``basis`` (a, b, M) of the
+    pair that is integrated, with its null floors, as (1, d) and (1, d, d)
+    arrays: of (A, B) itself, or of its compression.
+    """
+
+    def __init__(self, A: SpdMatrix, B: SpdMatrix, raw: tuple[bool, bool]):
+        self.A, self.B, self.raw = A, B, raw
+        self._total = self._sum_pd = self._on_range = self._basis = None
+
+    # Plain properties rather than functools.cached_property, whose lock
+    # (Python 3.11) is shared by all instances: it would serialize threads
+    # computing the bases of different pairs.
+
+    @property
+    def total(self) -> SpdMatrix:
+        if self._total is None:
+            self._total = SpdMatrix(self.A.entries + self.B.entries)
+        return self._total
+
+    @property
+    def sum_pd(self) -> bool:
+        if self._sum_pd is None:
+            # two strictly PD inputs have a strictly PD sum: no eigensolve
+            A, B = self.A, self.B
+            strict = A.is_strictly_pd and B.is_strictly_pd
+            self._sum_pd = strict or self.total.is_strictly_pd
+        return self._sum_pd
+
+    @property
+    def on_range(self):
+        if self._on_range is None:
+            self._on_range = _range_of(self.total, self.A.entries, self.B.entries)
+        return self._on_range
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            if self.sum_pd:
+                Ae, Be = self.A.entries, self.B.entries
+            else:
+                # compression keeps each input's norm, so its floor holds too
+                _P, Ae, Be = self.on_range
+            floors = _null_floors(self.A, self.B)[None]
+            basis = _congruence_basis(Ae[None], Be[None], floors)
+            for x in basis:
+                x.flags.writeable = False
+            self._basis = basis
+        return self._basis
+
+
+# The pair the last ``_pair`` call returned, one object replaced by a single
+# assignment; every field a caller reads is fixed or a pure function of the
+# pair, so concurrent callers at worst compute something twice.
+_last: _Pair | None = None
+
+
+def _validated(x, last: SpdMatrix | None) -> tuple[SpdMatrix, bool]:
+    """x as an ``SpdMatrix``, and whether it came from raw entries.
+
+    ``last`` (validated from raw entries, or None) is returned for raw
+    entries with its shape and exactly the float64 bits of its stored,
+    symmetrized entries: compared as uint64, so -0.0 differs from 0.0 and
+    NaN matches nothing.  The caller's array is neither copied nor kept.
+    """
+    if isinstance(x, SpdMatrix):
+        return x, False
+    arr = as_entries(x)
+    if (
+        last is not None
+        and arr.shape == last.entries.shape
+        and (arr.view(np.uint64) == last.entries.view(np.uint64)).all()
+    ):
+        return last, True
+    return SpdMatrix(arr), True
+
+
+def _pair(a, b) -> _Pair:
+    """The validated pair (a, b), reusing the last one where it still holds.
+
+    An ``SpdMatrix`` input is taken as it is.  A raw input (array-like or
+    ``SymMatrix``) reuses the matrix the last call validated from raw
+    entries in its position when its bits match (``_validated``); an input
+    mutated since, or an asymmetric one, is validated anew.  When both
+    matrices are those of the last pair, its ``_Pair`` and all it has
+    computed are returned; otherwise a new ``_Pair`` replaces it, so one
+    pair is retained at most.
+    """
+    global _last
+    last = _last
+    A, raw_a = _validated(a, last.A if last is not None and last.raw[0] else None)
+    B, raw_b = _validated(b, last.B if last is not None and last.raw[1] else None)
+    if A.dim != B.dim:
+        raise ShapeError(f"dimension mismatch: {A.dim} vs {B.dim}")
+    if last is not None and A is last.A and B is last.B:
+        return last
+    _last = pair = _Pair(A, B, (raw_a, raw_b))
+    return pair
 
 
 def weighted_harmonic(a, b, t: float) -> SpdMatrix:
@@ -317,7 +434,7 @@ def weighted_harmonic(a, b, t: float) -> SpdMatrix:
 
 def parallel_sum(a, b) -> SpdMatrix:
     """A : B = (A^{-1} + B^{-1})^{-1} = half the equal-weight harmonic mean."""
-    A, B = _pair(a, b)
+    pair = _pair(a, b)
 
     def kernel(Ae, Be):
         try:
@@ -326,72 +443,40 @@ def parallel_sum(a, b) -> SpdMatrix:
             raise SingularPencilError("A + B is singular") from exc
         return Ae @ x
 
-    if _runs_directly(A, B, True):
-        value = kernel(A.entries, B.entries)
-    else:
-        value = _on_range(A.entries, B.entries, kernel)
+    Ae, Be = pair.A.entries, pair.B.entries
+    value = kernel(Ae, Be) if pair.sum_pd else _on_range(Ae, Be, kernel)
     return SpdMatrix(_sym(value))
 
 
-def _evaluate_stack(conn: Connection, Ae, Be, floors, compressed, spec):
-    """The one evaluation core: A_i sigma B_i for entry stacks (n, d, d).
+def _integrate(mu: UnitMeasure, spec, Ae, Be, basis):
+    """Values (n, d, d) of pairs that run directly, and the integration's report.
 
-    ``floors`` holds the (n, 2) floors of ``_null_floors``, and
-    ``compressed`` lists the pairs whose A + B is singular.  The other pairs
-    share one integration: the stacked pencil sums for atom-only measures,
-    or one integration over all their congruence spectra followed by one
-    batched lift.  Each compressed pair runs on its own on range(A + B).
-    Returns the unvalidated values and the fields of their report.
+    Ae and Be are (n, d, d) stacks.  ``basis`` None (a measure of atoms
+    only) sums the pencil solves exactly; otherwise it is the pairs'
+    congruence basis, whose n*d spectra go through one integration and one
+    batched lift.
     """
-    spec = spec or DEFAULT_SPEC
-    mu = conn.measure
-    atoms_only = mu.ac is None and mu.sc is None
-    fields = {"route": "atoms" if atoms_only else "congruence"}
-    if mu.is_zero():
-        fields.update(nodes_used=0, error_estimate=0.0, parts=(("empty", 0, 0.0),))
-        return np.zeros(Ae.shape), fields
+    if basis is None:
+        # a lone pair keeps the (k, d, d) node values that perfbench's
+        # node_eval metrics read
+        mats = (Ae[0], Be[0]) if len(Ae) == 1 else (Ae, Be)
+        report = integrate_measure(_harmonic_fnode(*mats), mu, spec)
+        return _sym(report.value.reshape(Ae.shape)), report
+    a_eig, b_eig, M = basis
+    report = integrate_measure(_pair_fnode(a_eig.ravel(), b_eig.ravel()), mu, spec)
+    return _lift(M, report.value.reshape(a_eig.shape)), report
 
-    reports = []
 
-    def direct(Ae, Be, floors):
-        if atoms_only:
-            # the exact finite sum of pencil solves; a lone pair keeps the
-            # (k, d, d) node values that perfbench's node_eval metrics read
-            mats = (Ae[0], Be[0]) if len(Ae) == 1 else (Ae, Be)
-            report = integrate_measure(_harmonic_fnode(*mats), mu, spec)
-            value = _sym(report.value.reshape(Ae.shape))
-        else:
-            a_eig, b_eig, M = _congruence_basis(Ae, Be, floors)
-            report = integrate_measure(
-                _pair_fnode(a_eig.ravel(), b_eig.ravel()), mu, spec
-            )
-            value = _lift(M, report.value.reshape(a_eig.shape))
-        reports.append(report)
-        return value
+_EMPTY = (("empty", 0, 0.0),)
 
-    if not len(compressed):
-        values = direct(Ae, Be, floors)
-    else:
-        values = np.empty(Ae.shape)
-        ready = np.ones(len(Ae), dtype=bool)
-        ready[compressed] = False
-        if ready.any():
-            values[ready] = direct(Ae[ready], Be[ready], floors[ready])
-        for i in compressed:
-            # compression keeps each input's norm, so its floor holds too
-            fi = floors[i : i + 1]
-            values[i] = _on_range(
-                Ae[i], Be[i], lambda Ar, Br: direct(Ar[None], Br[None], fi)[0]
-            )
+
+def _report(value, reports, route: str, compressed: int) -> EvalReport:
     nodes, err, parts = 0, 0.0, ()
     for r in reports:
         nodes += r.nodes_used
         err = max(err, r.error_estimate)
         parts += r.parts
-    fields.update(
-        nodes_used=nodes, error_estimate=err, parts=parts, compressed=len(compressed)
-    )
-    return values, fields
+    return EvalReport(value, nodes, err, parts, route, compressed)
 
 
 def evaluate_report(
@@ -402,15 +487,31 @@ def evaluate_report(
     The one-pair case of ``evaluate_many``.  For a measure with a density or
     self-similar part, ``error_estimate`` is the quadrature's estimate on
     the spectra g of the congruence basis; the matrix error is at most
-    ||A + B|| times it.
+    ||A + B|| times it.  Validation of the inputs and the work that depends
+    on the pair alone are shared with the previous call when it evaluated
+    the same pair (``_pair``).
     """
-    A, B = _pair(a, b)
-    compressed = () if _runs_directly(A, B, conn.measure.charges_interior()) else (0,)
-    floors = _null_floors(A, B)[None]
-    values, fields = _evaluate_stack(
-        conn, A.entries[None], B.entries[None], floors, compressed, spec
-    )
-    return EvalReport(SpdMatrix(values[0]), **fields)
+    pair = _pair(a, b)
+    mu = conn.measure
+    atoms_only = mu.ac is None and mu.sc is None
+    route = "atoms" if atoms_only else "congruence"
+    if mu.is_zero():
+        return EvalReport(SpdMatrix(np.zeros(pair.A.entries.shape)), 0, 0.0, _EMPTY, route)
+    spec = spec or DEFAULT_SPEC
+    Ae, Be = pair.A.entries, pair.B.entries
+    if not mu.charges_interior() or pair.sum_pd:
+        basis = None if atoms_only else pair.basis
+        value, report = _integrate(mu, spec, Ae[None], Be[None], basis)
+        return _report(SpdMatrix(value[0]), (report,), route, 0)
+    reports = []
+
+    def reduced(Ar, Br):
+        basis = None if atoms_only else pair.basis
+        value, report = _integrate(mu, spec, Ar[None], Br[None], basis)
+        reports.append(report)
+        return value[0]
+
+    return _report(SpdMatrix(_on_range(Ae, Be, reduced)), reports, route, 1)
 
 
 def evaluate_many(
@@ -436,11 +537,37 @@ def evaluate_many(
         raise ShapeError(
             f"stack shape mismatch: {A.entries.shape} vs {B.entries.shape}"
         )
-    ready = _stack_runs_directly(A, B, conn.measure.charges_interior())
-    values, fields = _evaluate_stack(
-        conn, A.entries, B.entries, _null_floors(A, B), np.flatnonzero(~ready), spec
-    )
-    return EvalReport(SpdStack(values), **fields)
+    mu = conn.measure
+    atoms_only = mu.ac is None and mu.sc is None
+    route = "atoms" if atoms_only else "congruence"
+    if mu.is_zero():
+        return EvalReport(SpdStack(np.zeros(A.entries.shape)), 0, 0.0, _EMPTY, route)
+    spec = spec or DEFAULT_SPEC
+    Ae, Be, floors = A.entries, B.entries, _null_floors(A, B)
+    ready = _stack_runs_directly(A, B, mu.charges_interior())
+    compressed = np.flatnonzero(~ready)
+    if not len(compressed):
+        basis = None if atoms_only else _congruence_basis(Ae, Be, floors)
+        values, report = _integrate(mu, spec, Ae, Be, basis)
+        return _report(SpdStack(values), (report,), route, 0)
+    values = np.empty(Ae.shape)
+    reports = []
+    if ready.any():
+        Ar, Br = Ae[ready], Be[ready]
+        basis = None if atoms_only else _congruence_basis(Ar, Br, floors[ready])
+        values[ready], report = _integrate(mu, spec, Ar, Br, basis)
+        reports.append(report)
+    for i in compressed:
+        # compression keeps each input's norm, so its floor holds too
+        def reduced(Ar, Br, fi=floors[i : i + 1]):
+            Ar, Br = Ar[None], Br[None]
+            basis = None if atoms_only else _congruence_basis(Ar, Br, fi)
+            value, report = _integrate(mu, spec, Ar, Br, basis)
+            reports.append(report)
+            return value[0]
+
+        values[i] = _on_range(Ae[i], Be[i], reduced)
+    return _report(SpdStack(values), reports, route, len(compressed))
 
 
 def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdMatrix:
@@ -561,10 +688,9 @@ def evaluate_canonical(
     infinity, and on range(A + B) otherwise.  Agrees with
     evaluate(pushforward_psi(nu), A, B).
     """
-    A, B = _pair(a, b)
+    pair = _pair(a, b)
     spec = spec or DEFAULT_SPEC
     has_density = nu.ac is not None and nu.weight > 0.0
-    floors = _null_floors(A, B)
 
     def kernel(Ae, Be):
         total = np.zeros(Ae.shape)
@@ -582,17 +708,20 @@ def evaluate_canonical(
                     ) from exc
                 total = total + (w * (lam + 1.0)) * _sym(Ae @ x)
         if has_density:
-            a_eig, b_eig, M = _congruence_basis(Ae, Be, floors)
+            # the basis of (Ae, Be): a density charges (0, 1), so Ae and Be
+            # are the pair itself exactly when its sum is strictly PD
+            a_eig, b_eig, M = pair.basis
             report = integrate_halfline_density(
-                _pair_fnode(a_eig, b_eig), nu.ac, nu.weight, spec
+                _pair_fnode(a_eig[0], b_eig[0]), nu.ac, nu.weight, spec
             )
-            total = total + _lift(M, report.value)
+            total = total + _lift(M[0], report.value)
         return _sym(total)
 
+    Ae, Be = pair.A.entries, pair.B.entries
     charges = has_density or any(0.0 < lam < math.inf for lam, _w in nu.atoms)
-    if _runs_directly(A, B, charges):
-        return SpdMatrix(kernel(A.entries, B.entries))
-    return SpdMatrix(_on_range(A.entries, B.entries, kernel))
+    if not charges or pair.sum_pd:
+        return SpdMatrix(kernel(Ae, Be))
+    return SpdMatrix(_on_range(Ae, Be, kernel))
 
 
 # ---------------------------------------------------------------------------

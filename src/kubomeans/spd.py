@@ -9,7 +9,13 @@ its spectral norm, and code that receives an ``SpdMatrix`` trusts all three
 instead of wrapping or measuring the matrix again.  An ``SpdStack`` does the
 same for n matrices of one dimension with one stacked eigensolve, under the
 same acceptance rule, and hands out its members as ``SpdMatrix`` objects
-without measuring them again.  Tolerances follow the scale conventions
+without measuring them again.  Because an ``SpdMatrix`` is immutable,
+connection evaluation keeps the last pair it validated from raw entries
+and reuses it, with the congruence basis derived from it, for the next
+call whose raw inputs have the same shape and exactly the same float64
+bits as the stored, symmetrized entries (compared as uint64, so -0.0 is
+not 0.0); one pair is retained, and an array mutated in place misses.
+Tolerances follow the scale conventions
 
 * PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
   (spectral norm),

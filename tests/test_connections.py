@@ -1,12 +1,13 @@
 """Connection evaluation, representing functions, transpose, decomposition,
-and compression onto range(A + B) for inputs that share a null direction."""
+compression onto range(A + B) for inputs that share a null direction, and
+the reuse of the last validated pair by consecutive evaluations."""
 
 import math
 
 import numpy as np
 import pytest
 
-from kubomeans.catalog import closed_form_eval, entry_from_id
+from kubomeans.catalog import catalog, closed_form_eval, entry_from_id
 from kubomeans.connections import (
     Connection,
     add_connections,
@@ -40,7 +41,7 @@ from kubomeans.measures import (
     pushforward_psi,
 )
 from kubomeans.quadrature import QuadratureSpec, halfline_mass, integrate_measure
-from kubomeans.spd import loewner_leq, random_spd, spectral_norm
+from kubomeans.spd import SpdMatrix, loewner_leq, random_spd, spectral_norm
 
 
 def _pair(key, dim=4, cond=100.0):
@@ -532,3 +533,191 @@ def test_successful_evaluations_leave_no_cyclic_garbage():
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the last validated pair, shared by consecutive evaluations
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The dimensions of the SpdMatrix objects validated, in order."""
+    calls = []
+    post_init = SpdMatrix.__post_init__
+
+    def counted(self):
+        post_init(self)
+        calls.append(self.dim)
+
+    monkeypatch.setattr(SpdMatrix, "__post_init__", counted)
+    return calls
+
+
+def _after_another_pair(call):
+    """call() once an evaluation on an unrelated pair has replaced the last one."""
+    evaluate(Connection(dirac(0.5)), np.eye(2), 2.0 * np.eye(2))
+    return call()
+
+
+def _bits(m):
+    return np.asarray(m.entries).view(np.uint64)
+
+
+def test_a_second_mean_on_a_pair_validates_only_its_output(validations, monkeypatch):
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted(x, *args, **kwargs):
+        eighs.append(np.shape(x))
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+
+    def more(a, b):
+        for ident in ("log_mean", "dual_log_mean", "harmonic:0.5"):
+            evaluate(entry_from_id(ident).connection, a.copy(), b.copy())
+        evaluate_canonical(halfline_geometric(0.3), a, b)
+        parallel_sum(a, b)
+
+    more(*_pair(59, dim=5))  # builds the quadrature rules, some by eigensolves
+    a, b = _pair(60, dim=5)
+    _after_another_pair(lambda: None)
+    validations.clear()
+    eighs.clear()
+    evaluate(entry_from_id("geometric:0.3").connection, a, b)
+    assert len(validations) == 3  # A, B and the output
+    assert len(eighs) == 1  # the congruence basis
+    validations.clear()
+    more(a, b)
+    assert len(validations) == 5 and len(eighs) == 1
+    # the closed form reuses A and B; it validates A + B and its output
+    validations.clear()
+    closed_form_eval("geometric:0.3", a, b)
+    assert len(validations) == 2
+
+
+def test_an_input_mutated_in_place_is_validated_anew(validations):
+    a, b = _pair(61)
+    a = a.copy()
+    conn = entry_from_id("geometric:0.3").connection
+    evaluate(conn, a, b)
+    a[0, 0] *= 2.0
+    validations.clear()
+    got = evaluate(conn, a, b)
+    assert len(validations) == 2  # the new A and the output; B is kept
+    want = _after_another_pair(lambda: evaluate(conn, a.copy(), b.copy()))
+    assert np.array_equal(_bits(got), _bits(want))
+    # an asymmetric edit misses too: the stored entries are symmetrized
+    a[0, 1] += 1e-3
+    got = evaluate(conn, a, b)
+    assert np.array_equal(_bits(got), _bits(evaluate(conn, a.copy(), b)))
+    want = _after_another_pair(lambda: evaluate(conn, a.copy(), b.copy()))
+    assert np.array_equal(_bits(got), _bits(want))
+    a *= -1.0
+    with pytest.raises(NotPsdError):
+        evaluate(conn, a, b)
+
+
+def test_negative_zero_does_not_share_the_entry_of_zero(validations):
+    a = np.array([[2.0, 0.0], [0.0, 1.0]])
+    neg = np.array([[2.0, -0.0], [-0.0, 1.0]])
+    b = np.array([[1.0, 0.5], [0.5, 3.0]])
+    conn = entry_from_id("geometric:0.3").connection
+    evaluate(conn, a, b)
+    validations.clear()
+    got = evaluate(conn, neg, b)
+    assert len(validations) == 2
+    validations.clear()
+    evaluate(conn, a, b)
+    assert len(validations) == 2
+    want = _after_another_pair(lambda: evaluate(conn, neg.copy(), b.copy()))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_one_pair_is_retained(validations):
+    x, y = _pair(62), _pair(63)
+    conn = entry_from_id("log_mean").connection
+    _after_another_pair(lambda: None)
+    counts = []
+    for a, b in (x, y, x, x):
+        validations.clear()
+        evaluate(conn, a, b)
+        counts.append(len(validations))
+    assert counts == [3, 3, 3, 1]
+
+
+def _evaluations(a, b):
+    """Every one-pair evaluation entry point, as (label, call) pairs."""
+    pinned = QuadratureSpec(scheme=("ifs_recursion", 12))
+    calls = []
+    for entry in catalog():
+        spec = pinned if entry.id == "cantor_mean" else None
+        calls.append((entry.id, lambda c=entry.connection, s=spec: evaluate_report(c, a, b, s)))
+        if entry.closed_form_matrix is not None:
+            calls.append((f"{entry.id} closed", lambda f=entry.closed_form_matrix: f(a, b)))
+    for nu in (halfline_geometric(0.3), halfline_logmean()):
+        calls.append(("canonical", lambda nu=nu: evaluate_canonical(nu, a, b)))
+    calls.append(("parallel_sum", lambda: parallel_sum(a, b)))
+    calls.append(("weighted_harmonic", lambda: weighted_harmonic(a, b, 0.3)))
+    return calls
+
+
+def _outcome(call):
+    """call()'s value, or its typed error as (type, message)."""
+    try:
+        return call()
+    except (QuadratureError, ShapeError, NotPsdError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    if isinstance(got, tuple):
+        return got == want
+    if isinstance(got, SpdMatrix):
+        return np.array_equal(_bits(got), _bits(want))
+    fields = ("nodes_used", "error_estimate", "parts", "route", "compressed")
+    return _same(got.value, want.value) and all(
+        getattr(got, f) == getattr(want, f) for f in fields
+    )
+
+
+@pytest.mark.parametrize("kind", ["pd", "shared_null"])
+@pytest.mark.parametrize("dim", [1, 6])
+def test_evaluations_back_to_back_equal_each_after_another_pair(kind, dim):
+    if kind == "pd":
+        a, b = _pair(64, dim=dim)
+    elif dim == 1:
+        a, b = np.zeros((1, 1)), np.zeros((1, 1))
+    else:
+        a, b, _P = _shared_null_pair(5, dim=dim)
+    calls = _evaluations(a, b)
+    warm = [_outcome(call) for _label, call in calls]
+    for (label, call), got in zip(calls, warm):
+        assert _same(got, _after_another_pair(lambda: _outcome(call))), label
+
+
+def test_concurrent_callers_get_the_serial_values():
+    # threads interleaving three pairs swap the last pair under each other;
+    # each hit is checked bit for bit, so every value is the serial one
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    pairs = [_pair(70 + k, dim=6) for k in range(3)]
+    ids = ("geometric:0.3", "log_mean", "harmonic:0.5", "finite_atomic")
+
+    def run(job):
+        p, ident = job
+        return evaluate(entry_from_id(ident).connection, *pairs[p])
+
+    jobs = [(p, ident) for _ in range(8) for p in range(3) for ident in ids]
+    serial = {job: _after_another_pair(lambda job=job: run(job)) for job in set(jobs)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(run, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == len(jobs)
+    for job, got in zip(jobs, results):
+        assert _same(got, serial[job]), job
