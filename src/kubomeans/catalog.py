@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import Connection, _pair, _sym, parallel_sum
+from .connections import Connection, _pair, _parallel, _sym, _values
 from .measures import (
     UnitMeasure,
     cantor_measure,
@@ -160,7 +160,7 @@ def _congruence_closed(f):
 
     def closed(a, b) -> SpdMatrix:
         pair = _pair(a, b)
-        A, B, total = pair.A, pair.B, pair.total
+        A, B, total = pair.A, pair.B, pair.total(0)
         lam, q = np.linalg.eigh(total.entries)
         keep = lam > total.eig_floor
         lam, q = lam[keep], q[:, keep]
@@ -193,24 +193,27 @@ def _atomic(ident: str, atoms) -> CatalogEntry:
 
     A !_0 B = A and A !_1 B = B; an interior atom is the parallel sum
     (A/(1-t)) : (B/t) = [(1-t)A^{-1} + tB^{-1}]^{-1}, which solves a pencil
-    of its own rather than the measure route's quadrature.
+    of its own rather than the measure route's quadrature.  A pair whose
+    A + B is singular is summed on range(A + B) once, for all its atoms.
     """
     measure = UnitMeasure(atoms=atoms)
     pairs = measure.atom_pairs()
+    interior = measure.charges_interior()
 
-    def closed(a, b):
-        pair = _pair(a, b)
-        A, B = pair.A, pair.B
-        total = np.zeros((A.dim, A.dim))
+    def kernel(Ae, Be, _key):
+        total = np.zeros(Ae.shape)
         for t, tc, w in pairs:
             if t == 0.0:
-                h = A.entries
+                h = Ae
             elif t == 1.0:
-                h = B.entries
+                h = Be
             else:
-                h = parallel_sum(A.entries / tc, B.entries / t).entries
+                h = _sym(_parallel(Ae / tc, Be / t))
             total = total + w * h
-        return SpdMatrix(total)
+        return total
+
+    def closed(a, b):
+        return SpdMatrix(_values(_pair(a, b), kernel, interior)[0])
 
     def scalar(x):
         x = np.asarray(x, dtype=float)

@@ -12,8 +12,9 @@ shadow is f(x) = I sigma (xI) evaluated through the same node sets, so matrix
 and scalar answers never come from different rules.
 
 ``evaluate_many`` evaluates a stack of n pairs and ``evaluate_report`` one
-pair, through the same integration step (``_integrate``).  Two routes
-evaluate the integral.  A measure with a density or self-similar part is
+pair, through the same body (``_evaluate``); they differ only in how they
+validate their inputs and wrap the result.  Two routes evaluate the
+integral.  A measure with a density or self-similar part is
 integrated in one congruence basis (Kubo-Ando): with
 A + B = L L^T and L^{-1} A L^{-T} = V diag(mu) V^T, M = L V carries A to
 diag(a) and B to diag(b), with a_i and b_i the quadratic forms of A and B at
@@ -24,25 +25,29 @@ so the n*d spectra of a stack go through one integration and one batched
 lift.  A measure of atoms only keeps the exact finite sum of pencil solves,
 stacked.
 
-Consecutive evaluations on one pair share the work that depends on the pair
-alone (``_pair``): input validation, the strict-PD test of A + B, the
-projection onto range(A + B) of a pair that fails it, and the congruence
-basis.  One pair is retained, the last one validated; raw inputs match it
-only with the same shape and exactly the same float64 bits as its stored,
-symmetrized entries, so an input mutated in place since is validated anew.
-Nothing that depends on the measure or the spec is kept: every call
-integrates, lifts and validates its own value.  Stacks are not memoized.
+The pairs an evaluation runs on are a ``_Pairs``: one pair, or two stacks,
+with the work that depends on the pairs alone computed on first use: the
+strict-PD test of A + B, the projection onto range(A + B) of a pair that
+fails it, and the congruence bases.  Consecutive one-pair evaluations share
+it (``_pair``), input validation included.  One pair is retained, the last
+one validated; raw inputs match it only with the same shape and exactly the
+same float64 bits as its stored, symmetrized entries, so an input mutated
+in place since is validated anew.  Nothing that depends on the measure or
+the spec is kept: every call integrates, lifts and validates its own value.
+Stacks are not memoized.
 
-Singular inputs: evaluation runs directly when A + B is strictly positive
-definite (every interior pencil satisfies (1-t)B + tA >= min(t, 1-t)(A + B))
-or when mu does not charge (0, 1).  With A singular and B PD this returns
-the limit from above (M3) exactly.  When A + B is singular, the inputs share
-the null space N of A + B, which reduces both of them; the limit from above
-is then exactly P (A_R sigma B_R) P^T, where P holds the eigenvectors of
-A + B above its eigenvalue floor, A_R = P^T A P and B_R = P^T B P.  Such a
-pair is evaluated alone on range(A + B), so it leaves the values of the
-other pairs of its stack as they are.  The weighted harmonic mean is the
-one-atom case.
+Singular inputs: every entry point (``evaluate_report``, ``evaluate_many``,
+``evaluate_canonical``, ``parallel_sum`` and the catalog's atom closed
+forms) runs its kernel through ``_values``, which runs it directly when
+A + B is strictly positive definite (every interior pencil satisfies
+(1-t)B + tA >= min(t, 1-t)(A + B)) or when the measure does not charge
+(0, 1).  With A singular and B PD this returns the limit from above (M3)
+exactly.  When A + B is singular, the inputs share the null space N of
+A + B, which reduces both of them; the limit from above is then exactly
+P (A_R sigma B_R) P^T, where P holds the eigenvectors of A + B above its
+eigenvalue floor, A_R = P^T A P and B_R = P^T B P.  Such a pair is
+evaluated alone on range(A + B), so it leaves the values of the other pairs
+of its stack as they are.  The weighted harmonic mean is the one-atom case.
 """
 
 from __future__ import annotations
@@ -68,8 +73,8 @@ from .measures import (
 )
 from .quadrature import (
     DEFAULT_SPEC,
-    IntegrationReport,
     QuadratureSpec,
+    density_mass,
     integrate_halfline_density,
     integrate_measure,
 )
@@ -262,20 +267,6 @@ def _lift(M: np.ndarray, g) -> np.ndarray:
     return _sym((M * g[..., None, :]) @ M.swapaxes(-1, -2))
 
 
-def _stack_runs_directly(A: SpdStack, B: SpdStack, charges_interior: bool):
-    """Per pair of two stacks: True when no compression is needed, because
-    A + B is strictly PD or the measure sees only the endpoints (where
-    A !_0 B = A and A !_1 B = B need no solve).  One eigensolve checks the
-    sums of the pairs that are not both strictly PD."""
-    if not charges_interior:
-        return np.ones(len(A), dtype=bool)
-    direct = A.strictly_pd & B.strictly_pd
-    rest = np.flatnonzero(~direct)
-    if rest.size:
-        direct[rest] = SpdStack(A.entries[rest] + B.entries[rest]).strictly_pd
-    return direct
-
-
 def _range_of(total: SpdMatrix, Ae: np.ndarray, Be: np.ndarray):
     """P, P^T A P and P^T B P for total = A + B, read-only.
 
@@ -290,89 +281,131 @@ def _range_of(total: SpdMatrix, Ae: np.ndarray, Be: np.ndarray):
     return out
 
 
-def _on_range(Ae: np.ndarray, Be: np.ndarray, kernel) -> np.ndarray:
-    """``kernel`` at a pair whose A + B is singular, taken on range(A + B).
-
-    N = null(A + B) reduces both inputs, so the limit from above is exactly
-    P kernel(P^T A P, P^T B P) P^T, with P from ``_range_of``; the
-    compressed sum is PD.  A sum of rank 0 gives zeros without calling
-    ``kernel``.  Ae and Be that are the stored entries of the last validated
-    pair (``_pair``) reuse its projection.
-    """
-    last = _last
-    if last is not None and Ae is last.A.entries and Be is last.B.entries:
-        P, Ar, Br = last.on_range
-    else:
-        P, Ar, Br = _range_of(SpdMatrix(Ae + Be), Ae, Be)
-    if not P.shape[1]:
-        return np.zeros(Ae.shape)
-    return P @ kernel(Ar, Br) @ P.T
+# the compressed indices of one pair
+_NONE = np.empty(0, dtype=np.intp)
+_FIRST = np.zeros(1, dtype=np.intp)
+_NONE.flags.writeable = _FIRST.flags.writeable = False
 
 
-class _Pair:
-    """A validated pair and the work that depends on the pair alone.
+class _Pairs:
+    """n validated pairs and the work that depends on the pairs alone.
 
-    ``A`` and ``B`` are immutable ``SpdMatrix`` objects, and ``raw`` says
-    which of them ``_pair`` validated from raw entries: only those may
-    stand for a later raw input, since an ``SpdMatrix`` passed in may carry
-    an eig_floor of its own.  The rest is computed on first use and shared
-    by every evaluation on the pair, whatever its measure or spec:
-    ``total`` (A + B, validated), ``sum_pd`` (A + B strictly PD, the test
-    that decides compression), the projection ``on_range`` of a pair that
-    fails the test, and the read-only congruence ``basis`` (a, b, M) of the
-    pair that is integrated, with its null floors, as (1, d) and (1, d, d)
-    arrays: of (A, B) itself, or of its compression.
+    ``A`` and ``B`` are one ``SpdMatrix`` each (n = 1) or two ``SpdStack``
+    objects, and ``Ae`` and ``Be`` their (n, d, d) entries.  ``raw`` says
+    which matrices of one pair ``_pair`` validated from raw entries: only
+    those may stand for a later raw input, since an ``SpdMatrix`` passed in
+    may carry an eig_floor of its own.  The rest is computed on first use
+    and shared by every evaluation on the pairs, whatever its measure or
+    spec: ``compressed`` (the indices of the pairs whose A + B is not
+    strictly PD), ``total(i)`` (A_i + B_i, validated), the projection
+    ``on_range(i)`` of a compressed pair, and the read-only congruence
+    ``basis(key)`` (a, b, M) with its null floors, of the pairs that run
+    directly (key None) or of compressed pair key on range(A + B).
     """
 
-    def __init__(self, A: SpdMatrix, B: SpdMatrix, raw: tuple[bool, bool]):
+    def __init__(self, A, B, raw: tuple[bool, bool] = (False, False)):
         self.A, self.B, self.raw = A, B, raw
-        self._total = self._sum_pd = self._on_range = self._basis = None
+        one = isinstance(A, SpdMatrix)
+        self.Ae = A.entries[None] if one else A.entries
+        self.Be = B.entries[None] if one else B.entries
+        self._compressed = None
+        self._totals, self._ranges, self._bases = {}, {}, {}
 
-    # Plain properties rather than functools.cached_property, whose lock
-    # (Python 3.11) is shared by all instances: it would serialize threads
-    # computing the bases of different pairs.
-
-    @property
-    def total(self) -> SpdMatrix:
-        if self._total is None:
-            self._total = SpdMatrix(self.A.entries + self.B.entries)
-        return self._total
+    # Plain properties and dicts rather than functools.cached_property,
+    # whose lock (Python 3.11) is shared by all instances: it would
+    # serialize threads computing the bases of different pairs.
 
     @property
-    def sum_pd(self) -> bool:
-        if self._sum_pd is None:
-            # two strictly PD inputs have a strictly PD sum: no eigensolve
+    def compressed(self) -> np.ndarray:
+        if self._compressed is None:
             A, B = self.A, self.B
-            strict = A.is_strictly_pd and B.is_strictly_pd
-            self._sum_pd = strict or self.total.is_strictly_pd
-        return self._sum_pd
-
-    @property
-    def on_range(self):
-        if self._on_range is None:
-            self._on_range = _range_of(self.total, self.A.entries, self.B.entries)
-        return self._on_range
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            if self.sum_pd:
-                Ae, Be = self.A.entries, self.B.entries
+            if isinstance(A, SpdMatrix):
+                # two strictly PD inputs have a strictly PD sum: no eigensolve
+                strict = A.is_strictly_pd and B.is_strictly_pd
+                self._compressed = (
+                    _NONE if strict or self.total(0).is_strictly_pd else _FIRST
+                )
             else:
+                # one eigensolve checks the sums of the pairs that are not
+                # both strictly PD; a singular one keeps its validated sum
+                rest = np.flatnonzero(~(A.strictly_pd & B.strictly_pd))
+                if rest.size:
+                    sums = SpdStack(self.Ae[rest] + self.Be[rest])
+                    singular = np.flatnonzero(~sums.strictly_pd)
+                    for j in singular:
+                        self._totals[int(rest[j])] = sums[j]
+                    rest = rest[singular]
+                self._compressed = rest
+        return self._compressed
+
+    def direct(self) -> np.ndarray:
+        """The mask of the pairs that are not compressed."""
+        mask = np.ones(len(self.Ae), dtype=bool)
+        mask[self.compressed] = False
+        return mask
+
+    def total(self, i: int) -> SpdMatrix:
+        total = self._totals.get(i)
+        if total is None:
+            total = self._totals[i] = SpdMatrix(self.Ae[i] + self.Be[i])
+        return total
+
+    def on_range(self, i: int):
+        out = self._ranges.get(i)
+        if out is None:
+            out = self._ranges[i] = _range_of(self.total(i), self.Ae[i], self.Be[i])
+        return out
+
+    def basis(self, key: int | None):
+        basis = self._bases.get(key)
+        if basis is None:
+            floors = _null_floors(self.A, self.B).reshape(-1, 2)
+            if key is not None:
                 # compression keeps each input's norm, so its floor holds too
-                _P, Ae, Be = self.on_range
-            floors = _null_floors(self.A, self.B)[None]
-            basis = _congruence_basis(Ae[None], Be[None], floors)
+                _P, Ar, Br = self.on_range(key)
+                Ae, Be, floors = Ar[None], Br[None], floors[key : key + 1]
+            elif len(self.compressed):
+                direct = self.direct()
+                Ae, Be, floors = self.Ae[direct], self.Be[direct], floors[direct]
+            else:
+                Ae, Be = self.Ae, self.Be
+            basis = _congruence_basis(Ae, Be, floors)
             for x in basis:
                 x.flags.writeable = False
-            self._basis = basis
-        return self._basis
+            self._bases[key] = basis
+        return basis
+
+
+def _values(pairs: _Pairs, kernel, charges_interior: bool) -> np.ndarray:
+    """``kernel`` on every pair, exactly at the limit from above: (n, d, d).
+
+    ``kernel(Ae, Be, key)`` maps (k, d, d) stacks to their (k, d, d)
+    values.  It runs once on the pairs that need no compression, because
+    A + B is strictly PD or the measure sees only the endpoints (where
+    A !_0 B = A and A !_1 B = B need no solve), with key None.  A pair whose
+    A + B is singular shares the null space N of A + B between its inputs,
+    which reduces both, so its limit from above is exactly
+    P kernel(P^T A P, P^T B P) P^T, with P from ``_range_of``: the kernel
+    runs once per such pair, with its index as key, on a PD compressed sum.
+    A sum of rank 0 gives zeros without calling ``kernel``.
+    """
+    compressed = pairs.compressed if charges_interior else _NONE
+    if not len(compressed):
+        return kernel(pairs.Ae, pairs.Be, None)
+    values = np.empty(pairs.Ae.shape)
+    direct = pairs.direct()
+    if direct.any():
+        values[direct] = kernel(pairs.Ae[direct], pairs.Be[direct], None)
+    for i in compressed.tolist():
+        P, Ar, Br = pairs.on_range(i)
+        values[i] = P @ kernel(Ar[None], Br[None], i)[0] @ P.T if P.shape[1] else 0.0
+    return values
 
 
 # The pair the last ``_pair`` call returned, one object replaced by a single
 # assignment; every field a caller reads is fixed or a pure function of the
 # pair, so concurrent callers at worst compute something twice.
-_last: _Pair | None = None
+_last: _Pairs | None = None
 
 
 def _validated(x, last: SpdMatrix | None) -> tuple[SpdMatrix, bool]:
@@ -395,15 +428,15 @@ def _validated(x, last: SpdMatrix | None) -> tuple[SpdMatrix, bool]:
     return SpdMatrix(arr), True
 
 
-def _pair(a, b) -> _Pair:
+def _pair(a, b) -> _Pairs:
     """The validated pair (a, b), reusing the last one where it still holds.
 
     An ``SpdMatrix`` input is taken as it is.  A raw input (array-like or
     ``SymMatrix``) reuses the matrix the last call validated from raw
     entries in its position when its bits match (``_validated``); an input
     mutated since, or an asymmetric one, is validated anew.  When both
-    matrices are those of the last pair, its ``_Pair`` and all it has
-    computed are returned; otherwise a new ``_Pair`` replaces it, so one
+    matrices are those of the last pair, its ``_Pairs`` and all it has
+    computed are returned; otherwise a new ``_Pairs`` replaces it, so one
     pair is retained at most.
     """
     global _last
@@ -414,7 +447,7 @@ def _pair(a, b) -> _Pair:
         raise ShapeError(f"dimension mismatch: {A.dim} vs {B.dim}")
     if last is not None and A is last.A and B is last.B:
         return last
-    _last = pair = _Pair(A, B, (raw_a, raw_b))
+    _last = pair = _Pairs(A, B, (raw_a, raw_b))
     return pair
 
 
@@ -432,51 +465,63 @@ def weighted_harmonic(a, b, t: float) -> SpdMatrix:
     return evaluate(Connection(dirac(t)), a, b)
 
 
+def _parallel(Ae: np.ndarray, Be: np.ndarray) -> np.ndarray:
+    """A (A + B)^{-1} B, not symmetrized, for matrices or stacks with A + B PD."""
+    try:
+        x = np.linalg.solve(Ae + Be, Be)
+    except np.linalg.LinAlgError as exc:
+        raise SingularPencilError("A + B is singular") from exc
+    return Ae @ x
+
+
 def parallel_sum(a, b) -> SpdMatrix:
     """A : B = (A^{-1} + B^{-1})^{-1} = half the equal-weight harmonic mean."""
-    pair = _pair(a, b)
-
-    def kernel(Ae, Be):
-        try:
-            x = np.linalg.solve(Ae + Be, Be)
-        except np.linalg.LinAlgError as exc:
-            raise SingularPencilError("A + B is singular") from exc
-        return Ae @ x
-
-    Ae, Be = pair.A.entries, pair.B.entries
-    value = kernel(Ae, Be) if pair.sum_pd else _on_range(Ae, Be, kernel)
-    return SpdMatrix(_sym(value))
-
-
-def _integrate(mu: UnitMeasure, spec, Ae, Be, basis):
-    """Values (n, d, d) of pairs that run directly, and the integration's report.
-
-    Ae and Be are (n, d, d) stacks.  ``basis`` None (a measure of atoms
-    only) sums the pencil solves exactly; otherwise it is the pairs'
-    congruence basis, whose n*d spectra go through one integration and one
-    batched lift.
-    """
-    if basis is None:
-        # a lone pair keeps the (k, d, d) node values that perfbench's
-        # node_eval metrics read
-        mats = (Ae[0], Be[0]) if len(Ae) == 1 else (Ae, Be)
-        report = integrate_measure(_harmonic_fnode(*mats), mu, spec)
-        return _sym(report.value.reshape(Ae.shape)), report
-    a_eig, b_eig, M = basis
-    report = integrate_measure(_pair_fnode(a_eig.ravel(), b_eig.ravel()), mu, spec)
-    return _lift(M, report.value.reshape(a_eig.shape)), report
+    value = _values(_pair(a, b), lambda Ae, Be, _key: _parallel(Ae, Be), True)
+    return SpdMatrix(_sym(value[0]))
 
 
 _EMPTY = (("empty", 0, 0.0),)
 
 
-def _report(value, reports, route: str, compressed: int) -> EvalReport:
+def _evaluate(conn: Connection, pairs: _Pairs, spec):
+    """The (n, d, d) values of conn on pairs, then the report's other fields.
+
+    A measure of atoms only sums the pencil solves exactly; any other is
+    integrated on the pairs' congruence basis, whose n*d spectra go through
+    one integration and one batched lift.
+    """
+    mu = conn.measure
+    atoms_only = mu.ac is None and mu.sc is None
+    route = "atoms" if atoms_only else "congruence"
+    if mu.is_zero():
+        return np.zeros(pairs.Ae.shape), 0, 0.0, _EMPTY, route, 0
+    spec = spec or DEFAULT_SPEC
+    reports = []
+
+    def kernel(Ae, Be, key):
+        if atoms_only:
+            # a lone pair keeps the (k, d, d) node values that perfbench's
+            # node_eval metrics read
+            mats = (Ae[0], Be[0]) if len(Ae) == 1 else (Ae, Be)
+            report = integrate_measure(_harmonic_fnode(*mats), mu, spec)
+            value = _sym(report.value.reshape(Ae.shape))
+        else:
+            a_eig, b_eig, M = pairs.basis(key)
+            fnode = _pair_fnode(a_eig.ravel(), b_eig.ravel())
+            report = integrate_measure(fnode, mu, spec)
+            value = _lift(M, report.value.reshape(a_eig.shape))
+        reports.append(report)
+        return value
+
+    charges = mu.charges_interior()
+    values = _values(pairs, kernel, charges)
     nodes, err, parts = 0, 0.0, ()
     for r in reports:
         nodes += r.nodes_used
         err = max(err, r.error_estimate)
         parts += r.parts
-    return EvalReport(value, nodes, err, parts, route, compressed)
+    compressed = len(pairs.compressed) if charges else 0
+    return values, nodes, err, parts, route, compressed
 
 
 def evaluate_report(
@@ -491,27 +536,8 @@ def evaluate_report(
     on the pair alone are shared with the previous call when it evaluated
     the same pair (``_pair``).
     """
-    pair = _pair(a, b)
-    mu = conn.measure
-    atoms_only = mu.ac is None and mu.sc is None
-    route = "atoms" if atoms_only else "congruence"
-    if mu.is_zero():
-        return EvalReport(SpdMatrix(np.zeros(pair.A.entries.shape)), 0, 0.0, _EMPTY, route)
-    spec = spec or DEFAULT_SPEC
-    Ae, Be = pair.A.entries, pair.B.entries
-    if not mu.charges_interior() or pair.sum_pd:
-        basis = None if atoms_only else pair.basis
-        value, report = _integrate(mu, spec, Ae[None], Be[None], basis)
-        return _report(SpdMatrix(value[0]), (report,), route, 0)
-    reports = []
-
-    def reduced(Ar, Br):
-        basis = None if atoms_only else pair.basis
-        value, report = _integrate(mu, spec, Ar[None], Br[None], basis)
-        reports.append(report)
-        return value[0]
-
-    return _report(SpdMatrix(_on_range(Ae, Be, reduced)), reports, route, 1)
+    values, *fields = _evaluate(conn, _pair(a, b), spec)
+    return EvalReport(SpdMatrix(values[0]), *fields)
 
 
 def evaluate_many(
@@ -537,37 +563,8 @@ def evaluate_many(
         raise ShapeError(
             f"stack shape mismatch: {A.entries.shape} vs {B.entries.shape}"
         )
-    mu = conn.measure
-    atoms_only = mu.ac is None and mu.sc is None
-    route = "atoms" if atoms_only else "congruence"
-    if mu.is_zero():
-        return EvalReport(SpdStack(np.zeros(A.entries.shape)), 0, 0.0, _EMPTY, route)
-    spec = spec or DEFAULT_SPEC
-    Ae, Be, floors = A.entries, B.entries, _null_floors(A, B)
-    ready = _stack_runs_directly(A, B, mu.charges_interior())
-    compressed = np.flatnonzero(~ready)
-    if not len(compressed):
-        basis = None if atoms_only else _congruence_basis(Ae, Be, floors)
-        values, report = _integrate(mu, spec, Ae, Be, basis)
-        return _report(SpdStack(values), (report,), route, 0)
-    values = np.empty(Ae.shape)
-    reports = []
-    if ready.any():
-        Ar, Br = Ae[ready], Be[ready]
-        basis = None if atoms_only else _congruence_basis(Ar, Br, floors[ready])
-        values[ready], report = _integrate(mu, spec, Ar, Br, basis)
-        reports.append(report)
-    for i in compressed:
-        # compression keeps each input's norm, so its floor holds too
-        def reduced(Ar, Br, fi=floors[i : i + 1]):
-            Ar, Br = Ar[None], Br[None]
-            basis = None if atoms_only else _congruence_basis(Ar, Br, fi)
-            value, report = _integrate(mu, spec, Ar, Br, basis)
-            reports.append(report)
-            return value[0]
-
-        values[i] = _on_range(Ae[i], Be[i], reduced)
-    return _report(SpdStack(values), reports, route, len(compressed))
+    values, *fields = _evaluate(conn, _Pairs(A, B), spec)
+    return EvalReport(SpdStack(values), *fields)
 
 
 def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdMatrix:
@@ -688,11 +685,11 @@ def evaluate_canonical(
     infinity, and on range(A + B) otherwise.  Agrees with
     evaluate(pushforward_psi(nu), A, B).
     """
-    pair = _pair(a, b)
+    pairs = _pair(a, b)
     spec = spec or DEFAULT_SPEC
     has_density = nu.ac is not None and nu.weight > 0.0
 
-    def kernel(Ae, Be):
+    def kernel(Ae, Be, key):
         total = np.zeros(Ae.shape)
         for lam, w in nu.atoms:
             if lam == 0.0:
@@ -708,20 +705,15 @@ def evaluate_canonical(
                     ) from exc
                 total = total + (w * (lam + 1.0)) * _sym(Ae @ x)
         if has_density:
-            # the basis of (Ae, Be): a density charges (0, 1), so Ae and Be
-            # are the pair itself exactly when its sum is strictly PD
-            a_eig, b_eig, M = pair.basis
+            a_eig, b_eig, M = pairs.basis(key)
             report = integrate_halfline_density(
                 _pair_fnode(a_eig[0], b_eig[0]), nu.ac, nu.weight, spec
             )
-            total = total + _lift(M[0], report.value)
+            total = total + _lift(M, report.value[None])
         return _sym(total)
 
-    Ae, Be = pair.A.entries, pair.B.entries
     charges = has_density or any(0.0 < lam < math.inf for lam, _w in nu.atoms)
-    if not charges or pair.sum_pd:
-        return SpdMatrix(kernel(Ae, Be))
-    return SpdMatrix(_on_range(Ae, Be, kernel))
+    return SpdMatrix(_values(pairs, kernel, charges)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +802,6 @@ def _structural_ac_mass(ac: Density | None, spec) -> float:
         mass += term.weight * term.unit_mass
     if known:
         return mass
-    from .quadrature import density_mass
-
     return density_mass(ac, spec)
 
 

@@ -437,11 +437,9 @@ class _Integrand:
     driver that needs it before that evaluates one node to learn it.
     """
 
-    def __init__(self, fnode, sized=None):
+    def __init__(self, fnode):
         self.fnode = fnode
-        # the width the node function states, or the one of ``sized``, the
-        # function it wraps
-        self.width = getattr(sized or fnode, "width", None)
+        self.width = getattr(fnode, "width", None)
 
     def step(self, t, tc) -> int:
         """Nodes per call for an integrand evaluated at (t, tc)."""
@@ -467,8 +465,8 @@ class _Integrand:
         return wt * vals
 
 
-def _integrand(fnode, sized=None) -> _Integrand:
-    return fnode if isinstance(fnode, _Integrand) else _Integrand(fnode, sized)
+def _integrand(fnode) -> _Integrand:
+    return fnode if isinstance(fnode, _Integrand) else _Integrand(fnode)
 
 
 def _reduce(fnode, t, tc, w, sequential: bool = False):

@@ -14,6 +14,7 @@ from kubomeans.connections import (
     decompose_connection,
     evaluate,
     evaluate_canonical,
+    evaluate_many,
     evaluate_report,
     is_mean,
     is_symmetric_connection,
@@ -463,19 +464,18 @@ def test_rank_deficient_input_runs_on_the_range(monkeypatch):
     import kubomeans.connections as connections
 
     runs = []
-    on_range = connections._on_range
+    range_of = connections._range_of
 
-    def counted(Ae, Be, kernel):
-        def seen(Ar, Br):
-            runs.append(Ar.shape)
-            return kernel(Ar, Br)
+    def counted(total, Ae, Be):
+        out = range_of(total, Ae, Be)
+        runs.append(out[1].shape)  # the reduced pair
+        return out
 
-        return on_range(Ae, Be, seen)
-
-    monkeypatch.setattr(connections, "_on_range", counted)
+    monkeypatch.setattr(connections, "_range_of", counted)
     proj = np.diag([1.0, 1.0, 0.0])
     a = proj @ random_spd(3, 10.0, 21).entries @ proj
     b = proj @ random_spd(3, 10.0, 22).entries @ proj
+    _after_another_pair(lambda: None)
     report = evaluate_report(Connection(dirac(0.5)), a, b)
     assert report.compressed == 1
     assert report.parts == (("atoms", 1, 0.0),)
@@ -644,6 +644,63 @@ def test_one_pair_is_retained(validations):
         evaluate(conn, a, b)
         counts.append(len(validations))
     assert counts == [3, 3, 3, 1]
+
+
+def test_atom_closed_forms_reuse_the_validated_pair(monkeypatch):
+    # every interior atom solves its pencil on the pair evaluate validated:
+    # the closed form validates only its output, and keeps the pair retained
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    a, b = _pair(65)
+    conn = entry_from_id("finite_atomic").connection
+    _after_another_pair(lambda: None)
+    want = closed_form_eval("finite_atomic", a, b)
+    evaluate(conn, a, b)
+    calls.clear()
+    got = closed_form_eval("finite_atomic", a, b)
+    assert calls == [(4, 4)]
+    assert np.array_equal(_bits(got), _bits(want))
+    calls.clear()
+    evaluate(conn, a, b)
+    assert calls == [(4, 4)]
+
+
+def test_one_projection_per_pair(monkeypatch, validations):
+    import kubomeans.connections as connections
+
+    runs = []
+    range_of = connections._range_of
+
+    def counted(total, Ae, Be):
+        runs.append(total.dim)
+        return range_of(total, Ae, Be)
+
+    monkeypatch.setattr(connections, "_range_of", counted)
+    a, b, _P = _shared_null_pair(7)
+    _after_another_pair(lambda: None)
+    conn = Connection(UnitMeasure(ac=geometric_density(0.3)))
+    assert evaluate_report(conn, a, b).compressed == 1
+    evaluate_canonical(halfline_geometric(0.3), a, b)
+    parallel_sum(a, b)
+    weighted_harmonic(a, b, 0.3)
+    closed_form_eval("finite_atomic", a, b)
+    assert runs == [6]
+    # a stack's compressed members take their sums from its validation
+    c, d, _P = _shared_null_pair(8)
+    pd_a, pd_b = _pair(66, dim=6)
+    stack_a, stack_b = np.array([a, pd_a, c]), np.array([b, pd_b, d])
+    runs.clear()
+    validations.clear()
+    for ident in ("harmonic:0.3", "geometric:0.3"):
+        report = evaluate_many(entry_from_id(ident).connection, stack_a, stack_b)
+        assert report.compressed == 2
+    assert runs == [6, 6, 6, 6] and validations == []
 
 
 def _evaluations(a, b):
