@@ -20,9 +20,13 @@ results are bit-stable regardless of the BLAS thread count.
 
 Density rules, derived from each term's effective endpoint exponents
 ---------------------------------------------------------------------
-(0, 0)                : bisected Gauss-Legendre 8/16-point panels, one
-                        24-node batch per panel, visited in preorder from
-                        an explicit stack and depth-limited at 12.
+(0, 0)                : bisected Gauss-Legendre 8/16-point panels,
+                        depth-limited at 12 and evaluated one depth at a
+                        time: all pending panels of a depth share a
+                        node-function call (24 nodes each) and one
+                        tolerance test, and the accepted panels are added
+                        in left-to-right order, as a preorder walk adds
+                        them.
 any other (p, q)      : node-doubling Gauss-Jacobi on the exponents, with
                         the term's smooth residual as integrand.
 no envelope, log_mean : rule for the Cauchy kernel in u = log(t/(1-t)):
@@ -624,56 +628,91 @@ def _integrate_term(fnode, term, spec: QuadratureSpec):
     return value, used, err, scheme
 
 
-def _adaptive_panels(fnode, term, spec: QuadratureSpec):
-    """Bisected Gauss-Legendre 8/16 panels on g*h, left-to-right, depth <= 12.
+@lru_cache(maxsize=None)
+def _panel_rule():
+    """Offsets t - a and (1 - t) - (1 - b), and weights, of a 24-node panel [a, b].
 
-    One node-function call per panel covers both rules: the 8 coarse nodes,
-    then the 16 fine ones, each sum taken over its slice of the weighted
-    values.  An integrand too wide for 24 nodes in one call sums each rule
-    in calls of its own.  Pending panels wait on an explicit stack, left
-    half on top, so they are visited in the preorder of the bisection tree
-    and a rough integrand fails down the leftmost path first.
+    One row per depth 0..12, where the half-width is 2**-(depth + 1): the 8
+    Gauss-Legendre nodes of the coarse rule, then the 16 of the fine one.
     """
-    fnode = _integrand(fnode)
     x8, w8 = legendre_rule(8)
     x16, w16 = legendre_rule(16)
     x = np.concatenate((x8, x16))
-    w = np.concatenate((w8, w16))
-    # whether one call takes a whole panel, asked at the first panel's nodes
-    one_call = fnode.step(0.5 * (1.0 + x), 0.5 * (1.0 - x)) >= 24
+    half = 0.5 ** np.arange(1.0, 14.0)[:, None]
+    return _freeze(half * (1.0 + x), half * (1.0 - x), half * np.concatenate((w8, w16)))
+
+
+def _adaptive_panels(fnode, term, spec: QuadratureSpec):
+    """Bisected Gauss-Legendre 8/16 panels on g*h, one depth at a time, depth <= 12.
+
+    All pending panels of one depth are evaluated together, floor(step / 24)
+    panels of 24 nodes to a node-function call, and each rule's sum is taken
+    over its slice of a panel's weighted values.  An integrand too wide for
+    24 nodes in one call sums each rule of each panel in calls of its own.
+    The tolerance test runs over the whole depth at once; the panels that
+    fail it are bisected into the next depth, which stays in left-to-right
+    order.  The accepted panels' fine sums and differences are kept and
+    added in left-to-right order once the tree is done, so value and error
+    are those of a walk of the tree in preorder.  Panels still failing at
+    depth 12 raise QuadratureError with the leftmost one's fine sum and
+    difference.
+    """
+    fnode = _integrand(fnode)
+    up, down, weights = _panel_rule()
+    # panels per call, asked at the first panel's nodes; 0 when one panel
+    # does not fit a call
+    per_call = fnode.step(up[0], down[0]) // 24
+    lefts = np.zeros(1)
     nodes = 0
-    err = 0.0
-    total = None
-    stack = [(0.0, 1.0, 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        half = 0.5 * (b - a)
-        t = a + half * (1.0 + x)
-        tc = (1.0 - b) + half * (1.0 - x)
-        wt = half * w * term.eval_pair(t, tc)
-        if one_call:
-            vals = fnode.weighted(t, tc, wt)
-            coarse = np.sum(vals[:8], axis=0)
-            fine = np.sum(vals[8:], axis=0)
+    # (left ends, fine sums, differences, accepted) of each depth's panels
+    levels = []
+    for depth in range(13):
+        width = 0.5**depth
+        k = len(lefts)
+        # dyadic ends: a and 1 - b are exact, so the nodes are those of
+        # bisecting [0, 1] panel by panel
+        t = np.add.outer(lefts, up[depth]).ravel()
+        tc = np.add.outer((1.0 - width) - lefts, down[depth]).ravel()
+        wt = (weights[depth] * term.eval_pair(t, tc).reshape(k, 24)).ravel()
+        if per_call:
+            span = 24 * per_call
+            sums = []
+            for lo in range(0, 24 * k, span):
+                vals = fnode.weighted(t[lo : lo + span], tc[lo : lo + span], wt[lo : lo + span])
+                vals = vals.reshape((-1, 24) + vals.shape[1:])
+                sums.append((vals[:, :8].sum(axis=1), vals[:, 8:].sum(axis=1)))
         else:
-            coarse = _reduce(fnode, t[:8], tc[:8], wt[:8])
-            fine = _reduce(fnode, t[8:], tc[8:], wt[8:])
-        nodes += 24
-        diff = _metric(fine - coarse)
-        if diff <= max((b - a) * spec.abs_tol, spec.rel_tol * _metric(fine)):
-            total = fine if total is None else total + fine
-            err += diff
-            continue
-        if depth >= 12:
+            sums = []
+            for lo in range(0, 24 * k, 24):
+                mid, hi = lo + 8, lo + 24
+                sums.append((
+                    _reduce(fnode, t[lo:mid], tc[lo:mid], wt[lo:mid])[None],
+                    _reduce(fnode, t[mid:hi], tc[mid:hi], wt[mid:hi])[None],
+                ))
+        coarse, fine = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
+        nodes += 24 * k
+        diff = np.abs(fine - coarse).reshape(k, -1).max(axis=1)
+        scale = np.abs(fine).reshape(k, -1).max(axis=1)
+        ok = diff <= np.maximum(width * spec.abs_tol, spec.rel_tol * scale)
+        levels.append((lefts, fine, diff, ok))
+        if ok.all():
+            break
+        if depth == 12:
+            i = int(np.argmin(ok))
             raise QuadratureError(
-                "gauss_legendre panels exceeded depth 12 (integrand too rough)",
-                value=float(np.sum(np.asarray(fine))),
-                error_estimate=diff,
+                f"gauss_legendre panels exceeded depth 12 on [{lefts[i]:.17g}, "
+                f"{lefts[i] + width:.17g}] (integrand too rough)",
+                value=float(np.sum(fine[i])),
+                error_estimate=float(diff[i]),
                 nodes_used=nodes,
             )
-        mid = 0.5 * (a + b)
-        stack.append((mid, b, depth + 1))
-        stack.append((a, mid, depth + 1))
+        lefts = np.add.outer(lefts[~ok], (0.0, 0.5 * width)).ravel()
+    lefts, fine, diff, ok = map(np.concatenate, zip(*levels))
+    order = np.flatnonzero(ok)
+    order = order[np.argsort(lefts[order])]
+    # np.add.accumulate adds left to right, as the preorder walk did
+    total = np.add.accumulate(fine[order])[-1]
+    err = float(np.add.accumulate(diff[order])[-1])
     return total, nodes, err
 
 

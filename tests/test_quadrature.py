@@ -422,15 +422,23 @@ def test_max_nodes_budget_respected():
 
 
 def test_legendre_panels_keep_their_preorder():
-    # Panels are visited left half first, so a pole next to t = 0 exhausts
-    # the 13 panels of depths 0..12 on the leftmost path (24 nodes each)
-    # before any panel to its right is integrated.
+    # A pole at t = 0 fails the leftmost panel of every depth, while its
+    # right sibling passes: one panel at depth 0 and two at each of depths
+    # 1..12, 24 nodes each.  The error carries the leftmost failing
+    # depth-12 panel's fine sum and difference, the ones a walk of the
+    # tree in preorder meets first.
     from kubomeans.connections import _harmonic_scalar
 
     m = UnitMeasure(ac=lebesgue_density())
     with pytest.raises(QuadratureError) as err:
         integrate_scalar(m, lambda t: 1.0 / t)
-    assert err.value.nodes_used == 13 * 24 == 312
+    assert err.value.nodes_used == (1 + 2 * 12) * 24 == 600
+    assert err.value.value == 6.7614579864579785
+    assert err.value.error_estimate == 1.3257437007436916
+    assert str(err.value) == (
+        "gauss_legendre panels exceeded depth 12 on [0, 0.000244140625] "
+        "(integrand too rough)"
+    )
     # dual_log_mean's f(x) = int x / ((1-t)x + t) dt: f(2) settles on the
     # first panel, f(1e-3) after 19 panels
     for x, nodes in ((2.0, 24), (1e-3, 456)):
@@ -472,8 +480,9 @@ def _recursive_panels(fnode, term, spec):
 
 
 def test_panel_batches_sum_like_one_call_per_rule():
-    # Slicing one 24-node batch gives the sums of separate 8- and 16-node
-    # batches bit for bit, for scalar, vector and matrix integrands.
+    # Slicing the batch of a depth's panels gives the sums of separate 8-
+    # and 16-node batches per panel, added in preorder, bit for bit, for
+    # scalar, vector and matrix integrands.
     from kubomeans.connections import _harmonic_fnode, _harmonic_scalar, _pair_fnode
     from kubomeans.quadrature import _adaptive_panels
 
@@ -486,12 +495,45 @@ def test_panel_batches_sum_like_one_call_per_rule():
         _pair_fnode(np.array([0.001, 0.3, 0.999]), np.array([0.999, 0.7, 0.001])),
         _harmonic_fnode(a, b),
     ]
+    # 640 values per node fit one panel in a call; 4096 fit no panel, so
+    # each rule of each panel is summed in calls of its own
+    for width in (640, 4096):
+        spread = np.linspace(1e-3, 1.0 - 1e-3, width)
+        fnodes.append(_pair_fnode(spread, 1.0 - spread))
     for fnode in fnodes:
         value, nodes, err = _adaptive_panels(fnode, term, DEFAULT_SPEC)
         ref_value, ref_nodes, ref_err = _recursive_panels(fnode, term, DEFAULT_SPEC)
         assert nodes == ref_nodes > 24
         assert err == ref_err
         assert np.array_equal(value, ref_value)
+        assert value.dtype == ref_value.dtype and np.shape(value) == np.shape(ref_value)
+
+
+def test_panels_take_one_node_call_per_depth(monkeypatch):
+    # dual_log_mean's (0, 0) term on a d = 16, cond-1e2 pair: every depth's
+    # panels share one node-function call, so there are fewer calls than
+    # panels and at most one per depth 0..12
+    from kubomeans import connections, entry_from_id, evaluate_report, random_spd
+
+    calls = []
+    pair_fnode = connections._pair_fnode
+
+    def counted(a, b):
+        fnode = pair_fnode(a, b)
+
+        def wrapped(t, tc):
+            calls.append(len(t))
+            return fnode(t, tc)
+
+        wrapped.width = fnode.width
+        return wrapped
+
+    monkeypatch.setattr(connections, "_pair_fnode", counted)
+    a, b = random_spd(16, 1e2, 1), random_spd(16, 1e2, 2)
+    report = evaluate_report(entry_from_id("dual_log_mean").connection, a, b)
+    ((scheme, nodes, _),) = report.parts
+    assert scheme == "gauss_legendre" and sum(calls) == nodes
+    assert len(calls) <= 13 and len(calls) < nodes // 24
 
 
 def _capped_calls(fnode, declared):
