@@ -33,8 +33,16 @@ it (``_pair``), input validation included.  One pair is retained, the last
 one validated; raw inputs match it only with the same shape and exactly the
 same float64 bits as its stored, symmetrized entries, so an input mutated
 in place since is validated anew.  Nothing that depends on the measure or
-the spec is kept: every call integrates, lifts and validates its own value.
-Stacks are not memoized.
+the spec is kept: every call integrates and lifts its own value.  Stacks
+are not memoized.
+
+A value the congruence route lifts from spectra g >= 0 is PSD by
+construction, as the paper's integral of harmonic means against a positive
+measure is: it is built with ``_built``, which validates its spectrum when
+a spectral fact (``min_eigenvalue``, ``spectral_norm``, ``eig_floor``,
+``is_strictly_pd``) is first read, not when it is returned.  A g with a
+negative or NaN entry, the atom route and ``parallel_sum`` (sums of pencil
+solves, with no g) validate their value at once.
 
 Singular inputs: every entry point (``evaluate_report``, ``evaluate_many``,
 ``evaluate_canonical``, ``parallel_sum`` and the catalog's atom closed
@@ -127,7 +135,10 @@ class EvalReport:
     """Evaluation result with quadrature accounting.
 
     ``value`` is an ``SpdMatrix`` from ``evaluate_report`` and the
-    ``SpdStack`` of all results from ``evaluate_many``.  ``route`` is
+    ``SpdStack`` of all results from ``evaluate_many``.  On the congruence
+    route, with every integrated spectrum g >= 0, the value is PSD by
+    construction and its spectral facts are computed, and checked, on first
+    read; otherwise it was validated before it was returned.  ``route`` is
     "atoms" (exact pencil sums) or "congruence" (one integration on the
     spectra of the A + B congruence basis).  ``compressed`` counts the pairs
     evaluated on range(A + B), each in an integration of its own:
@@ -483,18 +494,25 @@ def parallel_sum(a, b) -> SpdMatrix:
 _EMPTY = (("empty", 0, 0.0),)
 
 
+def _nonnegative(spectra) -> bool:
+    """True when every integrated spectrum g is >= 0 (False on a NaN)."""
+    return all((g >= 0.0).all() for g in spectra)
+
+
 def _evaluate(conn: Connection, pairs: _Pairs, spec):
-    """The (n, d, d) values of conn on pairs, then the report's other fields.
+    """The (n, d, d) values of conn on pairs, whether they are PSD by
+    construction, then the report's other fields.
 
     A measure of atoms only sums the pencil solves exactly; any other is
     integrated on the pairs' congruence basis, whose n*d spectra go through
-    one integration and one batched lift.
+    one integration and one batched lift.  That lift M diag(g) M^T is PSD by
+    construction when every g is >= 0.
     """
     mu = conn.measure
     atoms_only = mu.ac is None and mu.sc is None
     route = "atoms" if atoms_only else "congruence"
     if mu.is_zero():
-        return np.zeros(pairs.Ae.shape), 0, 0.0, _EMPTY, route, 0
+        return np.zeros(pairs.Ae.shape), False, 0, 0.0, _EMPTY, route, 0
     spec = spec or DEFAULT_SPEC
     reports = []
 
@@ -521,7 +539,8 @@ def _evaluate(conn: Connection, pairs: _Pairs, spec):
         err = max(err, r.error_estimate)
         parts += r.parts
     compressed = len(pairs.compressed) if charges else 0
-    return values, nodes, err, parts, route, compressed
+    psd = not atoms_only and _nonnegative(r.value for r in reports)
+    return values, psd, nodes, err, parts, route, compressed
 
 
 def evaluate_report(
@@ -536,8 +555,9 @@ def evaluate_report(
     on the pair alone are shared with the previous call when it evaluated
     the same pair (``_pair``).
     """
-    values, *fields = _evaluate(conn, _pair(a, b), spec)
-    return EvalReport(SpdMatrix(values[0]), *fields)
+    values, psd, *fields = _evaluate(conn, _pair(a, b), spec)
+    value = SpdMatrix._built(values[0]) if psd else SpdMatrix(values[0])
+    return EvalReport(value, *fields)
 
 
 def evaluate_many(
@@ -549,13 +569,15 @@ def evaluate_many(
     ``SpdStack`` objects; each is validated with one stacked eigensolve
     unless it already is a stack, and a non-PSD member raises NotPsdError
     naming its index.  The report's ``value`` is the ``SpdStack`` of the n
-    results, validated the same way.  Pairs with A + B positive definite
-    share one integration, refined until the largest difference over all
-    their spectral values meets the tolerance, so their values may differ
-    from ``evaluate``'s in the last bits; atom-only measures give exactly
-    the values of ``evaluate``.  A pair whose A + B is singular runs alone
-    on range(A + B) and changes no other pair's value.  An error in the
-    shared integration raises for the whole stack.
+    results, validated the same way, by one eigensolve on the first read of
+    its facts when it is PSD by construction (see ``EvalReport``).  Pairs
+    with A + B positive definite share one integration, refined until the
+    largest difference over all their spectral values meets the tolerance,
+    so their values may differ from ``evaluate``'s in the last bits;
+    atom-only measures give exactly the values of ``evaluate``.  A pair
+    whose A + B is singular runs alone on range(A + B) and changes no other
+    pair's value.  An error in the shared integration raises for the whole
+    stack.
     """
     A = As if isinstance(As, SpdStack) else SpdStack(As)
     B = Bs if isinstance(Bs, SpdStack) else SpdStack(Bs)
@@ -563,8 +585,8 @@ def evaluate_many(
         raise ShapeError(
             f"stack shape mismatch: {A.entries.shape} vs {B.entries.shape}"
         )
-    values, *fields = _evaluate(conn, _Pairs(A, B), spec)
-    return EvalReport(SpdStack(values), *fields)
+    values, psd, *fields = _evaluate(conn, _Pairs(A, B), spec)
+    return EvalReport(SpdStack._built(values) if psd else SpdStack(values), *fields)
 
 
 def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdMatrix:
@@ -683,11 +705,15 @@ def evaluate_canonical(
     the pullback of nu's density.
     Runs directly when A + B is strictly PD or nu charges only 0 and
     infinity, and on range(A + B) otherwise.  Agrees with
-    evaluate(pushforward_psi(nu), A, B).
+    evaluate(pushforward_psi(nu), A, B).  Without a finite interior atom
+    the value is alpha*A + beta*B plus a lift of spectra g; when every g is
+    >= 0 it is PSD by construction and validated on the first read of a
+    spectral fact.
     """
     pairs = _pair(a, b)
     spec = spec or DEFAULT_SPEC
     has_density = nu.ac is not None and nu.weight > 0.0
+    spectra = []
 
     def kernel(Ae, Be, key):
         total = np.zeros(Ae.shape)
@@ -709,11 +735,15 @@ def evaluate_canonical(
             report = integrate_halfline_density(
                 _pair_fnode(a_eig[0], b_eig[0]), nu.ac, nu.weight, spec
             )
+            spectra.append(report.value)
             total = total + _lift(M, report.value[None])
         return _sym(total)
 
-    charges = has_density or any(0.0 < lam < math.inf for lam, _w in nu.atoms)
-    return SpdMatrix(_values(pairs, kernel, charges)[0])
+    interior_atom = any(0.0 < lam < math.inf for lam, _w in nu.atoms)
+    values = _values(pairs, kernel, has_density or interior_atom)
+    if not interior_atom and _nonnegative(spectra):
+        return SpdMatrix._built(values[0])
+    return SpdMatrix(values[0])
 
 
 # ---------------------------------------------------------------------------

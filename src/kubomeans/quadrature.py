@@ -918,7 +918,14 @@ def integrate_scalar_report(
 def integrate_scalar(
     measure, h, spec: QuadratureSpec | None = None
 ) -> tuple[float, float]:
-    """``int h(t) dmu(t)`` with its error estimate; ``h`` maps node arrays."""
+    """``int h(t) dmu(t)`` with its error estimate; ``h`` maps node arrays.
+
+    The density rules are built for the connection kernels, which are
+    analytic on (0, 1): ``h`` must be analytic on the interval too.  An
+    interior kink such as ``|t - 0.37|`` against Lebesgue measure raises
+    QuadratureError, as the panels around it never meet their tolerance;
+    split the interval at the kink instead.
+    """
     report = integrate_scalar_report(measure, h, spec)
     return report.value, report.error_estimate
 

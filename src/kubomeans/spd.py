@@ -3,18 +3,23 @@
 Everything downstream (connection evaluation, the axiom harness) works on
 real symmetric matrices whose spectral calculus is computed by
 eigendecomposition: ``basis @ diag(f(eigenvalues)) @ basis.T`` with the
-result re-symmetrized.  An ``SpdMatrix`` is validated once, when it is
-built: that one spectrum gives its PSD verdict, its smallest eigenvalue and
-its spectral norm, and code that receives an ``SpdMatrix`` trusts all three
-instead of wrapping or measuring the matrix again.  An ``SpdStack`` does the
-same for n matrices of one dimension with one stacked eigensolve, under the
-same acceptance rule, and hands out its members as ``SpdMatrix`` objects
-without measuring them again.  Because an ``SpdMatrix`` is immutable,
-connection evaluation keeps the last pair it validated from raw entries
-and reuses it, with the congruence basis derived from it, for the next
-call whose raw inputs have the same shape and exactly the same float64
-bits as the stored, symmetrized entries (compared as uint64, so -0.0 is
-not 0.0); one pair is retained, and an array mutated in place misses.
+result re-symmetrized.  An ``SpdMatrix`` is validated by one spectrum: it
+gives its PSD verdict, its smallest eigenvalue and its spectral norm, and
+code that receives an ``SpdMatrix`` trusts all three instead of wrapping or
+measuring the matrix again.  A matrix built from raw entries is validated
+when it is built.  A value that evaluation builds PSD by construction
+(``SpdMatrix._built``, a congruence M diag(g) M^T with g >= 0) is
+symmetrized and checked finite at once, but its spectrum is computed the
+first time one of those facts is read, under the same acceptance rule, so
+a spectrum that fails it raises NotPsdError then.  An ``SpdStack`` does the
+same for n matrices of one dimension with one stacked eigensolve and hands
+out its members as ``SpdMatrix`` objects without measuring them again.
+Because an ``SpdMatrix`` is immutable, connection evaluation keeps the last
+pair it validated from raw entries and reuses it, with the congruence basis
+derived from it, for the next call whose raw inputs have the same shape and
+exactly the same float64 bits as the stored, symmetrized entries
+(compared as uint64, so -0.0 is not 0.0); one pair is retained, and an
+array mutated in place misses.
 Tolerances follow the scale conventions
 
 * PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
@@ -31,8 +36,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,6 +139,31 @@ class SymMatrix:
         return self.entries
 
 
+class _OnFirstRead:
+    """An attribute computed on its first read, then kept as a plain one.
+
+    A non-data descriptor: once ``compute(obj)`` has stored the attribute in
+    the instance dict (with any others computed alongside it), reads find it
+    there and never reach the descriptor again.  This is
+    ``functools.cached_property`` without its lock, which Python 3.11 shares
+    among all instances, so it would serialize threads; concurrent first
+    reads may both compute, and store the same value.  Read on the class it
+    gives None, the default of the dataclass field it may stand for.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        self.compute(obj)
+        return obj.__dict__[self.name]
+
+
 @dataclass(frozen=True, eq=False)
 class SpdMatrix(SymMatrix):
     """A positive semidefinite matrix accepted within ``1e-10 * (1 + ||A||)``.
@@ -142,21 +171,42 @@ class SpdMatrix(SymMatrix):
     Construction rejects matrices whose smallest eigenvalue falls below
     ``-1e-10 * (1 + ||A||)`` and records whether the matrix is strictly positive
     definite (smallest eigenvalue above ``eig_floor``) and its spectral norm,
-    which ``spectral_norm`` then returns without another eigensolve.
+    which ``spectral_norm`` then returns without another eigensolve.  A value
+    ``_built`` PSD by construction records them, and is checked against the
+    same rule, the first time one of them is read.
     """
-
-    eig_floor: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         super().__post_init__()
+        self._measure()
+
+    def _measure(self) -> None:
         lam_min, norm = _accept_psd(np.linalg.eigvalsh(self.entries))
         self._accept(float(lam_min), float(norm))
 
     def _accept(self, lam_min: float, norm: float) -> None:
-        if self.eig_floor is None:
+        if self.__dict__.get("eig_floor") is None:
             object.__setattr__(self, "eig_floor", EIG_FLOOR_FACTOR * norm)
         object.__setattr__(self, "_lam_min", lam_min)
         object.__setattr__(self, "_norm", norm)
+
+    def _decompose(self) -> None:
+        object.__setattr__(self, "_eigh", spectral_decompose(self))
+
+    # instance attributes, set by _measure and _decompose on first read
+    eig_floor: float = _OnFirstRead(_measure)  # type: ignore[assignment]
+    _lam_min = _OnFirstRead(_measure)
+    _norm = _OnFirstRead(_measure)
+    _eigh = _OnFirstRead(_decompose)
+
+    @classmethod
+    def _built(cls, entries):
+        """A matrix PSD by construction: symmetrized and checked finite now,
+        its spectrum validated on the first read of a spectral fact."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        SymMatrix.__post_init__(m)
+        return m
 
     @classmethod
     def _member(cls, entries, lam_min: float, norm: float, eig_floor: float):
@@ -175,10 +225,6 @@ class SpdMatrix(SymMatrix):
     def is_strictly_pd(self) -> bool:
         return self._lam_min > self.eig_floor
 
-    @cached_property
-    def _eigh(self):
-        return spectral_decompose(self)
-
 
 @dataclass(frozen=True, eq=False)
 class SpdStack:
@@ -189,12 +235,17 @@ class SpdStack:
     ``SpdMatrix`` uses; a failing member raises NotPsdError carrying its
     index.  ``norms``, ``min_eigenvalues``, ``eig_floors`` and ``strictly_pd``
     hold one entry per member, and ``stack[i]`` is member i as an
-    ``SpdMatrix`` that trusts them.
+    ``SpdMatrix`` that trusts them.  A stack ``_built`` PSD by construction
+    runs that eigensolve, and the check, the first time one of them is read.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
+        self._symmetrize()
+        self._measure()
+
+    def _symmetrize(self) -> None:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ShapeError(
@@ -205,10 +256,13 @@ class SpdStack:
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         sym = 0.5 * (arr + arr.swapaxes(1, 2))
-        lam_min, norms = _accept_psd(np.linalg.eigvalsh(sym))
+        sym.flags.writeable = False
+        object.__setattr__(self, "entries", sym)
+
+    def _measure(self) -> None:
+        lam_min, norms = _accept_psd(np.linalg.eigvalsh(self.entries))
         floors = EIG_FLOOR_FACTOR * norms
         for name, value in (
-            ("entries", sym),
             ("min_eigenvalues", lam_min),
             ("norms", norms),
             ("eig_floors", floors),
@@ -216,6 +270,21 @@ class SpdStack:
         ):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    # instance attributes, set by _measure on first read
+    min_eigenvalues = _OnFirstRead(_measure)
+    norms = _OnFirstRead(_measure)
+    eig_floors = _OnFirstRead(_measure)
+    strictly_pd = _OnFirstRead(_measure)
+
+    @classmethod
+    def _built(cls, entries):
+        """A stack PSD by construction: symmetrized and checked finite now,
+        its spectra validated on the first read of a spectral fact."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "entries", entries)
+        s._symmetrize()
+        return s
 
     def __len__(self) -> int:
         return self.entries.shape[0]
@@ -239,7 +308,8 @@ def spectral_norm(a):
 
     An ``SpdMatrix`` returns the norm its validation computed, equal to the
     value an eigensolve of its entries gives, and an ``SpdStack`` its array
-    of member norms; anything else is measured, an (n, d, d) array giving one
+    of member norms (a value built PSD by construction validates itself on
+    that first read); anything else is measured, an (n, d, d) array giving one
     norm per matrix.
     """
     if isinstance(a, SpdMatrix):

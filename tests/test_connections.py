@@ -2,6 +2,7 @@
 compression onto range(A + B) for inputs that share a null direction, and
 the reuse of the last validated pair by consecutive evaluations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ from kubomeans.measures import (
     pushforward_psi,
 )
 from kubomeans.quadrature import QuadratureSpec, halfline_mass, integrate_measure
-from kubomeans.spd import SpdMatrix, loewner_leq, random_spd, spectral_norm
+from kubomeans.spd import SpdMatrix, SpdStack, loewner_leq, random_spd, spectral_norm
 
 
 def _pair(key, dim=4, cond=100.0):
@@ -585,11 +586,14 @@ def test_a_second_mean_on_a_pair_validates_only_its_output(validations, monkeypa
     validations.clear()
     eighs.clear()
     evaluate(entry_from_id("geometric:0.3").connection, a, b)
-    assert len(validations) == 3  # A, B and the output
+    # A and B; the congruence output is PSD by construction, so it is
+    # validated on the first read of a spectral fact, not when returned
+    assert len(validations) == 2
     assert len(eighs) == 1  # the congruence basis
     validations.clear()
     more(a, b)
-    assert len(validations) == 5 and len(eighs) == 1
+    # only the outputs of the atom route (harmonic:0.5) and parallel_sum
+    assert len(validations) == 2 and len(eighs) == 1
     # the closed form reuses A and B; it validates A + B and its output
     validations.clear()
     closed_form_eval("geometric:0.3", a, b)
@@ -604,7 +608,7 @@ def test_an_input_mutated_in_place_is_validated_anew(validations):
     a[0, 0] *= 2.0
     validations.clear()
     got = evaluate(conn, a, b)
-    assert len(validations) == 2  # the new A and the output; B is kept
+    assert len(validations) == 1  # the new A; B is kept, the output is built
     want = _after_another_pair(lambda: evaluate(conn, a.copy(), b.copy()))
     assert np.array_equal(_bits(got), _bits(want))
     # an asymmetric edit misses too: the stored entries are symmetrized
@@ -626,10 +630,10 @@ def test_negative_zero_does_not_share_the_entry_of_zero(validations):
     evaluate(conn, a, b)
     validations.clear()
     got = evaluate(conn, neg, b)
-    assert len(validations) == 2
+    assert len(validations) == 1  # A; the output is PSD by construction
     validations.clear()
     evaluate(conn, a, b)
-    assert len(validations) == 2
+    assert len(validations) == 1
     want = _after_another_pair(lambda: evaluate(conn, neg.copy(), b.copy()))
     assert np.array_equal(_bits(got), _bits(want))
 
@@ -643,7 +647,9 @@ def test_one_pair_is_retained(validations):
         validations.clear()
         evaluate(conn, a, b)
         counts.append(len(validations))
-    assert counts == [3, 3, 3, 1]
+    # A and B for a new pair, nothing for the retained one: the congruence
+    # output is validated on the first read of a spectral fact
+    assert counts == [2, 2, 2, 0]
 
 
 def test_atom_closed_forms_reuse_the_validated_pair(monkeypatch):
@@ -778,3 +784,109 @@ def test_concurrent_callers_get_the_serial_values():
     assert len(results) == len(jobs)
     for job, got in zip(jobs, results):
         assert _same(got, serial[job]), job
+
+
+# ---------------------------------------------------------------------------
+# values PSD by construction: spectral facts on first read
+
+
+def _facts(m):
+    """The spectral facts of an SpdMatrix, its floats as uint64 bits."""
+    floats = np.array([m.min_eigenvalue, spectral_norm(m), m.eig_floor])
+    return tuple(floats.view(np.uint64).tolist()) + (m.is_strictly_pd,)
+
+
+def _counted_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda x: calls.append(np.shape(x)) or eigvalsh(x)
+    )
+    return calls
+
+
+def _or_skip(call):
+    try:
+        return call()
+    except QuadratureError as exc:
+        pytest.skip(f"no value to check: the quadrature raises here ({exc})")
+
+
+_BUILT_IDS = ["geometric:0.3", "log_mean", "dual_log_mean", "cantor_mean"]
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e10])
+@pytest.mark.parametrize("dim", [1, 4, 16])
+@pytest.mark.parametrize("ident", _BUILT_IDS)
+def test_built_results_read_the_facts_of_eager_validation(
+    ident, dim, cond, monkeypatch
+):
+    conn = entry_from_id(ident).connection
+    a, b = random_spd(dim, cond, 70).entries, random_spd(dim, cond, 71).entries
+    value = _or_skip(lambda: evaluate(conn, a, b))
+    calls = _counted_eigvalsh(monkeypatch)
+    got = _facts(value)
+    assert calls == [(dim, dim)]  # one eigensolve, on the first read
+    assert _facts(value) == got and len(calls) == 1
+    assert got == _facts(SpdMatrix(value.entries))
+
+
+@pytest.mark.parametrize("ident", _BUILT_IDS)
+def test_built_results_on_a_shared_null_pair_and_in_a_stack(ident, monkeypatch):
+    conn = entry_from_id(ident).connection
+    a, b, _P = _shared_null_pair(9)
+    pd_a, pd_b = _pair(67, dim=6)
+    report = _or_skip(lambda: evaluate_report(conn, a, b))
+    assert report.compressed == 1
+    calls = _counted_eigvalsh(monkeypatch)
+    assert _facts(report.value) == _facts(SpdMatrix(report.value.entries))
+    assert calls[0] == (6, 6) and len(calls) == 2
+    many = evaluate_many(conn, np.array([pd_a, a]), np.array([pd_b, b]))
+    assert many.compressed == 1
+    calls.clear()
+    members = [many.value[i] for i in range(2)]
+    assert calls == [(2, 6, 6)]  # one eigensolve for the whole stack
+    for i, member in enumerate(members):
+        alone = SpdMatrix(many.value.entries[i])
+        assert _facts(member) == _facts(alone)
+        assert np.array_equal(
+            np.array([many.value.norms[i], many.value.eig_floors[i]]),
+            np.array([spectral_norm(alone), alone.eig_floor]),
+        )
+        assert many.value.strictly_pd[i] == alone.is_strictly_pd
+
+
+def _patched_spectra(monkeypatch, name, bad):
+    """connections.<name> with the first integrated spectral value set to bad."""
+    import kubomeans.connections as connections
+
+    integrate = getattr(connections, name)
+
+    def patched(*args):
+        report = integrate(*args)
+        g = np.array(report.value, dtype=float)
+        g.flat[0] = bad
+        return dataclasses.replace(report, value=g)
+
+    monkeypatch.setattr(connections, name, patched)
+
+    def refuse(cls, entries):
+        raise AssertionError("a value from a spectrum g < 0 or NaN was trusted")
+
+    monkeypatch.setattr(SpdMatrix, "_built", classmethod(refuse))
+    monkeypatch.setattr(SpdStack, "_built", classmethod(refuse))
+
+
+@pytest.mark.parametrize("bad, error", [(-1.0, NotPsdError), (np.nan, ValueError)])
+def test_a_negative_or_nan_spectrum_is_validated_at_once(bad, error, monkeypatch):
+    a, b = _pair(68)
+    conn = entry_from_id("geometric:0.3").connection
+    _patched_spectra(monkeypatch, "integrate_measure", bad)
+    with pytest.raises(error):
+        evaluate_report(conn, a, b)
+    with pytest.raises(error):
+        evaluate_many(conn, a[None], b[None])
+    monkeypatch.undo()
+    _patched_spectra(monkeypatch, "integrate_halfline_density", bad)
+    with pytest.raises(error):
+        evaluate_canonical(halfline_geometric(0.3), a, b)

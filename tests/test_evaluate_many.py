@@ -110,7 +110,9 @@ def test_non_psd_member_is_named():
 
 
 def test_each_stack_is_validated_by_one_eigensolve(monkeypatch):
-    # inputs and results: three eigvalsh calls whatever the stack's size
+    # the inputs: two eigvalsh calls whatever the stack's size; the results,
+    # PSD by construction for geometric and summed pencils for harmonic, one
+    # more each, when the stack is built or on the first read of a fact
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -123,8 +125,12 @@ def test_each_stack_is_validated_by_one_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     for ident in ("harmonic:0.3", "geometric:0.3"):
         calls.clear()
-        evaluate_many(entry_from_id(ident).connection, raw_a, raw_b)
+        value = evaluate_many(entry_from_id(ident).connection, raw_a, raw_b).value
+        value.norms, value.strictly_pd, value[3].min_eigenvalue
         assert calls == [(20, 4, 4)] * 3
+    calls.clear()
+    evaluate_many(entry_from_id("geometric:0.3").connection, raw_a, raw_b)
+    assert calls == [(20, 4, 4)] * 2
 
 
 def test_route_and_schedule_count_stay_out_of_canonical_reports():

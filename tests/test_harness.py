@@ -143,12 +143,17 @@ def test_filtered_run_matches_full_run_seeds():
 
 
 def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
-    # the task's two input stacks and its result stack, each validated once
-    # for all trials; evaluation and the scales reuse the stored norms
+    # the task's two input stacks are validated when built, its result stack
+    # (PSD by construction) when the suite reads its norms: one eigensolve
+    # each for all trials; evaluation and the scales reuse the stored norms
     # instead of wrapping or measuring a matrix again
     from kubomeans.spd import SpdMatrix, SpdStack
 
-    calls = []
+    calls, solves = [], []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda x: solves.append(np.shape(x)) or eigvalsh(x)
+    )
     for cls in (SpdMatrix, SpdStack):
         post_init = cls.__post_init__
 
@@ -159,7 +164,8 @@ def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     rep = run_suite("norm_bound", "geometric:0.3", trials=5)
     assert rep.passed
-    assert calls == ["SpdStack"] * 3
+    assert calls == ["SpdStack"] * 2
+    assert len(solves) == 3
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])

@@ -1,6 +1,8 @@
 """Symmetric/SPD wrappers, spectral calculus, and matrix CSV I/O."""
 
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -290,3 +292,111 @@ def test_keyed_generators_draw_as_fresh_generators():
     for bad in (-1, 2**128):
         with pytest.raises(ValueError, match="Philox key"):
             next(_keyed_generators([bad]))
+
+
+def _not_psd(dim, key):
+    a = random_spd(dim, 10.0, key).entries
+    u = _rng(key).normal(size=dim)
+    u /= np.linalg.norm(u)
+    return a - 2.0 * spectral_norm(a) * np.outer(u, u)
+
+
+def _error(call):
+    with pytest.raises(NotPsdError) as err:
+        call()
+    return err.value.min_eigenvalue, err.value.tolerance, err.value.index
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7])
+def test_a_built_matrix_raises_on_first_read_as_eager_validation(dim):
+    bad = _not_psd(dim, 31)
+    eager = _error(lambda: SpdMatrix(bad))
+    reads = (
+        lambda m: m.min_eigenvalue,
+        lambda m: m.is_strictly_pd,
+        lambda m: m.eig_floor,
+        spectral_norm,
+    )
+    for read in reads:
+        built = SpdMatrix._built(bad)  # no eigensolve, so no error yet
+        assert _error(lambda: read(built)) == eager
+        assert _error(lambda: read(built)) == eager  # and again on a second read
+    stack = np.array([random_spd(dim, 10.0, 32).entries, bad])
+    eager = _error(lambda: SpdStack(stack))
+    assert eager[2] == 1
+    for name in ("min_eigenvalues", "norms", "eig_floors", "strictly_pd"):
+        built = SpdStack._built(stack)
+        assert _error(lambda: getattr(built, name)) == eager
+    assert _error(lambda: SpdStack._built(stack)[0]) == eager
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7])
+def test_a_built_matrix_stores_and_measures_as_an_eager_one(dim):
+    a = random_spd(dim, 1e6, 33).entries.copy()
+    a[0, -1] += 1e-9  # asymmetric: both symmetrize the same way
+    eager, built = SpdMatrix(a), SpdMatrix._built(a)
+    assert isinstance(built, SpdMatrix)
+    assert np.array_equal(built.entries.view(np.uint64), eager.entries.view(np.uint64))
+    assert not built.entries.flags.writeable and built.entries is not a
+    def facts(m):
+        return m.min_eigenvalue, spectral_norm(m), m.eig_floor, m.is_strictly_pd
+
+    assert facts(built) == facts(eager)
+    stacked = np.array([a, 2.0 * a])
+    eager, built = SpdStack(stacked), SpdStack._built(stacked)
+    assert np.array_equal(built.entries, eager.entries)
+    assert not built.entries.flags.writeable
+    for name in ("min_eigenvalues", "norms", "eig_floors", "strictly_pd"):
+        assert np.array_equal(getattr(built, name), getattr(eager, name))
+        assert not getattr(built, name).flags.writeable
+    a[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        SpdMatrix._built(a)  # the finiteness check does not wait
+    with pytest.raises(ValueError):
+        SpdStack._built(np.array([a]))
+
+
+def test_spectral_calculus_decomposes_a_matrix_once(monkeypatch):
+    m = random_spd(5, 100.0, 34)
+    w, v = np.linalg.eigh(m.entries)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(1) or eigh(x))
+    root = apply_spectral_function(m, np.sqrt)
+    power = matrix_power(m, 0.3)
+    assert len(calls) == 1
+    assert np.array_equal(root.entries, SymMatrix((v * np.sqrt(w)) @ v.T).entries)
+    assert np.array_equal(power.entries, SymMatrix((v * w**0.3) @ v.T).entries)
+
+
+def test_concurrent_first_reads_agree_with_eager_validation():
+    # threads race to the first read of the same built values; whichever
+    # stores its facts first, every reader sees the eager ones
+    mats = [random_spd(6, 1e4, 40 + i).entries for i in range(8)]
+    eager = map(SpdMatrix, mats)
+    want = [(m.min_eigenvalue, m.eig_floor, spectral_norm(m)) for m in eager]
+    errors = []
+
+    def read(built):
+        try:
+            for m, expected in zip(built, want):
+                got = (m.min_eigenvalue, m.eig_floor, spectral_norm(m))
+                if got != expected or m.is_strictly_pd is not True:
+                    errors.append(got)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            built = [SpdMatrix._built(m) for m in mats]
+            threads = [threading.Thread(target=read, args=(built,)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
