@@ -5,7 +5,7 @@ and Lebesgue-type decomposition.
 A connection sigma is stored through its associated measure mu on [0, 1]:
 
     A sigma B = int_[0,1] A !_t B dmu(t),
-    A !_t B   = B ((1-t)B + tA)^{-1} A   (solve form, symmetrized),
+    A !_t B   = B ((1-t)B + tA)^{-1} A   (evaluated as a congruence, below),
 
 with A !_0 B = A and A !_1 B = B regardless of invertibility.  The scalar
 shadow is f(x) = I sigma (xI) evaluated through the same node sets, so matrix
@@ -13,17 +13,18 @@ and scalar answers never come from different rules.
 
 ``evaluate_many`` evaluates a stack of n pairs and ``evaluate_report`` one
 pair, through the same body (``_evaluate``); they differ only in how they
-validate their inputs and wrap the result.  Two routes evaluate the
-integral.  A measure with a density or self-similar part is
-integrated in one congruence basis (Kubo-Ando): with
-A + B = L L^T and L^{-1} A L^{-T} = V diag(mu) V^T, M = L V carries A to
-diag(a) and B to diag(b), with a_i and b_i the quadratic forms of A and B at
-the columns of M^{-T}, so the integral is M diag(g) M^T with
-g_i = int a_i !_t b_i dmu, the scalar pair kernel integrated at d
-spectral pairs and lifted once.  Every pair has a + b = 1 up to rounding,
-so the n*d spectra of a stack go through one integration and one batched
-lift.  A measure of atoms only keeps the exact finite sum of pencil solves,
-stacked.
+validate their inputs and wrap the result.  Both of its routes run in one
+congruence basis (Kubo-Ando): with A + B = L L^T and
+L^{-1} A L^{-T} = V diag(mu) V^T, M = L V carries A to diag(a) and B to
+diag(b), with a_i and b_i the quadratic forms of A and B at the columns of
+M^{-T}, so A !_t B = M diag(a !_t b) M^T.  A measure with a density or
+self-similar part is integrated as M diag(g) M^T with
+g_i = int a_i !_t b_i dmu, the scalar pair kernel integrated at d spectral
+pairs and lifted once.  Every pair has a + b = 1 up to rounding, so the n*d
+spectra of a stack go through one integration and one batched lift.  A
+measure of atoms only (route "atoms") is the finite sum, in atom order, of
+w A and w B at the endpoints, exactly, and of the lift of w (a !_t b) at
+each interior atom; it factors A + B only when some atom is interior.
 
 The pairs an evaluation runs on are a ``_Pairs``: one pair, or two stacks,
 with the work that depends on the pairs alone computed on first use: the
@@ -36,13 +37,13 @@ in place since is validated anew.  Nothing that depends on the measure or
 the spec is kept: every call integrates and lifts its own value.  Stacks
 are not memoized.
 
-A value the congruence route lifts from spectra g >= 0 is PSD by
-construction, as the paper's integral of harmonic means against a positive
-measure is: it is built with ``_built``, which validates its spectrum when
-a spectral fact (``min_eigenvalue``, ``spectral_norm``, ``eig_floor``,
-``is_strictly_pd``) is first read, not when it is returned.  A g with a
-negative or NaN entry, the atom route and ``parallel_sum`` (sums of pencil
-solves, with no g) validate their value at once.
+A value lifted from spectra g >= 0, plus nonnegative multiples of the
+validated inputs, is PSD by construction, as the paper's integral of
+harmonic means against a positive measure is: it is built with ``_built``,
+which validates its spectrum when a spectral fact (``min_eigenvalue``,
+``spectral_norm``, ``eig_floor``, ``is_strictly_pd``) is first read, not
+when it is returned.  A value from a g with a negative or NaN entry, and
+``parallel_sum`` (a pencil solve, with no g), are validated at once.
 
 Singular inputs: every entry point (``evaluate_report``, ``evaluate_many``,
 ``evaluate_canonical``, ``parallel_sum`` and the catalog's atom closed
@@ -135,13 +136,14 @@ class EvalReport:
     """Evaluation result with quadrature accounting.
 
     ``value`` is an ``SpdMatrix`` from ``evaluate_report`` and the
-    ``SpdStack`` of all results from ``evaluate_many``.  On the congruence
-    route, with every integrated spectrum g >= 0, the value is PSD by
-    construction and its spectral facts are computed, and checked, on first
-    read; otherwise it was validated before it was returned.  ``route`` is
-    "atoms" (exact pencil sums) or "congruence" (one integration on the
-    spectra of the A + B congruence basis).  ``compressed`` counts the pairs
-    evaluated on range(A + B), each in an integration of its own:
+    ``SpdStack`` of all results from ``evaluate_many``.  When every lifted
+    spectrum g is >= 0 the value is PSD by construction and its spectral
+    facts are computed, and checked, on first read; otherwise it was
+    validated before it was returned.  ``route`` is "atoms" (the finite
+    atom sum, lifted atom by atom on the A + B congruence basis) or
+    "congruence" (one integration on the spectra of that basis).
+    ``compressed`` counts the pairs evaluated on range(A + B), each in an
+    integration of its own:
     ``nodes_used`` and ``parts`` cover every integration and
     ``error_estimate`` is the largest.
     """
@@ -156,48 +158,6 @@ class EvalReport:
 
 def _sym(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.swapaxes(-1, -2))
-
-
-def _harmonic_fnode(A: np.ndarray, B: np.ndarray):
-    """Batched t -> A !_t B over node pairs (t, 1-t); endpoints short-circuit.
-
-    One solve per node and pair: the exact route for atom-only measures, and
-    the oracle the congruence route is tested against.  A and B are d x d
-    matrices or (n, d, d) stacks; a call returns (k,) + A.shape.  Besides
-    the solve's own result, a batch allocates the output and one pencil
-    stack; the product B X and the symmetrization reuse them.
-    """
-
-    def fnode(t, tc):
-        out = np.empty((len(t),) + A.shape)
-        at0 = t == 0.0
-        at1 = t == 1.0
-        mid = ~(at0 | at1)
-        if at0.any():
-            out[at0] = A
-        if at1.any():
-            out[at1] = B
-        if mid.any():
-            h = out if mid.all() else np.empty((int(mid.sum()),) + A.shape)
-            pencil = np.multiply.outer(tc[mid], B)
-            pencil += np.multiply.outer(t[mid], A, out=h)
-            try:
-                x = np.linalg.solve(pencil, np.broadcast_to(A, pencil.shape))
-            except np.linalg.LinAlgError as exc:
-                raise SingularPencilError(
-                    "pencil (1-t)B + tA is singular; inputs share a null direction"
-                ) from exc
-            np.matmul(B, x, out=pencil)
-            np.add(pencil, pencil.swapaxes(-1, -2), out=h)
-            h *= 0.5
-            if h is not out:
-                out[mid] = h
-        if not np.isfinite(out).all():
-            raise SingularPencilError("pencil solve produced non-finite values")
-        return out
-
-    fnode.width = A.size
-    return fnode
 
 
 def _congruence_basis(A: np.ndarray, B: np.ndarray, floors=None):
@@ -276,6 +236,31 @@ def _lift(M: np.ndarray, g) -> np.ndarray:
     """M diag(g) M^T, symmetrized; M (..., d, d) and g (..., d)."""
     g = np.asarray(g)
     return _sym((M * g[..., None, :]) @ M.swapaxes(-1, -2))
+
+
+def _atom_fnode(A, B, a, b, M, spectra: list):
+    """Batched t -> A !_t B over atoms (t, 1-t); shape (k,) + A.shape.
+
+    A and B exactly at t = 0 and t = 1; in between the lift M diag(g) M^T of
+    g = a !_t b on the congruence basis (a, b, M) of the pair, which may be
+    None when no atom is interior.  A and B are d x d matrices with a and b
+    of shape (d,), or (n, d, d) stacks with (n, d).  Each batch's g is
+    appended to ``spectra``.
+    """
+
+    def fnode(t, tc):
+        out = np.empty((len(t),) + A.shape)
+        out[t == 0.0] = A
+        out[t == 1.0] = B
+        mid = (t != 0.0) & (t != 1.0)
+        if mid.any():
+            g = _pair_fnode(a.ravel(), b.ravel())(t[mid], tc[mid])
+            spectra.append(g)
+            out[mid] = _lift(M, g.reshape((-1,) + a.shape))
+        return out
+
+    fnode.width = A.size
+    return fnode
 
 
 def _range_of(total: SpdMatrix, Ae: np.ndarray, Be: np.ndarray):
@@ -465,10 +450,10 @@ def _pair(a, b) -> _Pairs:
 def weighted_harmonic(a, b, t: float) -> SpdMatrix:
     """A !_t B = [(1-t)A^{-1} + tB^{-1}]^{-1}, extended to singular endpoints.
 
-    The connection of the unit atom at t: B((1-t)B + tA)^{-1}A, symmetrized,
-    with t=0 giving A and t=1 giving B exactly.  When A + B is singular and
-    0 < t < 1, the pencil is solved on range(A + B) and the value is 0 on
-    the shared null space, the limit from above.
+    The connection of the unit atom at t: M diag(a !_t b) M^T on the
+    congruence basis of A + B, with t=0 giving A and t=1 giving B exactly.
+    When A + B is singular and 0 < t < 1, it is evaluated on range(A + B)
+    and is 0 on the shared null space, the limit from above.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -503,10 +488,11 @@ def _evaluate(conn: Connection, pairs: _Pairs, spec):
     """The (n, d, d) values of conn on pairs, whether they are PSD by
     construction, then the report's other fields.
 
-    A measure of atoms only sums the pencil solves exactly; any other is
-    integrated on the pairs' congruence basis, whose n*d spectra go through
-    one integration and one batched lift.  That lift M diag(g) M^T is PSD by
-    construction when every g is >= 0.
+    Both routes run on the pairs' congruence basis.  A measure of atoms
+    only sums, in atom order, A and B at the endpoints and the lift of
+    a !_t b at each interior atom; any other is integrated on the basis,
+    whose n*d spectra go through one integration and one batched lift.
+    Either value is PSD by construction when every g is >= 0.
     """
     mu = conn.measure
     atoms_only = mu.ac is None and mu.sc is None
@@ -514,24 +500,28 @@ def _evaluate(conn: Connection, pairs: _Pairs, spec):
     if mu.is_zero():
         return np.zeros(pairs.Ae.shape), False, 0, 0.0, _EMPTY, route, 0
     spec = spec or DEFAULT_SPEC
-    reports = []
+    charges = mu.charges_interior()
+    reports, spectra = [], []
 
     def kernel(Ae, Be, key):
         if atoms_only:
-            # a lone pair keeps the (k, d, d) node values that perfbench's
-            # node_eval metrics read
-            mats = (Ae[0], Be[0]) if len(Ae) == 1 else (Ae, Be)
-            report = integrate_measure(_harmonic_fnode(*mats), mu, spec)
-            value = _sym(report.value.reshape(Ae.shape))
+            # the basis only for an interior atom, so an endpoint-only measure
+            # never factors a singular A + B; a lone pair keeps the (k, d, d)
+            # node values that perfbench's node_eval metrics read
+            args = (Ae, Be) + (pairs.basis(key) if charges else (None,) * 3)
+            if len(Ae) == 1:
+                args = tuple(x if x is None else x[0] for x in args)
+            report = integrate_measure(_atom_fnode(*args, spectra), mu, spec)
+            value = report.value.reshape(Ae.shape)
         else:
             a_eig, b_eig, M = pairs.basis(key)
             fnode = _pair_fnode(a_eig.ravel(), b_eig.ravel())
             report = integrate_measure(fnode, mu, spec)
+            spectra.append(report.value)
             value = _lift(M, report.value.reshape(a_eig.shape))
         reports.append(report)
         return value
 
-    charges = mu.charges_interior()
     values = _values(pairs, kernel, charges)
     nodes, err, parts = 0, 0.0, ()
     for r in reports:
@@ -539,8 +529,7 @@ def _evaluate(conn: Connection, pairs: _Pairs, spec):
         err = max(err, r.error_estimate)
         parts += r.parts
     compressed = len(pairs.compressed) if charges else 0
-    psd = not atoms_only and _nonnegative(r.value for r in reports)
-    return values, psd, nodes, err, parts, route, compressed
+    return values, _nonnegative(spectra), nodes, err, parts, route, compressed
 
 
 def evaluate_report(
@@ -574,10 +563,10 @@ def evaluate_many(
     with A + B positive definite share one integration, refined until the
     largest difference over all their spectral values meets the tolerance,
     so their values may differ from ``evaluate``'s in the last bits;
-    atom-only measures give exactly the values of ``evaluate``.  A pair
-    whose A + B is singular runs alone on range(A + B) and changes no other
-    pair's value.  An error in the shared integration raises for the whole
-    stack.
+    atom-only measures, lifted on each pair's own basis, give exactly the
+    values of ``evaluate``.  A pair whose A + B is singular runs alone on
+    range(A + B) and changes no other pair's value.  An error in the shared
+    integration raises for the whole stack.
     """
     A = As if isinstance(As, SpdStack) else SpdStack(As)
     B = Bs if isinstance(Bs, SpdStack) else SpdStack(Bs)
@@ -595,9 +584,9 @@ def evaluate(conn: Connection, a, b, spec: QuadratureSpec | None = None) -> SpdM
     Satisfies the norm bound ||A sigma B|| <= max(||A||, ||B||) * mu([0,1])
     up to quadrature tolerance.  Densities and self-similar parts are
     integrated on the spectra of the A + B congruence basis and lifted once;
-    atom-only measures are exact sums of pencil solves.  When A + B is
-    singular and mu charges (0, 1), evaluates on range(A + B) and returns 0
-    on its null space, the limit from above.
+    atom-only measures are finite sums of lifts on the same basis.  When
+    A + B is singular and mu charges (0, 1), evaluates on range(A + B) and
+    returns 0 on its null space, the limit from above.
     """
     return evaluate_report(conn, a, b, spec).value
 
@@ -697,22 +686,21 @@ def evaluate_canonical(
 ) -> SpdMatrix:
     """alpha*A + beta*B + int_(0,inf) (lam+1)/lam * ((lam A) : B) dnu(lam).
 
-    alpha and beta are nu's atoms at 0 and infinity; a finite atom is formed
-    as (lam+1) * A(lam A + B)^{-1} B, which is the same matrix without the
-    small-lam division.  The density part is integrated in the congruence
-    basis of A + B and lifted once: after t = lam/(1+lam) its kernel
-    (lam+1) ab / (lam a + b) is the pair kernel a !_t b, integrated against
-    the pullback of nu's density.
-    Runs directly when A + B is strictly PD or nu charges only 0 and
-    infinity, and on range(A + B) otherwise.  Agrees with
-    evaluate(pushforward_psi(nu), A, B).  Without a finite interior atom
-    the value is alpha*A + beta*B plus a lift of spectra g; when every g is
-    >= 0 it is PSD by construction and validated on the first read of a
+    alpha and beta are nu's atoms at 0 and infinity, added exactly.  The
+    rest is lifted once from the congruence basis of A + B: after
+    t = lam/(1+lam) the kernel (lam+1) ab / (lam a + b) is the pair kernel
+    a !_t b, so a finite atom (lam, w) adds w (a !_t b) to the spectra and
+    the density part adds their integral against the pullback of nu's
+    density.  Runs directly when A + B is strictly PD or nu charges only 0
+    and infinity, and on range(A + B) otherwise.  Agrees with
+    evaluate(pushforward_psi(nu), A, B).  When every lifted g is >= 0 the
+    value is PSD by construction and validated on the first read of a
     spectral fact.
     """
     pairs = _pair(a, b)
     spec = spec or DEFAULT_SPEC
     has_density = nu.ac is not None and nu.weight > 0.0
+    finite = [(lam, w) for lam, w in nu.atoms if 0.0 < lam < math.inf]
     spectra = []
 
     def kernel(Ae, Be, key):
@@ -722,26 +710,21 @@ def evaluate_canonical(
                 total = total + w * Ae
             elif math.isinf(lam):
                 total = total + w * Be
-            else:
-                try:
-                    x = np.linalg.solve(lam * Ae + Be, Be)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularPencilError(
-                        f"pencil lam*A + B singular at lam={lam}"
-                    ) from exc
-                total = total + (w * (lam + 1.0)) * _sym(Ae @ x)
+        if not (finite or has_density):
+            return total
+        a_eig, b_eig, M = pairs.basis(key)
+        fnode = _pair_fnode(a_eig[0], b_eig[0])
+        g = 0.0
         if has_density:
-            a_eig, b_eig, M = pairs.basis(key)
-            report = integrate_halfline_density(
-                _pair_fnode(a_eig[0], b_eig[0]), nu.ac, nu.weight, spec
-            )
-            spectra.append(report.value)
-            total = total + _lift(M, report.value[None])
-        return _sym(total)
+            g = integrate_halfline_density(fnode, nu.ac, nu.weight, spec).value
+        if finite:
+            lam, w = np.array(finite).T
+            g = g + w @ fnode(lam / (1.0 + lam), 1.0 / (1.0 + lam))
+        spectra.append(g)
+        return total + _lift(M, g[None])
 
-    interior_atom = any(0.0 < lam < math.inf for lam, _w in nu.atoms)
-    values = _values(pairs, kernel, has_density or interior_atom)
-    if not interior_atom and _nonnegative(spectra):
+    values = _values(pairs, kernel, has_density or bool(finite))
+    if _nonnegative(spectra):
         return SpdMatrix._built(values[0])
     return SpdMatrix(values[0])
 

@@ -44,6 +44,7 @@ from kubomeans.measures import (
 )
 from kubomeans.quadrature import QuadratureSpec, halfline_mass, integrate_measure
 from kubomeans.spd import SpdMatrix, SpdStack, loewner_leq, random_spd, spectral_norm
+from pencil import harmonic_fnode
 
 
 def _pair(key, dim=4, cond=100.0):
@@ -500,14 +501,110 @@ def test_atoms_on_rank_deficient_pair_with_pd_pencil_run_directly():
 )
 def test_congruence_route_matches_the_pencil_oracle(ident, dim):
     # the integral of A !_t B itself, node by node, against the lifted scalar
-    import kubomeans.connections as connections
-
     mu = entry_from_id(ident).connection.measure
     spec = QuadratureSpec(scheme=("ifs_recursion", 12)) if ident == "cantor_mean" else None
     a, b = _pair(40 + dim, dim=dim)
     got = evaluate(Connection(mu), a, b, spec).entries
-    oracle = integrate_measure(connections._harmonic_fnode(a, b), mu, spec).value
+    oracle = integrate_measure(harmonic_fnode(a, b), mu, spec).value
     assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+
+# ---------------------------------------------------------------------------
+# atom-only measures on the congruence basis
+
+
+def _counted_linalg(monkeypatch, names=("eigvalsh", "eigh", "solve", "cholesky", "inv")):
+    """The names of the np.linalg functions called from now on, in order."""
+    calls = []
+    for name in names:
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda *args, _name=name, _orig=orig, **kw: calls.append(_name)
+            or _orig(*args, **kw),
+        )
+    return calls
+
+
+def _atom_case(kind, dim, key):
+    """(A, B, P): a pair of one input class, and P spanning range(A + B) for
+    a shared-null pair (None otherwise)."""
+    if kind.startswith("cond="):
+        cond = float(kind[5:])
+        return random_spd(dim, cond, key).entries, random_spd(dim, cond, key + 1).entries, None
+    if kind == "rankdef_A":
+        q = np.linalg.qr(np.random.default_rng(key).normal(size=(dim, dim)))[0]
+        proj = q[:, : dim // 2] @ q[:, : dim // 2].T
+        a = proj @ random_spd(dim, 100.0, key).entries @ proj
+        return 0.5 * (a + a.T), random_spd(dim, 100.0, key + 1).entries, None
+    if dim == 1:
+        return np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 0))
+    return _shared_null_pair(key, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 16, 64])
+@pytest.mark.parametrize(
+    "kind", ["cond=1e2", "cond=1e6", "cond=1e10", "rankdef_A", "shared_null"]
+)
+@pytest.mark.parametrize("ident", ["harmonic:0.5", "finite_atomic"])
+def test_atoms_on_the_basis_match_the_pencil_reference(ident, kind, dim):
+    # an interior atom is lifted from a !_t b on the congruence basis; the
+    # reference solves its pencil, on range(A + B) for a shared-null pair
+    mu = entry_from_id(ident).connection.measure
+    a, b, P = _atom_case(kind, dim, 90)
+    got = evaluate(Connection(mu), a, b).entries
+    if P is None:
+        want = integrate_measure(harmonic_fnode(a, b), mu).value
+    elif P.shape[1]:
+        reduced = integrate_measure(harmonic_fnode(P.T @ a @ P, P.T @ b @ P), mu).value
+        want = P @ reduced @ P.T
+    else:
+        want = np.zeros_like(a)
+    cond = float(kind[5:]) if kind.startswith("cond=") else 1e2
+    tol = 1e-13 * math.sqrt(cond / 1e2)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("ident", ["harmonic:0.5", "finite_atomic"])
+def test_an_atom_mean_after_a_density_mean_factors_nothing(ident, monkeypatch):
+    # the density mean leaves the pair's basis warm: the atoms lift on it,
+    # with no pencil solve, and their output is PSD by construction
+    a, b = _pair(69, dim=16)
+    conn = entry_from_id(ident).connection
+    want = _after_another_pair(lambda: evaluate(conn, a.copy(), b.copy()))
+    evaluate(entry_from_id("geometric:0.3").connection, a.copy(), b.copy())
+    calls = _counted_linalg(monkeypatch)
+    got = evaluate(conn, a.copy(), b.copy())
+    assert calls == []
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_an_endpoint_measure_on_a_singular_sum_factors_nothing(monkeypatch):
+    # arithmetic:0.3 charges only t = 0 and t = 1: no basis, no compression
+    a, b, _P = _shared_null_pair(11)
+    conn = entry_from_id("arithmetic:0.3").connection
+    _after_another_pair(lambda: None)
+    calls = _counted_linalg(monkeypatch, ("cholesky",))
+    report = evaluate_report(conn, a, b)
+    assert calls == [] and report.compressed == 0
+    w = dict(conn.measure.atoms)
+    want = w[0.0] * SpdMatrix(a).entries + w[1.0] * SpdMatrix(b).entries
+    assert np.array_equal(_bits(report.value), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("density", [None, halfline_geometric(0.3).ac], ids=["atoms", "mixed"])
+def test_canonical_finite_atoms_lift_with_the_density(density, monkeypatch):
+    # the finite atom (lam, w) is w (a !_t b) at t = lam/(1+lam): no solve
+    atoms = ((0.0, 0.1), (0.01, 0.2), (1.0, 0.3), (100.0, 0.5), (math.inf, 0.2))
+    nu = HalfLineMeasure(atoms=atoms, ac=density)
+    a, b = _pair(12)
+    _after_another_pair(lambda: None)
+    calls = _counted_linalg(monkeypatch, ("solve",))
+    got = evaluate_canonical(nu, a, b).entries
+    assert calls == []
+    want = evaluate(Connection(pushforward_psi(nu)), a, b).entries
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_successful_evaluations_leave_no_cyclic_garbage():
@@ -592,8 +689,9 @@ def test_a_second_mean_on_a_pair_validates_only_its_output(validations, monkeypa
     assert len(eighs) == 1  # the congruence basis
     validations.clear()
     more(a, b)
-    # only the outputs of the atom route (harmonic:0.5) and parallel_sum
-    assert len(validations) == 2 and len(eighs) == 1
+    # only parallel_sum's output: every mean's output, harmonic:0.5's on
+    # the basis included, is PSD by construction
+    assert len(validations) == 1 and len(eighs) == 1
     # the closed form reuses A and B; it validates A + B and its output
     validations.clear()
     closed_form_eval("geometric:0.3", a, b)
@@ -654,7 +752,8 @@ def test_one_pair_is_retained(validations):
 
 def test_atom_closed_forms_reuse_the_validated_pair(monkeypatch):
     # every interior atom solves its pencil on the pair evaluate validated:
-    # the closed form validates only its output, and keeps the pair retained
+    # the closed form validates only its output, and keeps the pair retained;
+    # evaluate lifts the atoms on the retained basis and validates nothing
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -674,7 +773,7 @@ def test_atom_closed_forms_reuse_the_validated_pair(monkeypatch):
     assert np.array_equal(_bits(got), _bits(want))
     calls.clear()
     evaluate(conn, a, b)
-    assert calls == [(4, 4)]
+    assert calls == []
 
 
 def test_one_projection_per_pair(monkeypatch, validations):
@@ -812,7 +911,9 @@ def _or_skip(call):
         pytest.skip(f"no value to check: the quadrature raises here ({exc})")
 
 
-_BUILT_IDS = ["geometric:0.3", "log_mean", "dual_log_mean", "cantor_mean"]
+_BUILT_IDS = [
+    "geometric:0.3", "log_mean", "dual_log_mean", "cantor_mean", "harmonic:0.5", "finite_atomic"
+]
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e10])
@@ -857,16 +958,22 @@ def test_built_results_on_a_shared_null_pair_and_in_a_stack(ident, monkeypatch):
 
 
 def _patched_spectra(monkeypatch, name, bad):
-    """connections.<name> with the first integrated spectral value set to bad."""
+    """connections.<name> with the first spectral value it gives set to bad:
+    an integration's report, or the values of a ``_pair_fnode`` kernel."""
     import kubomeans.connections as connections
 
-    integrate = getattr(connections, name)
+    orig = getattr(connections, name)
+
+    def spoiled(g):
+        g = np.array(g, dtype=float)
+        g.flat[0] = bad
+        return g
 
     def patched(*args):
-        report = integrate(*args)
-        g = np.array(report.value, dtype=float)
-        g.flat[0] = bad
-        return dataclasses.replace(report, value=g)
+        out = orig(*args)
+        if name == "_pair_fnode":
+            return lambda t, tc: spoiled(out(t, tc))
+        return dataclasses.replace(out, value=spoiled(out.value))
 
     monkeypatch.setattr(connections, name, patched)
 
@@ -890,3 +997,13 @@ def test_a_negative_or_nan_spectrum_is_validated_at_once(bad, error, monkeypatch
     _patched_spectra(monkeypatch, "integrate_halfline_density", bad)
     with pytest.raises(error):
         evaluate_canonical(halfline_geometric(0.3), a, b)
+    monkeypatch.undo()
+    # the atom route's g and a finite atom's g of the canonical form
+    _patched_spectra(monkeypatch, "_pair_fnode", bad)
+    harmonic = entry_from_id("harmonic:0.5").connection
+    with pytest.raises(error):
+        evaluate_report(harmonic, a, b)
+    with pytest.raises(error):
+        evaluate_many(harmonic, a[None], b[None])
+    with pytest.raises(error):
+        evaluate_canonical(halfline_dirac(1.0), a, b)

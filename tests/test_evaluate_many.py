@@ -30,7 +30,7 @@ def _atoms_only(entry):
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
 def test_stack_matches_a_loop_of_evaluate(entry, dim):
     # one integration over the stack's spectra gives each pair's value to
-    # 1e-12; atom-only measures keep their pencil solves and agree exactly
+    # 1e-12; atom-only measures lift on each pair's basis and agree exactly
     a, b = _stacks(6, dim, key=10 * dim)
     spec = PINNED if entry.id == "cantor_mean" else None
     report = evaluate_many(entry.connection, a, b, spec)

@@ -483,8 +483,9 @@ def test_panel_batches_sum_like_one_call_per_rule():
     # Slicing the batch of a depth's panels gives the sums of separate 8-
     # and 16-node batches per panel, added in preorder, bit for bit, for
     # scalar, vector and matrix integrands.
-    from kubomeans.connections import _harmonic_fnode, _harmonic_scalar, _pair_fnode
+    from kubomeans.connections import _harmonic_scalar, _pair_fnode
     from kubomeans.quadrature import _adaptive_panels
+    from pencil import harmonic_fnode
 
     term = lebesgue_density().terms[0]
     a, b = (m @ m.T + 1e-3 * np.eye(3) for m in _rng(7).normal(size=(2, 3, 3)))
@@ -493,7 +494,7 @@ def test_panel_batches_sum_like_one_call_per_rule():
         lambda t, tc: _harmonic_scalar(xs, t, tc),
         lambda t, tc: _harmonic_scalar(np.array([1e-3]), t, tc)[:, 0],
         _pair_fnode(np.array([0.001, 0.3, 0.999]), np.array([0.999, 0.7, 0.001])),
-        _harmonic_fnode(a, b),
+        harmonic_fnode(a, b),
     ]
     # 640 values per node fit one panel in a call; 4096 fit no panel, so
     # each rule of each panel is summed in calls of its own
