@@ -83,6 +83,7 @@ from .measures import (
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    _reduce,
     density_mass,
     integrate_halfline_density,
     integrate_measure,
@@ -117,11 +118,6 @@ __all__ = [
     "decompose_connection",
     "mean_convex_decomposition",
 ]
-
-# values per temporary row block in the node kernels (64 KB, below glibc's
-# default mmap threshold)
-_BLOCK = 8192
-
 
 @dataclass(frozen=True)
 class Connection:
@@ -208,22 +204,25 @@ def _null_floors(A, B) -> np.ndarray:
 def _pair_fnode(a: np.ndarray, b: np.ndarray):
     """Batched t -> a !_t b = ab / ((1-t)b + ta) over spectra; shape (k, d).
 
-    The denominator is at least min(t, 1-t)(a + b); the endpoints
-    short-circuit to a and b, as A !_0 B = A and A !_1 B = B.
+    Evaluated as a / ((1-t) + t r) with r = a/b (r = 0 where a = 0): every
+    term is >= 0, so nothing cancels, and each value depends on its own
+    (t, 1-t, a, b) alone, however nodes and spectra are batched.  The
+    endpoints short-circuit to a and b, as A !_0 B = A and A !_1 B = B.
     """
-    ab = a * b
-    rows = max(1, _BLOCK // len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = a / b
+    r[a == 0.0] = 0.0
 
     def fnode(t, tc):
-        # One (k, d) buffer per batch: the denominators, then the quotient in
-        # place.  t a is added in row blocks of at most _BLOCK values, since a
-        # second full-size array next to the buffer made glibc trim and regrow
-        # the heap on every batch (thousands of page faults per round).
-        out = np.multiply.outer(tc, b)
-        for lo in range(0, len(t), rows):
-            out[lo : lo + rows] += np.multiply.outer(t[lo : lo + rows], a)
+        # One owned (k, d) buffer, written through its C-contiguous transpose
+        # in three in-place passes, so each spectrum's nodes lie contiguous
+        # for the weighting and the node-axis sum that follow.
+        out = np.empty((len(t), len(a)), order="F")
+        view = out.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ab, out, out=out)
+            np.multiply.outer(r, t, out=view)
+            view += tc
+            np.divide(a[:, None], view, out=view)
         out[t == 0.0] = a
         out[t == 1.0] = b
         return out
@@ -234,7 +233,9 @@ def _pair_fnode(a: np.ndarray, b: np.ndarray):
 
 def _lift(M: np.ndarray, g) -> np.ndarray:
     """M diag(g) M^T, symmetrized; M (..., d, d) and g (..., d)."""
-    g = np.asarray(g)
+    # row order: the broadcast product reads a node-contiguous kernel buffer
+    # (``_pair_fnode``) about 3x slower than a copy of it in row order
+    g = np.ascontiguousarray(g)
     return _sym((M * g[..., None, :]) @ M.swapaxes(-1, -2))
 
 
@@ -689,10 +690,10 @@ def evaluate_canonical(
     alpha and beta are nu's atoms at 0 and infinity, added exactly.  The
     rest is lifted once from the congruence basis of A + B: after
     t = lam/(1+lam) the kernel (lam+1) ab / (lam a + b) is the pair kernel
-    a !_t b, so a finite atom (lam, w) adds w (a !_t b) to the spectra and
-    the density part adds their integral against the pullback of nu's
-    density.  Runs directly when A + B is strictly PD or nu charges only 0
-    and infinity, and on range(A + B) otherwise.  Agrees with
+    a !_t b, so the finite atoms (lam, w) add w (a !_t b) to the spectra,
+    in atom order, and the density part adds their integral against the
+    pullback of nu's density.  Runs directly when A + B is strictly PD or nu
+    charges only 0 and infinity, and on range(A + B) otherwise.  Agrees with
     evaluate(pushforward_psi(nu), A, B).  When every lifted g is >= 0 the
     value is PSD by construction and validated on the first read of a
     spectral fact.
@@ -718,8 +719,10 @@ def evaluate_canonical(
         if has_density:
             g = integrate_halfline_density(fnode, nu.ac, nu.weight, spec).value
         if finite:
+            # summed in atom order, as the atom route sums its atoms
             lam, w = np.array(finite).T
-            g = g + w @ fnode(lam / (1.0 + lam), 1.0 / (1.0 + lam))
+            t, tc = lam / (1.0 + lam), 1.0 / (1.0 + lam)
+            g = g + _reduce(fnode, t, tc, w, sequential=True)
         spectra.append(g)
         return total + _lift(M, g[None])
 

@@ -510,6 +510,64 @@ def test_congruence_route_matches_the_pencil_oracle(ident, dim):
 
 
 # ---------------------------------------------------------------------------
+# the scalar pair kernel a !_t b
+
+
+def _kernel_case():
+    """Spectra with a/b from 1e-12 to 1e12 and exact zeros on either side;
+    nodes at both endpoints and within 1e-15 of each, given as (t, 1 - t)."""
+    ratio = np.logspace(-12.0, 12.0, 25)
+    a = np.concatenate([ratio / (1.0 + ratio), 3.0 * ratio, [0.0, 0.0, 0.7, 2e-5]])
+    b = np.concatenate([1.0 / (1.0 + ratio), 3.0 * np.ones(25), [0.3, 5.0, 0.0, 0.0]])
+    near = np.array([1e-15, 3e-16, 1e-16, 1e-300])
+    interior = np.linspace(0.05, 0.95, 7)
+    t = np.concatenate([[0.0], near, interior, 1.0 - near[:3], [1.0]])
+    tc = np.concatenate([[1.0], 1.0 - near, 1.0 - interior, near[:3], [0.0]])
+    return a, b, t, tc
+
+
+def test_pair_kernel_matches_extended_precision():
+    # a / ((1-t) + t a/b) against ab / ((1-t)b + ta) in long double: every
+    # term is >= 0, so a few roundings bound the error at any ratio a/b
+    from kubomeans.connections import _pair_fnode
+
+    a, b, t, tc = _kernel_case()
+    got = _pair_fnode(a, b)(t, tc)
+    assert not np.isnan(got).any() and (got >= 0.0).all()
+    assert np.array_equal(got[0], a) and np.array_equal(got[-1], b)
+    la, lb = a.astype(np.longdouble), b.astype(np.longdouble)
+    lt, ltc = t[1:-1, None].astype(np.longdouble), tc[1:-1, None].astype(np.longdouble)
+    want = la * lb / (ltc * lb + lt * la)
+    err = np.abs(got[1:-1] - want)
+    assert (err <= 1e-15 * want).all(), float(np.max(err / np.where(want > 0, want, 1)))
+
+
+def test_pair_kernel_values_do_not_depend_on_the_batch():
+    # each value comes from its own (t, 1-t, a, b): any slice of nodes or of
+    # spectra gives the same bits, and the owned buffer is weighted in place
+    from kubomeans.connections import _pair_fnode
+    from kubomeans.quadrature import _Integrand
+
+    a, b, t, tc = _kernel_case()
+    fnode = _pair_fnode(a, b)
+    whole = fnode(t, tc)
+    assert whole.base is None and whole.flags.writeable
+    for rows in (1, 3, 7):
+        for lo in range(0, len(t), rows):
+            part = fnode(t[lo : lo + rows], tc[lo : lo + rows])
+            assert np.array_equal(part.view(np.uint64), whole[lo : lo + rows].view(np.uint64))
+    for i in range(len(a)):
+        one = _pair_fnode(a[i : i + 1], b[i : i + 1])(t, tc)
+        assert np.array_equal(one[:, 0].view(np.uint64), whole[:, i].view(np.uint64))
+    made = []
+    weighted = _Integrand(lambda t, tc: made.append(fnode(t, tc)) or made[-1]).weighted(
+        t, tc, np.full(len(t), 0.5)
+    )
+    assert weighted is made[0]
+    assert np.array_equal(weighted, 0.5 * whole)
+
+
+# ---------------------------------------------------------------------------
 # atom-only measures on the congruence basis
 
 
@@ -605,6 +663,24 @@ def test_canonical_finite_atoms_lift_with_the_density(density, monkeypatch):
     assert calls == []
     want = evaluate(Connection(pushforward_psi(nu)), a, b).entries
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_canonical_finite_atoms_add_in_atom_order():
+    # sum_j w_j (a !_t_j b), added left to right as the atom route adds its
+    # atoms, then lifted: the same bits as adding the atoms one by one
+    from kubomeans.connections import _lift, _pair_fnode
+    from kubomeans.connections import _pair as validated_pair
+
+    atoms = ((0.01, 0.2), (1.0, 0.3), (100.0, 0.5), (1e4, 0.7))
+    a, b = _pair(13, dim=16)
+    got = evaluate_canonical(HalfLineMeasure(atoms=atoms), a, b)
+    a_eig, b_eig, M = validated_pair(a, b).basis(None)
+    fnode = _pair_fnode(a_eig[0], b_eig[0])
+    g = 0.0
+    for lam, w in atoms:
+        g = g + w * fnode(np.array([lam / (1.0 + lam)]), np.array([1.0 / (1.0 + lam)]))[0]
+    want = SpdMatrix._built(_lift(M, g[None])[0])
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_successful_evaluations_leave_no_cyclic_garbage():
