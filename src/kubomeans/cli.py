@@ -314,23 +314,22 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_quadrature_flags(sub, ifs: bool = True) -> None:
+def _add_quadrature_flags(sub) -> None:
     sub.add_argument(
         "--tol",
         type=_positive_float,
         default=None,
         help="quadrature tolerance (sets both abs_tol and rel_tol)",
     )
-    if ifs:
-        sub.add_argument(
-            "--ifs-depth",
-            type=_positive_int,
-            default=None,
-            help=(
-                "sum self-similar parts over all cylinders of exactly this "
-                "depth instead of refining them adaptively to the tolerance"
-            ),
-        )
+    sub.add_argument(
+        "--ifs-depth",
+        type=_positive_int,
+        default=None,
+        help=(
+            "sum self-similar parts over all cylinders of exactly this "
+            "depth instead of refining them adaptively to the tolerance"
+        ),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

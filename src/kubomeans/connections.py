@@ -31,11 +31,12 @@ with the work that depends on the pairs alone computed on first use: the
 strict-PD test of A + B, the projection onto range(A + B) of a pair that
 fails it, and the congruence bases.  Consecutive one-pair evaluations share
 it (``_pair``), input validation included.  One pair is retained, the last
-one validated; raw inputs match it only with the same shape and exactly the
-same float64 bits as its stored, symmetrized entries, so an input mutated
-in place since is validated anew.  Nothing that depends on the measure or
-the spec is kept: every call integrates and lifts its own value.  Stacks
-are not memoized.
+one evaluated, whether it came as raw entries or as ``SpdMatrix`` objects,
+since an ``SpdMatrix`` is a function of its entries.  Raw inputs match it
+only with the same shape and exactly the same float64 bits as its stored,
+symmetrized entries, so an input mutated in place since is validated anew.
+Nothing that depends on the measure or the spec is kept: every call
+integrates and lifts its own value.  Stacks are not memoized.
 
 A value lifted from spectra g >= 0, plus nonnegative multiples of the
 validated inputs, is PSD by construction, as the paper's integral of
@@ -156,7 +157,7 @@ def _sym(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.swapaxes(-1, -2))
 
 
-def _congruence_basis(A: np.ndarray, B: np.ndarray, floors=None):
+def _congruence_basis(A: np.ndarray, B: np.ndarray, floors: np.ndarray):
     """Spectra a, b and basis M with A = M diag(a) M^T, B = M diag(b) M^T.
 
     A + B = L L^T by Cholesky and L^{-1} A L^{-T} = V diag(mu) V^T, so
@@ -183,7 +184,7 @@ def _congruence_basis(A: np.ndarray, B: np.ndarray, floors=None):
     w = inv.swapaxes(-1, -2) @ vecs
     a = np.maximum(np.sum(w * (A @ w), axis=-2), 0.0)
     b = np.maximum(np.sum(w * (B @ w), axis=-2), 0.0)
-    if floors is not None and floors.any():
+    if floors.any():
         w2 = np.sum(w**2, axis=-2)
         a[a <= floors[..., :1] * w2] = 0.0
         b[b <= floors[..., 1:] * w2] = 0.0
@@ -288,20 +289,17 @@ class _Pairs:
     """n validated pairs and the work that depends on the pairs alone.
 
     ``A`` and ``B`` are one ``SpdMatrix`` each (n = 1) or two ``SpdStack``
-    objects, and ``Ae`` and ``Be`` their (n, d, d) entries.  ``raw`` says
-    which matrices of one pair ``_pair`` validated from raw entries: only
-    those may stand for a later raw input, since an ``SpdMatrix`` passed in
-    may carry an eig_floor of its own.  The rest is computed on first use
-    and shared by every evaluation on the pairs, whatever its measure or
-    spec: ``compressed`` (the indices of the pairs whose A + B is not
-    strictly PD), ``total(i)`` (A_i + B_i, validated), the projection
-    ``on_range(i)`` of a compressed pair, and the read-only congruence
-    ``basis(key)`` (a, b, M) with its null floors, of the pairs that run
-    directly (key None) or of compressed pair key on range(A + B).
+    objects, and ``Ae`` and ``Be`` their (n, d, d) entries.  The rest is
+    computed on first use and shared by every evaluation on the pairs,
+    whatever its measure or spec: ``compressed`` (the indices of the pairs
+    whose A + B is not strictly PD), ``total(i)`` (A_i + B_i, validated),
+    the projection ``on_range(i)`` of a compressed pair, and the read-only
+    congruence ``basis(key)`` (a, b, M) with its null floors, of the pairs
+    that run directly (key None) or of compressed pair key on range(A + B).
     """
 
-    def __init__(self, A, B, raw: tuple[bool, bool] = (False, False)):
-        self.A, self.B, self.raw = A, B, raw
+    def __init__(self, A, B):
+        self.A, self.B = A, B
         one = isinstance(A, SpdMatrix)
         self.Ae = A.entries[None] if one else A.entries
         self.Be = B.entries[None] if one else B.entries
@@ -405,46 +403,45 @@ def _values(pairs: _Pairs, kernel, charges_interior: bool) -> np.ndarray:
 _last: _Pairs | None = None
 
 
-def _validated(x, last: SpdMatrix | None) -> tuple[SpdMatrix, bool]:
-    """x as an ``SpdMatrix``, and whether it came from raw entries.
+def _validated(x, last: SpdMatrix | None) -> SpdMatrix:
+    """x as an ``SpdMatrix``.
 
-    ``last`` (validated from raw entries, or None) is returned for raw
-    entries with its shape and exactly the float64 bits of its stored,
-    symmetrized entries: compared as uint64, so -0.0 differs from 0.0 and
-    NaN matches nothing.  The caller's array is neither copied nor kept.
+    ``last`` (or None) is returned for raw entries with its shape and
+    exactly the float64 bits of its stored, symmetrized entries: compared
+    as uint64, so -0.0 differs from 0.0 and NaN matches nothing.  The
+    caller's array is neither copied nor kept.
     """
     if isinstance(x, SpdMatrix):
-        return x, False
+        return x
     arr = as_entries(x)
     if (
         last is not None
         and arr.shape == last.entries.shape
         and (arr.view(np.uint64) == last.entries.view(np.uint64)).all()
     ):
-        return last, True
-    return SpdMatrix(arr), True
+        return last
+    return SpdMatrix(arr)
 
 
 def _pair(a, b) -> _Pairs:
     """The validated pair (a, b), reusing the last one where it still holds.
 
     An ``SpdMatrix`` input is taken as it is.  A raw input (array-like or
-    ``SymMatrix``) reuses the matrix the last call validated from raw
-    entries in its position when its bits match (``_validated``); an input
-    mutated since, or an asymmetric one, is validated anew.  When both
-    matrices are those of the last pair, its ``_Pairs`` and all it has
-    computed are returned; otherwise a new ``_Pairs`` replaces it, so one
-    pair is retained at most.
+    ``SymMatrix``) reuses the last pair's matrix in its position when its
+    bits match (``_validated``); an input mutated since, or an asymmetric
+    one, is validated anew.  When both matrices are those of the last pair,
+    its ``_Pairs`` and all it has computed are returned; otherwise a new
+    ``_Pairs`` replaces it, so one pair is retained at most.
     """
     global _last
     last = _last
-    A, raw_a = _validated(a, last.A if last is not None and last.raw[0] else None)
-    B, raw_b = _validated(b, last.B if last is not None and last.raw[1] else None)
+    A = _validated(a, None if last is None else last.A)
+    B = _validated(b, None if last is None else last.B)
     if A.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {A.dim} vs {B.dim}")
     if last is not None and A is last.A and B is last.B:
         return last
-    _last = pair = _Pairs(A, B, (raw_a, raw_b))
+    _last = pair = _Pairs(A, B)
     return pair
 
 
@@ -700,7 +697,7 @@ def evaluate_canonical(
     """
     pairs = _pair(a, b)
     spec = spec or DEFAULT_SPEC
-    has_density = nu.ac is not None and nu.weight > 0.0
+    has_density = nu.ac is not None
     finite = [(lam, w) for lam, w in nu.atoms if 0.0 < lam < math.inf]
     spectra = []
 
@@ -717,7 +714,7 @@ def evaluate_canonical(
         fnode = _pair_fnode(a_eig[0], b_eig[0])
         g = 0.0
         if has_density:
-            g = integrate_halfline_density(fnode, nu.ac, nu.weight, spec).value
+            g = integrate_halfline_density(fnode, nu.ac, spec).value
         if finite:
             # summed in atom order, as the atom route sums its atoms
             lam, w = np.array(finite).T

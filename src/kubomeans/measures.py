@@ -66,19 +66,18 @@ _CHEB64 = tuple(
 class DensityTerm:
     """One weighted density on (0, 1).
 
-    ``fn`` evaluates the unreflected unit-mass density on arrays of interior
-    points.  ``exponents = (p, q)`` describe the power envelope
-    ``g ~ c * t**p`` near 0 and ``~ c * (1-t)**q`` near 1 (p, q > -1), or None
-    when no such envelope exists (the log-mean density decays like
-    ``1/(t log^2 t)``).  The exponents alone pick the quadrature rule:
-    (0, 0) gets Gauss-Legendre panels, any other envelope Gauss-Jacobi on
-    those exponents, and no envelope the logistic rule for ``log_mean`` or
-    tanh-sinh for any other term.  ``smooth`` is the residual phi with
+    ``fn(t, tc)`` evaluates the unreflected unit-mass density on arrays of
+    interior points t and their complements tc = 1 - t, which the rules
+    carry exactly where forming 1 - t would round.  ``exponents = (p, q)``
+    describe the power envelope ``g ~ c * t**p`` near 0 and
+    ``~ c * (1-t)**q`` near 1 (p, q > -1), or None when no such envelope
+    exists (the log-mean density decays like ``1/(t log^2 t)``).  The
+    exponents alone pick the quadrature rule: (0, 0) gets Gauss-Legendre
+    panels, any other envelope Gauss-Jacobi on those exponents, and no
+    envelope the logistic rule for ``log_mean`` or tanh-sinh for any other
+    term.  ``smooth`` is the residual phi with
     ``g = phi(t) * t**p * (1-t)**q`` when available; the Gauss-Jacobi driver
-    prefers it to avoid endpoint cancellation.  ``fn_pair``, when given, is
-    the same density as a function of (t, 1 - t), for a formula that needs
-    the complement exactly where 1 - t rounds; the rules, which carry both
-    coordinates, then call it in place of ``fn``.  ``reflected`` toggles
+    prefers it to avoid endpoint cancellation.  ``reflected`` toggles
     evaluation at 1 - t; reflecting twice restores the original term exactly.
 
     Equality compares identity, weight, exponents and orientation; the
@@ -92,11 +91,12 @@ class DensityTerm:
     smooth: Callable | None = field(default=None, compare=False)
     unit_mass: float | None = field(default=None, compare=False)
     reflected: bool = False
-    fn_pair: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise ValueError("density weight must be nonnegative")
+        if self.weight < 0.0 or not math.isfinite(self.weight):
+            raise ValueError(
+                f"density weight {self.weight} must be finite and nonnegative"
+            )
         if self.exponents is not None:
             p, q = self.exponents
             if p <= -1.0 or q <= -1.0:
@@ -112,14 +112,10 @@ class DensityTerm:
     def reflect(self) -> "DensityTerm":
         return replace(self, reflected=not self.reflected)
 
-    def _unweighted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The unreflected density at x, whose complement 1 - x is y."""
-        return self.fn(x) if self.fn_pair is None else self.fn_pair(x, y)
-
     def eval_pair(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         """Density values given both coordinates t and 1 - t."""
         x, y = (tc, t) if self.reflected else (t, tc)
-        return self.weight * self._unweighted(x, y)
+        return self.weight * self.fn(x, y)
 
     def smooth_pair(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         """Weighted Jacobi residual phi at (t, 1-t), on the effective exponents."""
@@ -128,7 +124,7 @@ class DensityTerm:
             phi = self.smooth(x)
         else:
             p, q = self.exponents
-            phi = self._unweighted(x, y) * x ** (-p) * y ** (-q)
+            phi = self.fn(x, y) * x ** (-p) * y ** (-q)
         return self.weight * phi
 
 
@@ -165,9 +161,8 @@ def lebesgue_density(weight: float = 1.0) -> Density:
     term = DensityTerm(
         ident="lebesgue",
         weight=weight,
-        fn=lambda t: np.ones_like(t),
+        fn=lambda t, tc: np.ones_like(t),
         exponents=(0.0, 0.0),
-        smooth=lambda t: np.ones_like(t),
         unit_mass=1.0,
     )
     return Density((term,))
@@ -182,8 +177,8 @@ def geometric_density(alpha: float, weight: float = 1.0) -> Density:
         raise ValueError("geometric density requires alpha in (0, 1)")
     c = math.sin(alpha * math.pi) / math.pi
 
-    def fn(t):
-        return c * t ** (alpha - 1.0) * (1.0 - t) ** (-alpha)
+    def fn(t, tc):
+        return c * t ** (alpha - 1.0) * tc ** (-alpha)
 
     term = DensityTerm(
         ident=f"geometric:{alpha!r}",
@@ -204,9 +199,9 @@ def logmean_density(weight: float = 1.0) -> Density:
     u = log(t/(1-t)) is the integration route.
     """
 
-    def fn(t):
-        u = np.log(t / (1.0 - t))
-        return 1.0 / (t * (1.0 - t) * (math.pi**2 + u * u))
+    def fn(t, tc):
+        u = np.log(t / tc)
+        return 1.0 / (t * tc * (math.pi**2 + u * u))
 
     term = DensityTerm(
         ident="log_mean",
@@ -264,11 +259,11 @@ class IfsMeasure:
         for r, b in maps:
             if not 0.0 < r < 1.0:
                 raise ValueError(f"contraction ratio {r} outside (0, 1)")
-            if b < 0.0 or r + b > 1.0 + 1e-12:
+            if b < 0.0 or not math.isfinite(b) or r + b > 1.0 + 1e-12:
                 raise ValueError(f"map t -> {r}*t + {b} does not send [0,1] into itself")
         for p in probs:
-            if p < 0.0:
-                raise ValueError("probabilities must be nonnegative")
+            if p < 0.0 or not math.isfinite(p):
+                raise ValueError(f"probability {p} must be finite and nonnegative")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1")
         comp = self.maps_c
@@ -368,8 +363,8 @@ class UnitMeasure:
             if not isinstance(ifs, IfsMeasure):
                 raise TypeError("sc part must be (IfsMeasure, weight)")
             w = float(w)
-            if w < 0.0:
-                raise ValueError("sc weight must be nonnegative")
+            if w < 0.0 or not math.isfinite(w):
+                raise ValueError(f"sc weight {w} must be finite and nonnegative")
             object.__setattr__(self, "sc", (ifs, w) if w > 0.0 else None)
 
     def atom_pairs(self) -> tuple[tuple[float, float, float], ...]:
@@ -550,7 +545,6 @@ class HalfLineDensity:
     fn: Callable = field(compare=False)
     pow0: float | None = 0.0
     decay: float | None = 2.0
-    ident: str | None = None
     pushforward_ident: str | None = None
 
     def __post_init__(self):
@@ -563,37 +557,36 @@ class HalfLineDensity:
         if self.decay <= 1.0:
             raise ValueError("decay must exceed 1 (finite mass at infinity)")
 
-    def pullback(self, weight: float) -> DensityTerm:
-        """The unit-interval term of ``weight * rho`` under Psi.
+    def pullback(self) -> DensityTerm:
+        """The unit-interval term of rho under Psi.
 
         ``g(t) = rho(t/(1-t)) / (1-t)**2`` with envelope exponents
         (pow0, decay - 2), or none; the term carries ``pushforward_ident``,
         so the rule table treats it as it treats that catalog density.  The
-        rules evaluate g from t and the exact 1 - t (``fn_pair``), which
-        near t = 1 holds the digits that lambda = t/(1-t) needs.
+        rules evaluate g from t and the exact 1 - t, which near t = 1 holds
+        the digits that lambda = t/(1-t) needs.
         """
         rho = self.fn
 
-        def g_pair(t, tc):
+        def g(t, tc):
             return rho(t / tc) / (tc * tc)
 
         exponents = None if self.pow0 is None else (self.pow0, self.decay - 2.0)
         return DensityTerm(
-            ident=self.pushforward_ident,
-            weight=weight,
-            fn=lambda t: g_pair(t, 1.0 - t),
-            exponents=exponents,
-            fn_pair=g_pair,
+            ident=self.pushforward_ident, weight=1.0, fn=g, exponents=exponents
         )
 
 
 @dataclass(frozen=True)
 class HalfLineMeasure:
-    """Finite positive measure on [0, inf]; math.inf marks the atom at infinity."""
+    """Finite positive measure on [0, inf]; math.inf marks the atom at infinity.
+
+    ``atoms`` holds (lambda, weight) pairs and ``ac`` the density, which
+    enters with weight 1: a weighted density is a rho scaled in its ``fn``.
+    """
 
     atoms: tuple[tuple[float, float], ...] = ()
     ac: HalfLineDensity | None = None
-    weight: float = 1.0  # multiplier on the ac part
 
     def __post_init__(self):
         cleaned = []
@@ -607,8 +600,6 @@ class HalfLineMeasure:
                 cleaned.append((lam, w))
         cleaned.sort()
         object.__setattr__(self, "atoms", tuple(cleaned))
-        if self.weight < 0.0:
-            raise ValueError("density weight must be nonnegative")
 
 
 def halfline_dirac(lam: float, weight: float = 1.0) -> HalfLineMeasure:
@@ -634,7 +625,6 @@ def halfline_geometric(alpha: float) -> HalfLineMeasure:
             fn=fn,
             pow0=alpha - 1.0,
             decay=2.0 - alpha,
-            ident=f"halfline_geometric:{alpha!r}",
             pushforward_ident=f"geometric:{alpha!r}",
         )
     )
@@ -652,7 +642,6 @@ def halfline_logmean() -> HalfLineMeasure:
             fn=fn,
             pow0=None,
             decay=None,
-            ident="halfline_log_mean",
             pushforward_ident="log_mean",
         )
     )
@@ -675,11 +664,11 @@ def pushforward_psi(nu: HalfLineMeasure) -> UnitMeasure:
             atoms.append((lam / (1.0 + lam), w))
             atoms_c.append(1.0 / (1.0 + lam))
     ac = None
-    if nu.ac is not None and nu.weight > 0.0:
+    if nu.ac is not None:
         if nu.ac.pushforward_ident is not None:
-            ac = _density_from_ident(nu.ac.pushforward_ident, nu.weight)
+            ac = _density_from_ident(nu.ac.pushforward_ident, 1.0)
         else:
-            ac = Density((nu.ac.pullback(nu.weight),))
+            ac = Density((nu.ac.pullback(),))
     return UnitMeasure(atoms=tuple(atoms), ac=ac, atoms_c=tuple(atoms_c))
 
 

@@ -124,8 +124,9 @@ class QuadratureSpec:
     scheme: tuple | None = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.abs_tol, self.rel_tol):
+            if not 0.0 < tol < math.inf:
+                raise ValueError(f"tolerance {tol} must be positive and finite")
         if self.max_nodes < 2:
             raise ValueError("max_nodes must be at least 2")
         if self.scheme is not None:
@@ -986,20 +987,17 @@ def density_mass(density, spec: QuadratureSpec | None = None) -> float:
 
 
 def integrate_halfline_density(
-    fnode, dens, weight: float, spec: QuadratureSpec | None = None
+    fnode, dens, spec: QuadratureSpec | None = None
 ) -> IntegrationReport:
-    """``weight * int_0^inf G(lam) rho(lam) dlam`` through rho's pullback.
+    """``int_0^inf G(lam) rho(lam) dlam`` through rho's pullback.
 
     With t = lam/(1+lam) the integral is ``int_0^1 G(t/(1-t)) g(t) dt`` for
-    the term g = ``dens.pullback(weight)``, integrated by the rule its
-    exponents (or its ident) pick, as any density term is.  ``fnode(t, tc)``
-    is G in t and takes node pairs, as ``integrate_measure``'s node
-    functions do: near t = 1 only the exact tc keeps lam = t/tc finite and
-    accurate.
+    the term g = ``dens.pullback()``, integrated by the rule its exponents
+    (or its ident) pick, as any density term is.  ``fnode(t, tc)`` is G in t
+    and takes node pairs, as ``integrate_measure``'s node functions do: near
+    t = 1 only the exact tc keeps lam = t/tc finite and accurate.
     """
-    value, nodes, err, scheme = _integrate_term(
-        fnode, dens.pullback(weight), spec or DEFAULT_SPEC
-    )
+    value, nodes, err, scheme = _integrate_term(fnode, dens.pullback(), spec or DEFAULT_SPEC)
     return IntegrationReport(
         value=value,
         nodes_used=nodes,
@@ -1008,6 +1006,6 @@ def integrate_halfline_density(
     )
 
 
-def halfline_mass(dens, weight: float = 1.0, spec: QuadratureSpec | None = None) -> float:
-    report = integrate_halfline_density(_scalar_fnode(np.ones_like), dens, weight, spec)
+def halfline_mass(dens, spec: QuadratureSpec | None = None) -> float:
+    report = integrate_halfline_density(_scalar_fnode(np.ones_like), dens, spec)
     return float(report.value)

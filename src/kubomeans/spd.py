@@ -24,7 +24,7 @@ Tolerances follow the scale conventions
 
 * PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
   (spectral norm),
-* strict positivity floor: ``eig_floor = 1e-13 * ||A||`` unless overridden.
+* strict positivity floor: ``eig_floor = 1e-13 * ||A||``.
 
 Random inputs (``random_spd``, ``random_spd_stack``) come from Philox keyed
 directly by the seed.  A call draws through one bit generator that it
@@ -147,8 +147,7 @@ class _OnFirstRead:
     there and never reach the descriptor again.  This is
     ``functools.cached_property`` without its lock, which Python 3.11 shares
     among all instances, so it would serialize threads; concurrent first
-    reads may both compute, and store the same value.  Read on the class it
-    gives None, the default of the dataclass field it may stand for.
+    reads may both compute, and store the same value.
     """
 
     def __init__(self, compute):
@@ -159,7 +158,7 @@ class _OnFirstRead:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return None
+            return self
         self.compute(obj)
         return obj.__dict__[self.name]
 
@@ -185,8 +184,7 @@ class SpdMatrix(SymMatrix):
         self._accept(float(lam_min), float(norm))
 
     def _accept(self, lam_min: float, norm: float) -> None:
-        if self.__dict__.get("eig_floor") is None:
-            object.__setattr__(self, "eig_floor", EIG_FLOOR_FACTOR * norm)
+        object.__setattr__(self, "eig_floor", EIG_FLOOR_FACTOR * norm)
         object.__setattr__(self, "_lam_min", lam_min)
         object.__setattr__(self, "_norm", norm)
 
@@ -194,7 +192,7 @@ class SpdMatrix(SymMatrix):
         object.__setattr__(self, "_eigh", spectral_decompose(self))
 
     # instance attributes, set by _measure and _decompose on first read
-    eig_floor: float = _OnFirstRead(_measure)  # type: ignore[assignment]
+    eig_floor = _OnFirstRead(_measure)
     _lam_min = _OnFirstRead(_measure)
     _norm = _OnFirstRead(_measure)
     _eigh = _OnFirstRead(_decompose)
@@ -209,11 +207,10 @@ class SpdMatrix(SymMatrix):
         return m
 
     @classmethod
-    def _member(cls, entries, lam_min: float, norm: float, eig_floor: float):
+    def _member(cls, entries, lam_min: float, norm: float):
         """A matrix whose spectrum a stack's validation already checked."""
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "eig_floor", eig_floor)
         m._accept(lam_min, norm)
         return m
 
@@ -291,10 +288,7 @@ class SpdStack:
 
     def __getitem__(self, i: int) -> SpdMatrix:
         return SpdMatrix._member(
-            self.entries[i],
-            float(self.min_eigenvalues[i]),
-            float(self.norms[i]),
-            float(self.eig_floors[i]),
+            self.entries[i], float(self.min_eigenvalues[i]), float(self.norms[i])
         )
 
     def __array__(self, dtype=None, copy=None):
@@ -397,7 +391,7 @@ def matrix_power(a: SpdMatrix, alpha: float) -> SpdMatrix:
     if alpha == 1.0:
         return a
     if alpha == 0.0 and a.is_strictly_pd:
-        return SpdMatrix(np.eye(a.dim), eig_floor=a.eig_floor)
+        return SpdMatrix(np.eye(a.dim))
     floor = max(a.eig_floor, 0.0)
 
     def power(w):

@@ -250,6 +250,13 @@ def test_decompose_malformed_json(capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_decompose_rejects_a_nan_weight(capsys):
+    # json parses NaN, so a non-finite weight can arrive from the command line
+    measure = '{"atoms": [[0.5, 1.0]], "sc": {"id": "cantor", "w": NaN}}'
+    assert cli.main(["decompose", "--measure", measure]) == 2
+    assert "sc weight nan" in capsys.readouterr().err
+
+
 def test_catalog_listing(capsys):
     assert cli.main(["catalog"]) == 0
     rows = json.loads(capsys.readouterr().out)

@@ -319,7 +319,7 @@ def test_evaluate_canonical_matches_pushforward_route(nu, ident):
     assert spectral_norm(direct - pushed) <= 1e-6 * scale
     closed = closed_form_eval(ident, a, b).entries
     assert spectral_norm(direct - closed) <= 1e-12 * spectral_norm(closed)
-    assert halfline_mass(nu.ac, nu.weight) == pytest.approx(1.0, abs=1e-12)
+    assert halfline_mass(nu.ac) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha, key", [(0.3, 0), (0.3, 1), (0.7, 0), (0.7, 1)])
@@ -824,6 +824,20 @@ def test_one_pair_is_retained(validations):
     # A and B for a new pair, nothing for the retained one: the congruence
     # output is validated on the first read of a spectral fact
     assert counts == [2, 2, 2, 0]
+
+
+def test_raw_copies_of_an_spd_pair_reuse_it(validations):
+    a, b = _pair(64)
+    A, B = SpdMatrix(a), SpdMatrix(b)
+    conn = entry_from_id("log_mean").connection
+    _after_another_pair(lambda: None)
+    evaluate(conn, A, B)
+    validations.clear()
+    got = evaluate(conn, A.entries.copy(), B.entries.copy())
+    # an SpdMatrix is a function of its entries, so raw copies of it match
+    assert validations == []
+    want = _after_another_pair(lambda: evaluate(conn, a.copy(), b.copy()))
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_atom_closed_forms_reuse_the_validated_pair(monkeypatch):

@@ -33,7 +33,7 @@ from kubomeans.measures import (
     scale,
     total_mass,
 )
-from kubomeans.quadrature import halfline_mass
+from kubomeans.quadrature import QuadratureSpec, halfline_mass
 
 
 def test_atoms_sorted_merged_and_validated():
@@ -45,6 +45,31 @@ def test_atoms_sorted_merged_and_validated():
         UnitMeasure(atoms=((0.5, -0.1),))
     # zero-weight atoms vanish
     assert UnitMeasure(atoms=((0.5, 0.0),)).is_zero()
+
+
+_THIRD = 1.0 / 3.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: lebesgue_density(v),
+        lambda v: UnitMeasure(sc=(cantor_ifs(), v)),
+        # three maps: two positive probabilities pass the continuity test
+        lambda v: IfsMeasure(
+            maps=((_THIRD, 0.0), (_THIRD, _THIRD), (_THIRD, 2.0 * _THIRD)),
+            probs=(0.5, 0.5, v),
+        ),
+        lambda v: IfsMeasure(maps=((_THIRD, 0.0), (_THIRD, v)), probs=(0.5, 0.5)),
+        lambda v: QuadratureSpec(abs_tol=v),
+        lambda v: QuadratureSpec(rel_tol=v),
+    ],
+    ids=["density_weight", "sc_weight", "ifs_prob", "ifs_offset", "abs_tol", "rel_tol"],
+)
+def test_non_finite_weights_and_tolerances_are_rejected(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
 
 
 def test_density_requires_terms():
@@ -188,14 +213,15 @@ def test_halfline_density_envelope_validation():
         HalfLineDensity(fn=rho, pow0=-1.0)
     with pytest.raises(ValueError):
         HalfLineDensity(fn=rho, decay=1.0)
-    term = HalfLineDensity(fn=rho).pullback(0.5)
-    assert term.ident is None and term.weight == 0.5 and term.exponents == (0.0, 0.0)
-    np.testing.assert_allclose(term.fn(np.array([0.1, 0.5, 0.9])), 1.0, rtol=1e-14)
+    term = HalfLineDensity(fn=rho).pullback()
+    assert term.ident is None and term.weight == 1.0 and term.exponents == (0.0, 0.0)
+    t = np.array([0.1, 0.5, 0.9])
+    np.testing.assert_allclose(term.fn(t, 1.0 - t), 1.0, rtol=1e-14)
     # with no envelope and no named pushforward the pullback goes to tanh-sinh
     bare = HalfLineDensity(fn=rho, pow0=None, decay=None)
-    assert bare.pullback(1.0).exponents is None
+    assert bare.pullback().exponents is None
     assert halfline_mass(bare) == pytest.approx(1.0, abs=1e-12)
-    assert halfline_logmean().ac.pullback(1.0) == logmean_density().terms[0]
+    assert halfline_logmean().ac.pullback() == logmean_density().terms[0]
 
 
 def test_json_roundtrip_catalog_measures():
@@ -225,7 +251,7 @@ def test_json_refuses_anonymous_density():
     anon = DensityTerm(
         ident=None,
         weight=1.0,
-        fn=lambda t: np.ones_like(t),
+        fn=lambda t, tc: np.ones_like(t),
         exponents=(0.0, 0.0),
     )
     with pytest.raises(ValueError):

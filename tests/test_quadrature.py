@@ -263,7 +263,7 @@ def test_density_rule_follows_the_exponents():
         return DensityTerm(
             ident=ident,
             weight=1.0,
-            fn=lambda t: 2.0 * t,
+            fn=lambda t, tc: 2.0 * t,
             exponents=exponents,
         )
 
@@ -344,8 +344,8 @@ def test_integration_deterministic_bitwise():
 
 
 def test_halfline_geometric_pullback_mass():
-    assert halfline_mass(halfline_geometric(0.5).ac, 1.0) == pytest.approx(1.0, abs=1e-9)
-    assert halfline_mass(halfline_logmean().ac, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert halfline_mass(halfline_geometric(0.5).ac) == pytest.approx(1.0, abs=1e-9)
+    assert halfline_mass(halfline_logmean().ac) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrate_halfline_density_matches_scalar_oracle():
@@ -356,7 +356,7 @@ def test_integrate_halfline_density_matches_scalar_oracle():
     def fnode(t, tc):
         return t / (t + 2.0 * tc)
 
-    report = integrate_halfline_density(fnode, dens, 1.0)
+    report = integrate_halfline_density(fnode, dens)
     from kubomeans.measures import pushforward_psi
 
     mu = pushforward_psi(halfline_geometric(0.5))
