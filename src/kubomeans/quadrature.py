@@ -127,7 +127,7 @@ class QuadratureSpec:
         for tol in (self.abs_tol, self.rel_tol):
             if not 0.0 < tol < math.inf:
                 raise ValueError(f"tolerance {tol} must be positive and finite")
-        if self.max_nodes < 2:
+        if not self.max_nodes >= 2:  # NaN fails too
             raise ValueError("max_nodes must be at least 2")
         if self.scheme is not None:
             if not (

@@ -3,28 +3,44 @@
 Everything downstream (connection evaluation, the axiom harness) works on
 real symmetric matrices whose spectral calculus is computed by
 eigendecomposition: ``basis @ diag(f(eigenvalues)) @ basis.T`` with the
-result re-symmetrized.  An ``SpdMatrix`` is validated by one spectrum: it
-gives its PSD verdict, its smallest eigenvalue and its spectral norm, and
-code that receives an ``SpdMatrix`` trusts all three instead of wrapping or
-measuring the matrix again.  A matrix built from raw entries is validated
-when it is built.  A value that evaluation builds PSD by construction
-(``SpdMatrix._built``, a congruence M diag(g) M^T with g >= 0) is
-symmetrized and checked finite at once, but its spectrum is computed the
-first time one of those facts is read, under the same acceptance rule, so
-a spectrum that fails it raises NotPsdError then.  An ``SpdStack`` does the
-same for n matrices of one dimension with one stacked eigensolve and hands
-out its members as ``SpdMatrix`` objects without measuring them again.
+result re-symmetrized.  An ``SpdMatrix`` is validated once: that gives its
+PSD verdict, whether it is strictly positive definite, its smallest
+eigenvalue and its spectral norm, and code that receives an ``SpdMatrix``
+trusts all four instead of wrapping or measuring the matrix again.  A
+matrix built from raw entries is validated when it is built.  From
+dimension ``CERTIFY_MIN_DIM`` up, the strict-PD certificate below comes
+first: one Cholesky factorization, far cheaper than an eigensolve.  When it
+holds, the matrix is strictly PD and its smallest eigenvalue, spectral norm
+and floor come from one eigensolve the first time one of them is read.  A
+smaller matrix, or one whose certificate fails, runs that eigensolve at
+once, so a matrix that is not PSD raises NotPsdError when it is built.  A
+value that evaluation builds PSD by construction (``SpdMatrix._built``, a
+congruence M diag(g) M^T with g >= 0) is symmetrized and checked finite at
+once, but its spectrum is computed the first time a spectral fact is read,
+under the same acceptance rule, so a spectrum that fails it raises
+NotPsdError then.  An ``SpdStack`` validates n matrices of one dimension
+with one stacked eigensolve and hands out its members as ``SpdMatrix``
+objects without measuring them again.
 Because an ``SpdMatrix`` is immutable, connection evaluation keeps the last
 pair it validated from raw entries and reuses it, with the congruence basis
 derived from it, for the next call whose raw inputs have the same shape and
 exactly the same float64 bits as the stored, symmetrized entries
 (compared as uint64, so -0.0 is not 0.0); one pair is retained, and an
-array mutated in place misses.
+array mutated in place misses.  Entries must be real and finite: a complex
+entry with a nonzero imaginary part raises ValueError, as a non-finite one
+does.
 Tolerances follow the scale conventions
 
 * PSD acceptance: smallest eigenvalue >= ``-1e-10 * (1 + ||A||)``
   (spectral norm),
-* strict positivity floor: ``eig_floor = 1e-13 * ||A||``.
+* strict positivity floor: ``eig_floor = 1e-13 * ||A||``; a matrix is
+  strictly PD when its smallest eigenvalue exceeds it,
+* strict-PD certificate: a Cholesky factorization of ``A - sI`` that runs
+  to completion, ``s = (1e-12 + gamma_{d+1} / (1 - 2 gamma_{d+1})) tr(A)``
+  plus an underflow term, proves ``lambda_min(A) > 1e-12 tr(A)``, ten
+  times the floor (Rump, "Verification of positive definiteness", BIT 46,
+  2006; ``_certified_pd``); failing proves nothing, and the eigensolve
+  decides.
 
 Random inputs (``random_spd``, ``random_spd_stack``) come from Philox keyed
 directly by the seed.  A call draws through one bit generator that it
@@ -65,12 +81,35 @@ EIG_FLOOR_FACTOR = 1e-13
 # Asymmetry beyond this (relative to the norm) draws a warning on CSV load.
 CSV_ASYMMETRY_WARN = 1e-8
 
+# The smallest dimension whose strict-PD verdict a shifted Cholesky tries to
+# certify.  Below it one eigvalsh costs less than the certificate's fixed
+# NumPy overhead (the Cholesky wrapper, the trace and the shift); both took
+# about 10 us at d = 12 on a 2-CPU Xeon guest with BLAS at one thread.
+CERTIFY_MIN_DIM = 12
+
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL_MIN = 2.0**-1074
+
+
+def _real(a, copy: bool) -> np.ndarray:
+    """`a` as a float64 array, a new one when `copy` is set.
+
+    Entries with a nonzero imaginary part raise ValueError: a cast to float
+    would drop it and compute with another matrix.
+    """
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        if np.any(arr.imag):
+            raise ValueError("matrix entries must be real")
+        arr = arr.real
+    return np.array(arr, dtype=float) if copy else np.asarray(arr, dtype=float)
+
 
 def as_entries(a) -> np.ndarray:
     """Return the raw ndarray behind `a` (SymMatrix, SpdMatrix or array-like)."""
     if isinstance(a, SymMatrix):
         return a.entries
-    return np.asarray(a, dtype=float)
+    return _real(a, copy=False)
 
 
 def _validated_square(arr: np.ndarray) -> np.ndarray:
@@ -81,6 +120,39 @@ def _validated_square(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def _certified_pd(arr: np.ndarray) -> bool:
+    """True when one Cholesky of ``A - sI`` proves ``lambda_min(A) > 1e-12 tr(A)``.
+
+    Rump ("Verification of positive definiteness", BIT 46, 2006): if
+    floating-point Cholesky runs to completion on ``fl(A - cI)`` with
+    ``c >= gamma_{d+1} / (1 - 2 gamma_{d+1}) tr(A)`` plus an underflow term
+    in the smallest subnormal eta, A is positive definite.  The shift here
+    adds ``10 * EIG_FLOOR_FACTOR * tr(A)`` to that bound, and it takes the
+    underflow term as ``4d (2(d + 2) + max a_ii) eta``, so success proves
+    ``lambda_min(A) > 1e-12 tr(A) >= 1e-12 ||A||`` (less the shift's own
+    rounding, relative (d + 1)u): ten times the strict positivity floor,
+    and far above eigvalsh's own error, so an eigensolve also rates A
+    strictly PD.  False proves nothing.
+    """
+    d = arr.shape[0]
+    diag = arr.diagonal()
+    gamma = (d + 1) * _UNIT_ROUNDOFF / (1.0 - (d + 1) * _UNIT_ROUNDOFF)
+    c = 10.0 * EIG_FLOOR_FACTOR + gamma / (1.0 - 2.0 * gamma)
+    # c scales the diagonal before the sum, so a finite matrix's shift
+    # cannot overflow; eta multiplies first for the same reason
+    underflow = 4 * d * _SUBNORMAL_MIN * (2 * (d + 2) + float(diag.max()))
+    shift = float((c * diag).sum()) + underflow
+    if not shift > 0.0:
+        return False  # tr(A) <= 0: not PD
+    shifted = arr.copy()
+    shifted.flat[:: d + 1] -= shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _accept_psd(eigs: np.ndarray):
@@ -124,7 +196,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _validated_square(np.array(self.entries, dtype=float))
+        arr = _validated_square(_real(self.entries, copy=True))
         sym = 0.5 * (arr + arr.T)
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
@@ -168,31 +240,43 @@ class SpdMatrix(SymMatrix):
     """A positive semidefinite matrix accepted within ``1e-10 * (1 + ||A||)``.
 
     Construction rejects matrices whose smallest eigenvalue falls below
-    ``-1e-10 * (1 + ||A||)`` and records whether the matrix is strictly positive
-    definite (smallest eigenvalue above ``eig_floor``) and its spectral norm,
-    which ``spectral_norm`` then returns without another eigensolve.  A value
-    ``_built`` PSD by construction records them, and is checked against the
+    ``-1e-10 * (1 + ||A||)`` and records whether the matrix is strictly
+    positive definite (smallest eigenvalue above ``eig_floor``), its
+    smallest eigenvalue and its spectral norm, which ``spectral_norm`` then
+    returns without another eigensolve.  From dimension ``CERTIFY_MIN_DIM``
+    up, a Cholesky factorization of ``A - sI`` that runs to completion
+    proves ``lambda_min(A) > 1e-12 tr(A) >= 1e-12 ||A||`` (Rump, BIT 46,
+    2006), so ``is_strictly_pd`` is True at once and the other facts come
+    from one eigensolve on first read; a failed certificate, or a smaller
+    matrix, runs that eigensolve during construction.  A value ``_built``
+    PSD by construction records every fact, and is checked against the
     same rule, the first time one of them is read.
     """
 
     def __post_init__(self):
         super().__post_init__()
-        self._measure()
+        if self.dim >= CERTIFY_MIN_DIM and _certified_pd(self.entries):
+            object.__setattr__(self, "is_strictly_pd", True)
+        else:
+            self._measure()
 
     def _measure(self) -> None:
         lam_min, norm = _accept_psd(np.linalg.eigvalsh(self.entries))
         self._accept(float(lam_min), float(norm))
 
     def _accept(self, lam_min: float, norm: float) -> None:
-        object.__setattr__(self, "eig_floor", EIG_FLOOR_FACTOR * norm)
+        floor = EIG_FLOOR_FACTOR * norm
+        object.__setattr__(self, "eig_floor", floor)
         object.__setattr__(self, "_lam_min", lam_min)
         object.__setattr__(self, "_norm", norm)
+        object.__setattr__(self, "is_strictly_pd", lam_min > floor)
 
     def _decompose(self) -> None:
         object.__setattr__(self, "_eigh", spectral_decompose(self))
 
     # instance attributes, set by _measure and _decompose on first read
     eig_floor = _OnFirstRead(_measure)
+    is_strictly_pd = _OnFirstRead(_measure)
     _lam_min = _OnFirstRead(_measure)
     _norm = _OnFirstRead(_measure)
     _eigh = _OnFirstRead(_decompose)
@@ -218,10 +302,6 @@ class SpdMatrix(SymMatrix):
     def min_eigenvalue(self) -> float:
         return self._lam_min
 
-    @property
-    def is_strictly_pd(self) -> bool:
-        return self._lam_min > self.eig_floor
-
 
 @dataclass(frozen=True, eq=False)
 class SpdStack:
@@ -243,7 +323,7 @@ class SpdStack:
         self._measure()
 
     def _symmetrize(self) -> None:
-        arr = np.array(self.entries, dtype=float)
+        arr = _real(self.entries, copy=True)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ShapeError(
                 f"expected a stack of square matrices, got shape {arr.shape}"

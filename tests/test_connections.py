@@ -106,6 +106,21 @@ def test_indefinite_input_raises():
         evaluate(Connection(dirac(0.5)), bad, ok)
 
 
+@pytest.mark.filterwarnings("error")
+def test_complex_input_raises_instead_of_dropping_its_imaginary_part():
+    # [[2, i], [-i, 2]] is Hermitian PD; its real part 2I is another matrix
+    geo = entry_from_id("geometric:0.5").connection
+    z = np.array([[2.0, 1j], [-1j, 2.0]])
+    for a, b in ((z, np.eye(2)), (np.eye(2), z.tolist())):
+        with pytest.raises(ValueError, match="matrix entries must be real"):
+            evaluate(geo, a, b)
+    with pytest.raises(ValueError, match="matrix entries must be real"):
+        evaluate_many(geo, np.array([z]), np.array([np.eye(2)]))
+    # a zero imaginary part is a real matrix
+    got = evaluate(geo, z.real + 0j, np.eye(2)).entries
+    assert np.array_equal(got, evaluate(geo, z.real, np.eye(2)).entries)
+
+
 def test_evaluate_atomic_measures_exact():
     a, b = _pair(5)
     conn = Connection(UnitMeasure(atoms=((0.0, 0.7), (1.0, 0.3))))

@@ -79,6 +79,12 @@ def test_spec_validation():
     assert QuadratureSpec().ifs_depth is None
 
 
+def test_spec_rejects_a_nan_node_budget_at_construction():
+    # NaN fails every comparison, so a `< 2` test let it through to use
+    with pytest.raises(ValueError, match="max_nodes"):
+        QuadratureSpec(max_nodes=float("nan"))
+
+
 def test_jacobi_rule_reproduces_beta_moments():
     # int t^p (1-t)^q t^k dt = B(p+k+1, q+1)
     for p, q in ((-0.5, -0.5), (0.3, -0.7), (0.0, 0.0), (1.5, 2.0)):

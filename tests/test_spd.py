@@ -9,11 +9,14 @@ import pytest
 
 from kubomeans.errors import NotPsdError, ShapeError, SpectralDomainError
 from kubomeans.spd import (
+    CERTIFY_MIN_DIM,
     SpdMatrix,
     SpdStack,
     SymMatrix,
+    _certified_pd,
     _keyed_generators,
     apply_spectral_function,
+    as_entries,
     congruence,
     load_matrix,
     loewner_leq,
@@ -154,6 +157,9 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def test_spd_validation_runs_one_eigensolve(monkeypatch):
+    # one eigvalsh per matrix: at construction below CERTIFY_MIN_DIM, and
+    # from it up on the first read of a spectral fact, since a shifted
+    # Cholesky certifies the strict-PD verdict at construction
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -162,19 +168,27 @@ def test_spd_validation_runs_one_eigensolve(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    for dim in (2, 4, 16):
+    for dim in (2, 4, CERTIFY_MIN_DIM - 1, CERTIFY_MIN_DIM, 16, 64):
         a = random_spd(dim, 1e6, dim).entries
         calls.clear()
         m = SpdMatrix(a)
-        assert calls == [(dim, dim)]
+        eager = [(dim, dim)] if dim < CERTIFY_MIN_DIM else []
+        assert calls == eager
+        assert m.is_strictly_pd is True
+        assert calls == eager
         eigs = eigvalsh(a)
         norm = float(np.max(np.abs(eigs)))
         assert m.min_eigenvalue == float(eigs[0])
         assert m.eig_floor == 1e-13 * norm
-    calls.clear()
+        assert spectral_norm(m) == norm
+        assert calls == [(dim, dim)]
+    for bad in (np.array([[1.0, 2.0], [2.0, 1.0]]), _not_psd(16, 30)):
+        calls.clear()
+        with pytest.raises(NotPsdError):
+            SpdMatrix(bad)
+        assert calls == [bad.shape]
     with pytest.raises(NotPsdError) as err:
         SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert len(calls) == 1
     assert err.value.min_eigenvalue == -1.0
     assert err.value.tolerance == 1e-10 * (1.0 + 3.0)
 
@@ -400,3 +414,95 @@ def test_concurrent_first_reads_agree_with_eager_validation():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+def _eigensolve_rule(a):
+    """The eigvalsh validation, written out: (error fields, None) for a
+    rejected matrix, (None, strictly PD) for an accepted one."""
+    eigs = np.linalg.eigvalsh(a)
+    low, norm = float(eigs[0]), float(max(eigs[-1], -eigs[0]))
+    tol = 1e-10 * (1.0 + norm)
+    if low < -tol:
+        message = f"matrix is not PSD: min eigenvalue {low:.6g} < -{tol:.6g}"
+        return (message, low, tol, None), None
+    return None, low > 1e-13 * norm
+
+
+def _agrees_with_the_eigensolve(a) -> bool:
+    """SpdMatrix(a) gives the eigensolve's verdict, or raises its error;
+    returns whether the certificate holds, checking its facts if it does."""
+    a = 0.5 * (a + a.T)
+    certified = _certified_pd(a)
+    error, strict = _eigensolve_rule(a)
+    if error is not None:
+        with pytest.raises(NotPsdError) as err:
+            SpdMatrix(a)
+        got = err.value
+        assert (str(got), got.min_eigenvalue, got.tolerance, got.index) == error
+        assert not certified
+        return False
+    m = SpdMatrix(a)
+    deferred = "_norm" not in vars(m)
+    assert deferred == (certified and m.dim >= CERTIFY_MIN_DIM)
+    assert m.is_strictly_pd is strict
+    if certified:
+        assert strict and m.min_eigenvalue > m.eig_floor
+        assert m.is_strictly_pd is True  # the eigensolve kept the verdict
+    return certified
+
+
+@pytest.mark.parametrize("dim", [8, 16, 64, 256])
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e10, 1e12])
+def test_certificate_agrees_with_the_eigensolve_on_seeded_inputs(dim, cond):
+    seeds = range(3 if dim < 256 else 2)
+    certified = [_agrees_with_the_eigensolve(random_spd(dim, cond, 500 + s).entries)
+                 for s in seeds]
+    if cond <= 1e10:
+        # lambda_min / tr(A) is far above 1e-12 here: the certificate holds
+        assert all(certified)
+
+
+def _with_min_eigenvalue(dim, ratio, key):
+    # ||A|| = 1 and lambda_min = ratio, up to the rounding of the product
+    lam = np.geomspace(1.0, 1e-3, dim)
+    lam[-1] = ratio
+    q = np.linalg.qr(_rng(key).normal(size=(dim, dim)))[0]
+    return (q * lam) @ q.T
+
+
+@pytest.mark.parametrize("dim", [8, 16, 64])
+@pytest.mark.parametrize("ratio", [-1e-9, -1e-11, 0.0, 1e-13, 1e-12, 1e-11])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_certificate_agrees_with_the_eigensolve_at_the_boundary(dim, ratio, scale):
+    a = scale * _with_min_eigenvalue(dim, ratio, dim)
+    certified = _agrees_with_the_eigensolve(a)
+    if ratio <= 1e-12:
+        assert not certified  # lambda_min <= 1e-12 ||A|| <= 1e-12 tr(A)
+
+
+@pytest.mark.parametrize("dim", [8, 16, 64])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-300])
+def test_certificate_rejects_rank_deficient_inputs(dim, scale):
+    for rank in (1, dim // 2, dim - 1):
+        g = _rng(100 * dim + rank).normal(size=(dim, rank))
+        assert not _agrees_with_the_eigensolve(scale * (g @ g.T))
+    assert not _certified_pd(np.zeros((dim, dim)))
+    assert not _certified_pd(np.full((dim, dim), scale))
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_holds_where_the_trace_overflows():
+    a = np.diag(np.full(32, 1e307))  # tr(A) = 3.2e308 overflows, c tr(A) does not
+    assert _certified_pd(a)
+    assert _agrees_with_the_eigensolve(a)
+
+
+def test_complex_entries_raise_unless_their_imaginary_part_is_zero():
+    z = np.array([[2.0, 1j], [-1j, 2.0]])
+    builders = (as_entries, SymMatrix, SpdMatrix, lambda x: SpdStack([x]))
+    for build in builders:
+        with pytest.raises(ValueError, match="matrix entries must be real"):
+            build(z)
+    real = z.real.copy()
+    for build in builders:
+        assert np.array_equal(np.asarray(build(real + 0j)), np.asarray(build(real)))
