@@ -307,13 +307,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
-    return value
-
-
 def _add_quadrature_flags(sub) -> None:
     sub.add_argument(
         "--tol",

@@ -47,29 +47,29 @@ when it is returned.  A value from a g with a negative or NaN entry, and
 ``parallel_sum`` (a pencil solve, with no g), are validated at once.
 
 Singular inputs: every entry point (``evaluate_report``, ``evaluate_many``,
-``evaluate_canonical``, ``parallel_sum`` and the catalog's atom closed
-forms) runs its kernel through ``_values``, which runs it directly when
-A + B is strictly positive definite (every interior pencil satisfies
-(1-t)B + tA >= min(t, 1-t)(A + B)) or when the measure does not charge
-(0, 1).  With A singular and B PD this returns the limit from above (M3)
-exactly.  When A + B is singular, the inputs share the null space N of
-A + B, which reduces both of them; the limit from above is then exactly
-P (A_R sigma B_R) P^T, where P holds the eigenvectors of A + B above its
-eigenvalue floor, A_R = P^T A P and B_R = P^T B P.  Such a pair is
-evaluated alone on range(A + B), so it leaves the values of the other pairs
-of its stack as they are.  The weighted harmonic mean is the one-atom case.
+``parallel_sum`` and the catalog's atom closed forms) runs its kernel
+through ``_values``, which runs it directly when A + B is strictly positive
+definite (every interior pencil satisfies (1-t)B + tA >= min(t, 1-t)(A + B))
+or when the measure does not charge (0, 1).  With A singular and B PD this
+returns the limit from above (M3) exactly.  When A + B is singular, the
+inputs share the null space N of A + B, which reduces both of them; the
+limit from above is then exactly P (A_R sigma B_R) P^T, where P holds the
+eigenvectors of A + B above its eigenvalue floor, A_R = P^T A P and
+B_R = P^T B P.  Such a pair is evaluated alone on range(A + B), so it leaves
+the values of the other pairs of its stack as they are.  The weighted
+harmonic mean is the one-atom case, and the canonical half-line form
+(``evaluate_canonical``) is ``evaluate`` on the measure ``pushforward_psi``
+carries it to.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, SingularPencilError
 from .measures import (
-    Density,
     HalfLineMeasure,
     UnitMeasure,
     add,
@@ -77,6 +77,7 @@ from .measures import (
     dirac,
     is_probability,
     is_symmetric,
+    pushforward_psi,
     pushforward_theta,
     scale,
     total_mass,
@@ -84,9 +85,7 @@ from .measures import (
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    _reduce,
     density_mass,
-    integrate_halfline_density,
     integrate_measure,
 )
 from .spd import SpdMatrix, SpdStack, as_entries, spectral_decompose
@@ -94,6 +93,7 @@ from .spd import SpdMatrix, SpdStack, as_entries, spectral_decompose
 # Unused here; perfbench/tracing.py rebinds these names in each importing
 # module.  _run_schedule named the eps shift schedule, which compression onto
 # range(A + B) replaced; it stays as a placeholder for the tracer.
+from .quadrature import integrate_halfline_density  # noqa: F401
 from .spd import spectral_norm  # noqa: F401
 
 _run_schedule = None
@@ -684,49 +684,14 @@ def evaluate_canonical(
 ) -> SpdMatrix:
     """alpha*A + beta*B + int_(0,inf) (lam+1)/lam * ((lam A) : B) dnu(lam).
 
-    alpha and beta are nu's atoms at 0 and infinity, added exactly.  The
-    rest is lifted once from the congruence basis of A + B: after
-    t = lam/(1+lam) the kernel (lam+1) ab / (lam a + b) is the pair kernel
-    a !_t b, so the finite atoms (lam, w) add w (a !_t b) to the spectra,
-    in atom order, and the density part adds their integral against the
-    pullback of nu's density.  Runs directly when A + B is strictly PD or nu
-    charges only 0 and infinity, and on range(A + B) otherwise.  Agrees with
-    evaluate(pushforward_psi(nu), A, B).  When every lifted g is >= 0 the
-    value is PSD by construction and validated on the first read of a
-    spectral fact.
+    After t = lam/(1+lam) the kernel (lam+1)/lam ((lam A) : B) is A !_t B,
+    so this is the connection of the measure ``pushforward_psi(nu)`` on
+    [0, 1], and it is ``evaluate`` on that measure, bit for bit.  nu's atoms
+    at 0 and infinity become atoms at t = 0 and t = 1: alpha*A + beta*B is
+    summed exactly when nu has atoms only, and lifted with the density's
+    spectra otherwise, as for any measure with atoms and a density.
     """
-    pairs = _pair(a, b)
-    spec = spec or DEFAULT_SPEC
-    has_density = nu.ac is not None
-    finite = [(lam, w) for lam, w in nu.atoms if 0.0 < lam < math.inf]
-    spectra = []
-
-    def kernel(Ae, Be, key):
-        total = np.zeros(Ae.shape)
-        for lam, w in nu.atoms:
-            if lam == 0.0:
-                total = total + w * Ae
-            elif math.isinf(lam):
-                total = total + w * Be
-        if not (finite or has_density):
-            return total
-        a_eig, b_eig, M = pairs.basis(key)
-        fnode = _pair_fnode(a_eig[0], b_eig[0])
-        g = 0.0
-        if has_density:
-            g = integrate_halfline_density(fnode, nu.ac, spec).value
-        if finite:
-            # summed in atom order, as the atom route sums its atoms
-            lam, w = np.array(finite).T
-            t, tc = lam / (1.0 + lam), 1.0 / (1.0 + lam)
-            g = g + _reduce(fnode, t, tc, w, sequential=True)
-        spectra.append(g)
-        return total + _lift(M, g[None])
-
-    values = _values(pairs, kernel, has_density or bool(finite))
-    if _nonnegative(spectra):
-        return SpdMatrix._built(values[0])
-    return SpdMatrix(values[0])
+    return evaluate(Connection(pushforward_psi(nu)), a, b, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +709,11 @@ def is_mean(
 ) -> bool:
     """Mass-1 test run over two routes that must agree.
 
-    Route one: is_probability of the measure.  Route two: |f(1) - 1| <= tol
-    through the scalar integrand.  Disagreement means the quadrature and the
-    structural mass are inconsistent, which is an error, not a verdict.
+    Route one: is_probability of the measure, whose mass is structural
+    wherever a part states it (``total_mass``).  Route two: |f(1) - 1| <= tol
+    through the scalar integrand, by quadrature.  Disagreement means the
+    quadrature and the structural mass are inconsistent, which is an error,
+    not a verdict.
     """
     by_mass = is_probability(conn.measure, tol, spec)
     f1 = RepFunction(conn.measure).eval(1.0, spec)
@@ -803,35 +770,20 @@ def decompose_connection(conn: Connection):
     return parts + reps
 
 
-def _structural_ac_mass(ac: Density | None, spec) -> float:
-    if ac is None:
-        return 0.0
-    mass = 0.0
-    known = True
-    for term in ac.terms:
-        if term.unit_mass is None:
-            known = False
-            break
-        mass += term.weight * term.unit_mass
-    if known:
-        return mass
-    return density_mass(ac, spec)
-
-
 def mean_convex_decomposition(
     conn: Connection, tol: float = 1e-9, spec: QuadratureSpec | None = None
 ):
     """Convex split of a mean: (k_ac, k_sc, k_sd, normalized part connections).
 
-    The coefficients are the part masses (structural where the catalog knows
-    them, so they sum to 1 exactly for catalog mixtures); each nonzero part
-    is rescaled to a probability measure.  Zero parts come back as zero
-    connections, not means.
+    The coefficients are the part masses, the density's by ``density_mass``
+    (structural where its terms state their mass, so they sum to 1 exactly
+    for catalog mixtures); each nonzero part is rescaled to a probability
+    measure.  Zero parts come back as zero connections, not means.
     """
     if not is_mean(conn, tol, spec):
         raise ValueError("mean_convex_decomposition requires a mean (mass 1)")
     mu = conn.measure
-    k_ac = _structural_ac_mass(mu.ac, spec)
+    k_ac = density_mass(mu.ac, spec) if mu.ac is not None else 0.0
     k_sc = mu.sc[1] if mu.sc is not None else 0.0
     k_sd = mu.atom_mass()
     m_ac, m_sc, m_sd = decompose_measure(mu)

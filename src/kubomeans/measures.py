@@ -70,15 +70,18 @@ class DensityTerm:
     interior points t and their complements tc = 1 - t, which the rules
     carry exactly where forming 1 - t would round.  ``exponents = (p, q)``
     describe the power envelope ``g ~ c * t**p`` near 0 and
-    ``~ c * (1-t)**q`` near 1 (p, q > -1), or None when no such envelope
-    exists (the log-mean density decays like ``1/(t log^2 t)``).  The
+    ``~ c * (1-t)**q`` near 1 (p, q finite and > -1), or None when no such
+    envelope exists (the log-mean density decays like ``1/(t log^2 t)``).  The
     exponents alone pick the quadrature rule: (0, 0) gets Gauss-Legendre
     panels, any other envelope Gauss-Jacobi on those exponents, and no
     envelope the logistic rule for ``log_mean`` or tanh-sinh for any other
     term.  ``smooth`` is the residual phi with
     ``g = phi(t) * t**p * (1-t)**q`` when available; the Gauss-Jacobi driver
-    prefers it to avoid endpoint cancellation.  ``reflected`` toggles
-    evaluation at 1 - t; reflecting twice restores the original term exactly.
+    prefers it to avoid endpoint cancellation.  ``unit_mass`` states the
+    mass of the unweighted term when it is known: the term's mass is then
+    ``weight * unit_mass`` (``quadrature.density_mass``), not an integral.
+    ``reflected`` toggles evaluation at 1 - t; reflecting twice restores the
+    original term exactly.
 
     Equality compares identity, weight, exponents and orientation; the
     callables are rebuilt by the JSON parser, so they do not participate.
@@ -99,6 +102,8 @@ class DensityTerm:
             )
         if self.exponents is not None:
             p, q = self.exponents
+            if not (math.isfinite(p) and math.isfinite(q)):
+                raise ValueError(f"endpoint exponents {(p, q)} must be finite")
             if p <= -1.0 or q <= -1.0:
                 raise ValueError("endpoint exponents must exceed -1 (integrability)")
 
@@ -439,10 +444,11 @@ def scale(m: UnitMeasure, k: float) -> UnitMeasure:
 
 
 def total_mass(m: UnitMeasure, spec=None) -> float:
-    """Total mass, each part integrated by its own scheme.
+    """Total mass, part by part.
 
-    Atom and IFS masses are structural sums; the density part is integrated
-    by the quadrature engine.
+    Atom and IFS masses are structural sums.  The density part's mass is
+    ``quadrature.density_mass``: structural for a term that states its
+    ``unit_mass``, integrated by the term's rule otherwise.
     """
     mass = m.atom_mass()
     if m.sc is not None:
@@ -533,13 +539,15 @@ def decompose_measure(m: UnitMeasure) -> tuple[UnitMeasure, UnitMeasure, UnitMea
 
 @dataclass(frozen=True)
 class HalfLineDensity:
-    """Density rho on (0, inf), integrated through its pullback to [0, 1].
+    """Density rho on (0, inf), integrated as its image under Psi on [0, 1].
 
     ``pow0``: rho ~ c * lambda**pow0 near 0 (pow0 > -1).  ``decay``: rho ~
     c * lambda**(-decay) at infinity (decay > 1 for finite mass).  Both None
     mark a density with no power envelope (the log-mean density decays like
     1/(lambda log^2 lambda)).  ``pushforward_ident`` names the unit-interval
-    density this transforms into under Psi, when known.
+    density this transforms into under Psi, when known; ``pushforward_psi``
+    then takes that catalog density, and ``pullback`` otherwise.  pow0 and
+    decay, when set, must be finite.
     """
 
     fn: Callable = field(compare=False)
@@ -552,6 +560,10 @@ class HalfLineDensity:
             raise ValueError("pow0 and decay must both be set or both be None")
         if self.pow0 is None:
             return
+        if not (math.isfinite(self.pow0) and math.isfinite(self.decay)):
+            raise ValueError(
+                f"pow0 {self.pow0} and decay {self.decay} must be finite"
+            )
         if self.pow0 <= -1.0:
             raise ValueError("pow0 must exceed -1 (integrability at 0)")
         if self.decay <= 1.0:

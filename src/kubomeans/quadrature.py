@@ -39,9 +39,10 @@ no envelope, log_mean : rule for the Cauchy kernel in u = log(t/(1-t)):
 no envelope, other    : tanh-sinh; nodes kept strictly inside (0, 1) at the
                         representable limit.
 
-A half-line density is no separate case: ``integrate_halfline_density``
-pulls it back to [0, 1] under t = lam/(1+lam) and integrates that term by
-the same table.
+A half-line density is no separate case: under t = lam/(1+lam)
+``pushforward_psi`` maps it to the catalog density it names or to its
+pullback, a term the same table integrates (``integrate_halfline_density``
+integrates that pullback alone).
 
 Singular-continuous parts are refined cylinder by cylinder when
 QuadratureSpec.scheme is None.  Cylinder w carries its mass p_w and one node
@@ -976,13 +977,20 @@ def node_table(measure, spec: QuadratureSpec | None = None, n: int = 64):
 
 
 def density_mass(density, spec: QuadratureSpec | None = None) -> float:
-    """Mass of an absolutely continuous part, term by term."""
+    """Mass of an absolutely continuous part, term by term.
+
+    A term that states its mass (``unit_mass``, as the catalog densities
+    do) contributes weight * unit_mass; any other is integrated by its rule.
+    """
     spec = spec or DEFAULT_SPEC
     ones = _scalar_fnode(np.ones_like)
     mass = 0.0
     for term in density.terms:
-        value, _, _, _ = _integrate_term(ones, term, spec)
-        mass += float(value)
+        if term.unit_mass is not None:
+            mass += term.weight * term.unit_mass
+        else:
+            value, _, _, _ = _integrate_term(ones, term, spec)
+            mass += float(value)
     return mass
 
 

@@ -122,6 +122,19 @@ def _validated_square(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _symmetrized(arr: np.ndarray) -> np.ndarray:
+    """(arr + arr^T) / 2 over the last two axes, halved before the sum.
+
+    0.5 * (arr + arr^T) overflows where two finite entries add up past the
+    float64 range (a diagonal entry above about 9e307 does); the sum of the
+    halves cannot.  Halving is exact above the subnormal range, so there the
+    bits are those of 0.5 * (arr + arr^T); a subnormal entry may lose its
+    last bit.
+    """
+    half = 0.5 * arr
+    return half + half.swapaxes(-1, -2)
+
+
 def _certified_pd(arr: np.ndarray) -> bool:
     """True when one Cholesky of ``A - sI`` proves ``lambda_min(A) > 1e-12 tr(A)``.
 
@@ -188,16 +201,16 @@ def _accept_psd(eigs: np.ndarray):
 class SymMatrix:
     """A real symmetric matrix with exactly symmetrized storage.
 
-    The constructor accepts any square array and stores ``(a + a.T) / 2``;
-    floating-point addition is commutative, so ``entries[i, j] == entries[j, i]``
-    holds exactly.  The stored array is marked read-only.
+    The constructor accepts any square array and stores ``(a + a.T) / 2``
+    as the sum of the halves, which no finite input overflows;
+    floating-point addition is commutative, so ``entries[i, j] ==
+    entries[j, i]`` holds exactly.  The stored array is marked read-only.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _validated_square(_real(self.entries, copy=True))
-        sym = 0.5 * (arr + arr.T)
+        sym = _symmetrized(_validated_square(_real(self.entries, copy=True)))
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
@@ -332,7 +345,7 @@ class SpdStack:
             raise ShapeError("a stack needs a matrix of dimension at least 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
-        sym = 0.5 * (arr + arr.swapaxes(1, 2))
+        sym = _symmetrized(arr)
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 

@@ -30,6 +30,8 @@ from kubomeans.connections import (
 )
 from kubomeans.errors import NotPsdError, QuadratureError, ShapeError
 from kubomeans.measures import (
+    Density,
+    DensityTerm,
     HalfLineDensity,
     HalfLineMeasure,
     UnitMeasure,
@@ -339,13 +341,13 @@ def test_evaluate_canonical_matches_pushforward_route(nu, ident):
 
 @pytest.mark.parametrize("alpha, key", [(0.3, 0), (0.3, 1), (0.7, 0), (0.7, 1)])
 def test_evaluate_canonical_matches_pushforward_route_at_cond_1e10(alpha, key):
-    # lam = t/(1-t) spans 1e-10..1e10 on these scalar pairs, so the pulled-back
-    # density has to see the exact 1 - t of every node
+    # lam = t/(1-t) spans 1e-10..1e10 on these scalar pairs; there too the
+    # canonical form is the pushforward's connection, bit for bit
     a, b = _pair(key, dim=1, cond=1e10)
     nu = halfline_geometric(alpha)
-    direct = evaluate_canonical(nu, a, b).entries
-    pushed = evaluate(Connection(pushforward_psi(nu)), a, b).entries
-    assert spectral_norm(direct - pushed) <= 1e-12 * spectral_norm(pushed)
+    direct = evaluate_canonical(nu, a, b)
+    pushed = evaluate(Connection(pushforward_psi(nu)), a, b)
+    assert np.array_equal(_bits(direct), _bits(pushed))
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -439,6 +441,18 @@ def test_mean_convex_decomposition_zero_parts():
 def test_mean_convex_decomposition_rejects_non_mean():
     with pytest.raises(ValueError):
         mean_convex_decomposition(Connection(dirac(0.5, 2.0)))
+
+
+def test_a_stated_mass_the_rules_contradict_is_an_error():
+    # the term states mass 2 and integrates to 1: total_mass and f(1) disagree
+    term = DensityTerm(
+        ident=None, weight=1.0, fn=lambda t, tc: np.ones_like(t), exponents=(0.0, 0.0), unit_mass=2.0
+    )
+    conn = Connection(UnitMeasure(ac=Density((term,))))
+    with pytest.raises(ArithmeticError):
+        is_mean(conn)
+    with pytest.raises(ArithmeticError):
+        mean_convex_decomposition(conn)
 
 
 def test_connection_is_frozen():
@@ -680,24 +694,6 @@ def test_canonical_finite_atoms_lift_with_the_density(density, monkeypatch):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_canonical_finite_atoms_add_in_atom_order():
-    # sum_j w_j (a !_t_j b), added left to right as the atom route adds its
-    # atoms, then lifted: the same bits as adding the atoms one by one
-    from kubomeans.connections import _lift, _pair_fnode
-    from kubomeans.connections import _pair as validated_pair
-
-    atoms = ((0.01, 0.2), (1.0, 0.3), (100.0, 0.5), (1e4, 0.7))
-    a, b = _pair(13, dim=16)
-    got = evaluate_canonical(HalfLineMeasure(atoms=atoms), a, b)
-    a_eig, b_eig, M = validated_pair(a, b).basis(None)
-    fnode = _pair_fnode(a_eig[0], b_eig[0])
-    g = 0.0
-    for lam, w in atoms:
-        g = g + w * fnode(np.array([lam / (1.0 + lam)]), np.array([1.0 / (1.0 + lam)]))[0]
-    want = SpdMatrix._built(_lift(M, g[None])[0])
-    assert np.array_equal(_bits(got), _bits(want))
-
-
 def test_successful_evaluations_leave_no_cyclic_garbage():
     # Every object an evaluation makes is freed by reference counting;
     # cycles would wait for the collector and pile up in long runs.
@@ -750,6 +746,32 @@ def _after_another_pair(call):
 
 def _bits(m):
     return np.asarray(m.entries).view(np.uint64)
+
+
+_UNNAMED = HalfLineDensity(fn=lambda lam: (1.0 + lam) ** -2.0)
+_FINITE_ATOMS = ((0.01, 0.2), (1.0, 0.3), (100.0, 0.5), (1e4, 0.7))
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        HalfLineMeasure(atoms=((0.0, 0.5), (math.inf, 0.25))),
+        HalfLineMeasure(atoms=_FINITE_ATOMS),
+        halfline_geometric(0.3),
+        halfline_logmean(),
+        HalfLineMeasure(ac=_UNNAMED),
+        HalfLineMeasure(atoms=((0.0, 0.1),) + _FINITE_ATOMS + ((math.inf, 0.2),), ac=_UNNAMED),
+    ],
+    ids=["endpoint_atoms", "finite_atoms", "geometric:0.3", "log_mean", "unnamed", "atoms_and_density"],
+)
+def test_evaluate_canonical_is_evaluate_on_the_pushforward(nu):
+    # one route: the canonical form is the connection of pushforward_psi(nu),
+    # bit for bit, cold or on a warm pair
+    a, b = _pair(13, dim=16)
+    got = _after_another_pair(lambda: evaluate_canonical(nu, a, b))
+    want = _after_another_pair(lambda: evaluate(Connection(pushforward_psi(nu)), a, b))
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(evaluate_canonical(nu, a, b)), _bits(want))
 
 
 def test_a_second_mean_on_a_pair_validates_only_its_output(validations, monkeypatch):
@@ -1099,7 +1121,7 @@ def test_a_negative_or_nan_spectrum_is_validated_at_once(bad, error, monkeypatch
     with pytest.raises(error):
         evaluate_many(conn, a[None], b[None])
     monkeypatch.undo()
-    _patched_spectra(monkeypatch, "integrate_halfline_density", bad)
+    _patched_spectra(monkeypatch, "integrate_measure", bad)
     with pytest.raises(error):
         evaluate_canonical(halfline_geometric(0.3), a, b)
     monkeypatch.undo()

@@ -72,6 +72,23 @@ def test_non_finite_weights_and_tolerances_are_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: DensityTerm(ident=None, weight=1.0, fn=lambda t, tc: t, exponents=(v, 0.0)),
+        lambda v: DensityTerm(ident=None, weight=1.0, fn=lambda t, tc: t, exponents=(0.0, v)),
+        lambda v: HalfLineDensity(fn=lambda lam: lam, pow0=v),
+        lambda v: HalfLineDensity(fn=lambda lam: lam, decay=v),
+    ],
+    ids=["exponent_at_0", "exponent_at_1", "pow0", "decay"],
+)
+def test_non_finite_endpoint_exponents_are_rejected(build, bad):
+    # they would pass the > -1 and > 1 tests and fail in the rule's eigensolve
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 def test_density_requires_terms():
     with pytest.raises(ValueError):
         Density(())

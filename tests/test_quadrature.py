@@ -248,9 +248,22 @@ def test_zero_measure_integrates_to_zero():
 
 
 def test_density_masses_are_unit():
-    assert density_mass(lebesgue_density()) == pytest.approx(1.0, abs=1e-12)
-    assert density_mass(geometric_density(0.25)) == pytest.approx(1.0, abs=1e-10)
-    assert density_mass(logmean_density()) == pytest.approx(1.0, abs=1e-10)
+    # the rules integrate each catalog density to its stated unit mass
+    for dens, tol in (
+        (lebesgue_density(), 1e-12),
+        (geometric_density(0.25), 1e-10),
+        (logmean_density(), 1e-10),
+    ):
+        value, _err = integrate_scalar(UnitMeasure(ac=dens), np.ones_like)
+        assert value == pytest.approx(1.0, abs=tol)
+    # density_mass takes a stated mass as it is, and integrates the rest
+    pulled = halfline_geometric(0.3).ac.pullback()
+    mixture = Density(geometric_density(0.25, 0.5).terms + (pulled,) + lebesgue_density(0.25).terms)
+    pulled_mass, _err = integrate_scalar(UnitMeasure(ac=Density((pulled,))), np.ones_like)
+    assert pulled_mass == pytest.approx(1.0, abs=1e-10)
+    want = 0.5 * 1.0 + pulled_mass + 0.25 * 1.0
+    assert density_mass(mixture) == want
+    assert density_mass(geometric_density(0.25, 3.0)) == 3.0
 
 
 def test_quadrature_error_carries_best_estimate():

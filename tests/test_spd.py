@@ -506,3 +506,18 @@ def test_complex_entries_raise_unless_their_imaginary_part_is_zero():
     real = z.real.copy()
     for build in builders:
         assert np.array_equal(np.asarray(build(real + 0j)), np.asarray(build(real)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_near_the_float_range_symmetrize_without_overflow():
+    # 1e308 + 1e308 overflows; the stored entries are the finite halves
+    a = np.diag([1e308, 1.0])
+    assert np.array_equal(SpdMatrix(a).entries, a)
+    assert np.array_equal(SpdStack([a]).entries[0], a)
+    asym = np.array([[1e308, 1.7e308], [1.6e308, 1e308]])
+    half = 0.5 * 1.7e308 + 0.5 * 1.6e308
+    assert np.array_equal(SymMatrix(asym).entries, [[1e308, half], [half, 1e308]])
+    # the bits of 0.5 * (a + a^T) wherever the sum is finite and normal
+    x = random_spd(6, 1e6, 3).entries
+    x = x + np.triu(np.full((6, 6), 1e-13), 1)  # an asymmetric input
+    assert np.array_equal(SymMatrix(x).entries.view(np.uint64), (0.5 * (x + x.T)).view(np.uint64))
