@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import Connection, _pair, _parallel, _sym, _values
+from .connections import Connection, _pair, _parallel, _values
 from .measures import (
     UnitMeasure,
     cantor_measure,
@@ -38,7 +38,7 @@ from .measures import (
     lebesgue_density,
     logmean_density,
 )
-from .spd import SpdMatrix
+from .spd import SpdMatrix, _symmetrized
 
 # Unused here; perfbench/tracing.py rebinds these names in each importing module.
 from .connections import _run_schedule  # noqa: F401
@@ -165,7 +165,7 @@ def _congruence_closed(f):
         keep = lam > total.eig_floor
         lam, q = lam[keep], q[:, keep]
         s = q / np.sqrt(lam)
-        vecs = np.linalg.eigh(_sym(s.T @ A.entries @ s))[1]
+        vecs = np.linalg.eigh(_symmetrized(s.T @ A.entries @ s))[1]
         w = s @ vecs
         forms = []
         for x in (A, B):
@@ -178,7 +178,7 @@ def _congruence_closed(f):
         pos = ai > 0.0
         g[pos] = ai[pos] * f(bi[pos] / ai[pos])
         m = (q * np.sqrt(lam)) @ vecs
-        return SpdMatrix(_sym((m * g) @ m.T))
+        return SpdMatrix(_symmetrized((m * g) @ m.T))
 
     return closed
 
@@ -208,7 +208,7 @@ def _atomic(ident: str, atoms) -> CatalogEntry:
             elif t == 1.0:
                 h = Be
             else:
-                h = _sym(_parallel(Ae / tc, Be / t))
+                h = _symmetrized(_parallel(Ae / tc, Be / t))
             total = total + w * h
         return total
 

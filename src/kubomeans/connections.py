@@ -88,7 +88,7 @@ from .quadrature import (
     density_mass,
     integrate_measure,
 )
-from .spd import SpdMatrix, SpdStack, as_entries, spectral_decompose
+from .spd import SpdMatrix, SpdStack, _symmetrized, as_entries, spectral_decompose
 
 # Unused here; perfbench/tracing.py rebinds these names in each importing
 # module.  _run_schedule named the eps shift schedule, which compression onto
@@ -153,10 +153,6 @@ class EvalReport:
     compressed: int = 0
 
 
-def _sym(h: np.ndarray) -> np.ndarray:
-    return 0.5 * (h + h.swapaxes(-1, -2))
-
-
 def _congruence_basis(A: np.ndarray, B: np.ndarray, floors: np.ndarray):
     """Spectra a, b and basis M with A = M diag(a) M^T, B = M diag(b) M^T.
 
@@ -180,7 +176,7 @@ def _congruence_basis(A: np.ndarray, B: np.ndarray, floors: np.ndarray):
             "A + B is singular; inputs share a null direction"
         ) from exc
     inv = np.linalg.inv(lower)
-    vecs = np.linalg.eigh(_sym(inv @ A @ inv.swapaxes(-1, -2)))[1]
+    vecs = np.linalg.eigh(_symmetrized(inv @ A @ inv.swapaxes(-1, -2)))[1]
     w = inv.swapaxes(-1, -2) @ vecs
     a = np.maximum(np.sum(w * (A @ w), axis=-2), 0.0)
     b = np.maximum(np.sum(w * (B @ w), axis=-2), 0.0)
@@ -237,7 +233,7 @@ def _lift(M: np.ndarray, g) -> np.ndarray:
     # row order: the broadcast product reads a node-contiguous kernel buffer
     # (``_pair_fnode``) about 3x slower than a copy of it in row order
     g = np.ascontiguousarray(g)
-    return _sym((M * g[..., None, :]) @ M.swapaxes(-1, -2))
+    return _symmetrized((M * g[..., None, :]) @ M.swapaxes(-1, -2))
 
 
 def _atom_fnode(A, B, a, b, M, spectra: list):
@@ -273,7 +269,7 @@ def _range_of(total: SpdMatrix, Ae: np.ndarray, Be: np.ndarray):
     """
     w, v = spectral_decompose(total)
     P = v[:, w > total.eig_floor]
-    out = P, _sym(P.T @ Ae @ P), _sym(P.T @ Be @ P)
+    out = P, _symmetrized(P.T @ Ae @ P), _symmetrized(P.T @ Be @ P)
     for x in out:
         x.flags.writeable = False
     return out
@@ -471,7 +467,7 @@ def _parallel(Ae: np.ndarray, Be: np.ndarray) -> np.ndarray:
 def parallel_sum(a, b) -> SpdMatrix:
     """A : B = (A^{-1} + B^{-1})^{-1} = half the equal-weight harmonic mean."""
     value = _values(_pair(a, b), lambda Ae, Be, _key: _parallel(Ae, Be), True)
-    return SpdMatrix(_sym(value[0]))
+    return SpdMatrix(_symmetrized(value[0]))
 
 
 _EMPTY = (("empty", 0, 0.0),)
@@ -542,9 +538,15 @@ def evaluate_report(
     on the pair alone are shared with the previous call when it evaluated
     the same pair (``_pair``).
     """
-    values, psd, *fields = _evaluate(conn, _pair(a, b), spec)
-    value = SpdMatrix._built(values[0]) if psd else SpdMatrix(values[0])
+    value, fields = _evaluate_one(conn, a, b, spec)
     return EvalReport(value, *fields)
+
+
+def _evaluate_one(conn: Connection, a, b, spec):
+    """conn's value on one pair as an ``SpdMatrix``, then the report's other
+    fields: the body of ``evaluate_report`` and ``evaluate_canonical``."""
+    values, psd, *fields = _evaluate(conn, _pair(a, b), spec)
+    return (SpdMatrix._built(values[0]) if psd else SpdMatrix(values[0])), fields
 
 
 def evaluate_many(
@@ -691,7 +693,7 @@ def evaluate_canonical(
     summed exactly when nu has atoms only, and lifted with the density's
     spectra otherwise, as for any measure with atoms and a density.
     """
-    return evaluate(Connection(pushforward_psi(nu)), a, b, spec)
+    return _evaluate_one(Connection(pushforward_psi(nu)), a, b, spec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,9 @@ def _validated_square(arr: np.ndarray) -> np.ndarray:
 def _symmetrized(arr: np.ndarray) -> np.ndarray:
     """(arr + arr^T) / 2 over the last two axes, halved before the sum.
 
+    The package's one symmetrization: of inputs, congruence products and
+    values alike.
+
     0.5 * (arr + arr^T) overflows where two finite entries add up past the
     float64 range (a diagonal entry above about 9e307 does); the sum of the
     halves cannot.  Halving is exact above the subnormal range, so there the

@@ -4,6 +4,7 @@ the reuse of the last validated pair by consecutive evaluations."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,55 @@ def test_evaluate_norm_bound():
     value = evaluate(conn, a, b).entries
     bound = max(spectral_norm(a), spectral_norm(b))
     assert spectral_norm(value) <= bound * (1 + 1e-9)
+
+
+_NEAR_RANGE = [e.id for e in catalog()] + ["geometric:0.5"]
+
+
+def _near_range_values(conn):
+    """conn on (diag(1e308, 1), I) and on the swapped pair, warnings as errors."""
+    huge, eye = np.diag([1e308, 1.0]), np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return evaluate(conn, huge, eye).entries, evaluate(conn, eye, huge).entries
+
+
+@pytest.mark.parametrize("ident", _NEAR_RANGE)
+def test_inputs_near_the_float_range_evaluate_without_overflow(ident):
+    # A + B and the lifted value reach 1e308; every symmetrization halves
+    # before it adds, so no mean overflows on the way to its value
+    conn = entry_from_id(ident).connection
+    value, swapped = _near_range_values(conn)
+    mass = representing_function(conn, 1.0)
+    for v in (value, swapped):
+        assert spectral_norm(v) <= 1e308 * mass * (1 + 1e-9)
+    # B sigma A = A sigma^T B, from the reflected measure's own nodes; the
+    # error is normwise, at most ||A + B|| times the quadrature's estimate
+    assert np.abs(swapped - _near_range_values(transpose(conn))[0]).max() <= 1e300
+
+
+@pytest.mark.parametrize(
+    "ident",
+    [
+        pytest.param(
+            i,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the logistic rule's tail node misses the pair kernel's "
+                "step at t ~ 1e-308, and its refinements agree on the value without it",
+            ),
+        )
+        if i == "log_mean"
+        else i
+        for i in _NEAR_RANGE
+        if entry_from_id(i).closed_form_scalar is not None
+    ],
+)
+def test_inputs_near_the_float_range_meet_the_closed_form(ident):
+    entry = entry_from_id(ident)
+    value, _ = _near_range_values(entry.connection)
+    want = np.diag([1e308 * entry.closed_form_scalar(1e-308), entry.closed_form_scalar(1.0)])
+    assert np.abs(value - want).max() <= 1e-8 * 1e308
 
 
 def test_evaluate_geometric_density_matches_congruence():
