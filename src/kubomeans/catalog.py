@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import Connection, _pair, _parallel, _values
+from .connections import Connection, _pair, _parallel, _rep_argument, _values
 from .measures import (
     UnitMeasure,
     cantor_measure,
@@ -91,7 +91,8 @@ def _piecewise_near_one(x, series, away):
     near = np.abs(d) < _SERIES_SWITCH
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = away(x)
-    return np.where(near, _horner(series, d), raw)
+    # the series only at points in the window, where d*d cannot overflow
+    return np.where(near, _horner(series, np.where(near, d, 0.0)), raw)
 
 
 def logmean_scalar(x):
@@ -105,7 +106,7 @@ def duallog_scalar(x):
     """x log x/(x - 1) extended by 0 at x = 0 and 1 at x = 1."""
     x = np.asarray(x, dtype=float)
     out = _piecewise_near_one(
-        x, _DUALLOG_SERIES, lambda v: v * np.log(v) / (v - 1.0)
+        x, _DUALLOG_SERIES, lambda v: np.log(v) * (v / (v - 1.0))
     )
     return np.where(x == 0.0, 0.0, out)
 
@@ -193,8 +194,10 @@ def _atomic(ident: str, atoms) -> CatalogEntry:
 
     A !_0 B = A and A !_1 B = B; an interior atom is the parallel sum
     (A/(1-t)) : (B/t) = [(1-t)A^{-1} + tB^{-1}]^{-1}, which solves a pencil
-    of its own rather than the measure route's quadrature.  A pair whose
-    A + B is singular is summed on range(A + B) once, for all its atoms.
+    of its own rather than the measure route's quadrature.  It is formed as
+    (tA : (1-t)B) / (t(1-t)), whose scaled inputs cannot overflow where
+    A/(1-t) would.  A pair whose A + B is singular is summed on
+    range(A + B) once, for all its atoms.
     """
     measure = UnitMeasure(atoms=atoms)
     pairs = measure.atom_pairs()
@@ -208,7 +211,7 @@ def _atomic(ident: str, atoms) -> CatalogEntry:
             elif t == 1.0:
                 h = Be
             else:
-                h = _symmetrized(_parallel(Ae / tc, Be / t))
+                h = _symmetrized(_parallel(t * Ae, tc * Be)) / (t * tc)
             total = total + w * h
         return total
 
@@ -373,8 +376,6 @@ def representing_function_closed(ident: str, x):
     entry = entry_from_id(ident)
     if entry.closed_form_scalar is None:
         raise ValueError(f"{entry.id} has no closed-form representing function")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
-        raise ValueError("representing functions take finite x >= 0")
+    xs = _rep_argument(x)
     vals = np.asarray(entry.closed_form_scalar(xs), dtype=float)
     return float(vals) if xs.ndim == 0 else vals

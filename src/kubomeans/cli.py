@@ -7,8 +7,8 @@ suites, list the catalog, or dump quadrature node tables.  Exit codes:
     0  success
     1  a property suite failed, or --verify found a mismatch
     2  usage, parse, or shape error
-    3  an input is not positive semidefinite, or a spectral function is not
-       finite on it
+    3  an input is not positive semidefinite, or a sum that evaluation
+       inverts is singular
     4  quadrature non-convergence (the message carries the best estimate)
 
 All floats are printed in shortest round-trip form; files named by --out are
@@ -263,7 +263,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    spec = _build_spec(args)
     rows = []
     for entry in catalog():
         rows.append(
@@ -271,7 +270,7 @@ def _cmd_catalog(args) -> int:
                 "id": entry.id,
                 "symmetric": entry.symmetric,
                 "mean": entry.is_mean,
-                "mass": float(total_mass(entry.connection.measure, spec)),
+                "mass": float(total_mass(entry.connection.measure)),
                 "closed_form_matrix": entry.closed_form_matrix is not None,
                 "closed_form_scalar": entry.closed_form_scalar is not None,
             }
@@ -307,22 +306,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_quadrature_flags(sub) -> None:
-    sub.add_argument(
-        "--tol",
-        type=_positive_float,
-        default=None,
-        help="quadrature tolerance (sets both abs_tol and rel_tol)",
-    )
+def _add_ifs_depth_flag(sub) -> None:
     sub.add_argument(
         "--ifs-depth",
         type=_positive_int,
-        default=None,
         help=(
             "sum self-similar parts over all cylinders of exactly this "
             "depth instead of refining them adaptively to the tolerance"
         ),
     )
+
+
+def _add_quadrature_flags(sub) -> None:
+    sub.add_argument(
+        "--tol",
+        type=_positive_float,
+        help="quadrature tolerance (sets both abs_tol and rel_tol)",
+    )
+    _add_ifs_depth_flag(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,13 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--moments",
         type=_positive_int,
-        default=None,
         help="also print moments int t^j up to this order",
     )
     p.add_argument(
         "--density-grid",
         type=_positive_int,
-        default=None,
         help="sample the density on n interior Chebyshev points",
     )
     _add_quadrature_flags(p)
@@ -396,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("catalog", help="list catalog entries as JSON")
-    _add_quadrature_flags(p)
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("nodes", help="dump quadrature nodes/weights as CSV")
@@ -408,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="requested nodes per density term (default 64)",
     )
     p.add_argument("--out", default=None)
-    _add_quadrature_flags(p)
+    _add_ifs_depth_flag(p)
     p.set_defaults(func=_cmd_nodes)
 
     return parser

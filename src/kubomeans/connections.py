@@ -609,6 +609,14 @@ def _atom_mass_at(mu: UnitMeasure, where: float) -> float:
     return float(sum(w for t, w in mu.atoms if t == where))
 
 
+def _rep_argument(x) -> np.ndarray:
+    """x as a float array, which representing functions take finite and >= 0."""
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
+        raise ValueError("representing functions take finite x >= 0")
+    return xs
+
+
 def _rep_values(
     mu: UnitMeasure, xs: np.ndarray, spec: QuadratureSpec | None, transposed: bool
 ) -> np.ndarray:
@@ -640,16 +648,11 @@ class RepFunction:
     measure: UnitMeasure
 
     def eval(self, x, spec: QuadratureSpec | None = None):
-        xs = np.asarray(x, dtype=float)
-        if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
-            raise ValueError("representing functions take finite x >= 0")
+        xs = _rep_argument(x)
         vals = _rep_values(self.measure, np.atleast_1d(xs), spec, transposed=False)
         return float(vals[0]) if xs.ndim == 0 else vals
 
     __call__ = eval
-
-    def at_zero(self) -> float:
-        return _atom_mass_at(self.measure, 0.0)
 
 
 def representing_function(
@@ -670,9 +673,7 @@ def transpose_rep_function(
     Equals x * f(1/x) for x > 0 and representing_function(transpose(conn), x)
     up to quadrature tolerance.
     """
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
-        raise ValueError("representing functions take finite x >= 0")
+    xs = _rep_argument(x)
     vals = _rep_values(conn.measure, np.atleast_1d(xs), spec, transposed=True)
     return float(vals[0]) if xs.ndim == 0 else vals
 
@@ -748,8 +749,6 @@ def add_connections(c1: Connection, c2: Connection) -> Connection:
 
 
 def scale_connection(conn: Connection, k: float) -> Connection:
-    if k < 0.0:
-        raise ValueError("connections scale by nonnegative factors")
     label = f"{k!r}*{conn.label}" if conn.label else None
     return Connection(measure=scale(conn.measure, k), label=label)
 

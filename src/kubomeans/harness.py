@@ -51,6 +51,7 @@ from .spd import (
     SpdStack,
     _keyed_generators,
     _orthogonal,
+    _symmetrized,
     random_spd_stack,
     spectral_norm,
 )
@@ -174,9 +175,8 @@ def _lambda_min_deficit(m: np.ndarray) -> np.ndarray:
 
 def _congruence(t: np.ndarray, a) -> np.ndarray:
     """``congruence(t_i, a_i)`` per trial: T A T with T symmetrized, symmetrized."""
-    t = 0.5 * (t + t.swapaxes(1, 2))
-    out = t @ np.asarray(a) @ t
-    return 0.5 * (out + out.swapaxes(1, 2))
+    t = _symmetrized(t)
+    return _symmetrized(t @ np.asarray(a) @ t)
 
 
 def _resolve(target) -> tuple[Connection, CatalogEntry | None, str]:

@@ -279,10 +279,6 @@ class IfsMeasure:
         object.__setattr__(self, "probs", tuple(probs[i] for i in order))
         object.__setattr__(self, "maps_c", tuple(float(comp[i]) for i in order))
 
-    @property
-    def contraction_ratio(self) -> float:
-        return max(r for r, _ in self.maps)
-
     def conjugate(self) -> "IfsMeasure":
         """Reflection conjugation: S -> Theta o S o Theta, offsets 1 - r - b."""
         maps = tuple((r, c) for (r, _), c in zip(self.maps, self.maps_c))

@@ -100,7 +100,6 @@ __all__ = [
     "node_table",
     "density_mass",
     "integrate_halfline_density",
-    "halfline_mass",
 ]
 
 IFS_ATOM_BUDGET = 2**24
@@ -1012,8 +1011,3 @@ def integrate_halfline_density(
         error_estimate=float(err),
         parts=((scheme, nodes, err),),
     )
-
-
-def halfline_mass(dens, spec: QuadratureSpec | None = None) -> float:
-    report = integrate_halfline_density(_scalar_fnode(np.ones_like), dens, spec)
-    return float(report.value)

@@ -1,9 +1,7 @@
 """Symmetric and positive semidefinite matrix primitives.
 
 Everything downstream (connection evaluation, the axiom harness) works on
-real symmetric matrices whose spectral calculus is computed by
-eigendecomposition: ``basis @ diag(f(eigenvalues)) @ basis.T`` with the
-result re-symmetrized.  An ``SpdMatrix`` is validated once: that gives its
+real symmetric matrices.  An ``SpdMatrix`` is validated once: that gives its
 PSD verdict, whether it is strictly positive definite, its smallest
 eigenvalue and its spectral norm, and code that receives an ``SpdMatrix``
 trusts all four instead of wrapping or measuring the matrix again.  A
@@ -56,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenSolverError, NotPsdError, ShapeError, SpectralDomainError
+from .errors import EigenSolverError, NotPsdError, ShapeError
 
 __all__ = [
     "SymMatrix",
@@ -64,8 +62,6 @@ __all__ = [
     "SpdStack",
     "spectral_norm",
     "spectral_decompose",
-    "apply_spectral_function",
-    "matrix_power",
     "congruence",
     "loewner_leq",
     "random_spd",
@@ -287,15 +283,11 @@ class SpdMatrix(SymMatrix):
         object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "is_strictly_pd", lam_min > floor)
 
-    def _decompose(self) -> None:
-        object.__setattr__(self, "_eigh", spectral_decompose(self))
-
-    # instance attributes, set by _measure and _decompose on first read
+    # instance attributes, set by _measure on first read
     eig_floor = _OnFirstRead(_measure)
     is_strictly_pd = _OnFirstRead(_measure)
     _lam_min = _OnFirstRead(_measure)
     _norm = _OnFirstRead(_measure)
-    _eigh = _OnFirstRead(_decompose)
 
     @classmethod
     def _built(cls, entries):
@@ -450,56 +442,6 @@ def spectral_decompose(a):
     return w, v
 
 
-def apply_spectral_function(a: SpdMatrix, fn, name: str | None = None) -> SymMatrix:
-    """Apply a scalar function to the spectrum of `a`.
-
-    `fn` receives the 1-d array of eigenvalues and must return finite values
-    elementwise; a non-finite value raises SpectralDomainError naming the
-    offending eigenvalue.
-    """
-    if not isinstance(a, SpdMatrix):
-        a = SpdMatrix(as_entries(a))
-    w, v = a._eigh
-    fw = np.asarray(fn(w), dtype=float)
-    if fw.shape != w.shape:
-        raise ShapeError("spectral function must map eigenvalues elementwise")
-    bad = ~np.isfinite(fw)
-    if np.any(bad):
-        lam = float(w[np.argmax(bad)])
-        label = name or getattr(fn, "__name__", "function")
-        raise SpectralDomainError(
-            f"{label} is not finite at eigenvalue {lam:.6g}", eigenvalue=lam
-        )
-    return SymMatrix((v * fw) @ v.T)
-
-
-def matrix_power(a: SpdMatrix, alpha: float) -> SpdMatrix:
-    """Fractional power ``A**alpha`` for ``alpha in [0, 1]``.
-
-    Zero eigenvalues (at or below the floor) map to 0 under ``0**alpha``; for
-    ``alpha == 0`` the result is the projection onto the numerical range of A
-    (the identity when A is strictly positive definite).
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not isinstance(a, SpdMatrix):
-        a = SpdMatrix(as_entries(a))
-    if alpha == 1.0:
-        return a
-    if alpha == 0.0 and a.is_strictly_pd:
-        return SpdMatrix(np.eye(a.dim))
-    floor = max(a.eig_floor, 0.0)
-
-    def power(w):
-        w = np.maximum(w, 0.0)
-        out = np.zeros_like(w)
-        pos = w > floor
-        out[pos] = w[pos] ** alpha if alpha > 0.0 else 1.0
-        return out
-
-    return SpdMatrix(apply_spectral_function(a, power, name="power").entries)
-
-
 def congruence(c, a) -> SymMatrix:
     """Congruence transform ``C @ A @ C`` for symmetric C, re-symmetrized."""
     carr = as_entries(c)
@@ -507,8 +449,7 @@ def congruence(c, a) -> SymMatrix:
     _validated_square(carr)
     if carr.shape != aarr.shape:
         raise ShapeError(f"dimension mismatch: C is {carr.shape}, A is {aarr.shape}")
-    if not np.array_equal(carr, carr.T):
-        carr = 0.5 * (carr + carr.T)
+    carr = _symmetrized(carr)
     return SymMatrix(carr @ aarr @ carr)
 
 
@@ -585,7 +526,7 @@ def random_spd_stack(dim: int, cond: float, seeds) -> SpdStack:
         g[i] = rng.normal(size=(dim, dim))
     q = _orthogonal(g)
     a = (q * lam[:, None, :]) @ q.swapaxes(1, 2)
-    return SpdStack(0.5 * (a + a.swapaxes(1, 2)))
+    return SpdStack(a)
 
 
 def random_spd(dim: int, cond: float, seed: int) -> SpdMatrix:
@@ -611,16 +552,15 @@ def load_matrix(path) -> SymMatrix:
         arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise ShapeError(f"could not parse matrix CSV {path}: {exc}") from exc
-    _validated_square(arr)
+    sym = SymMatrix(arr)
     skew = float(np.linalg.norm(0.5 * (arr - arr.T), 2))
-    norm = spectral_norm(0.5 * (arr + arr.T))
-    if skew > CSV_ASYMMETRY_WARN * max(norm, 1e-300):
+    if skew > CSV_ASYMMETRY_WARN * max(spectral_norm(sym), 1e-300):
         warnings.warn(
             f"matrix from {path} has asymmetry {skew:.3g} "
             f"(> {CSV_ASYMMETRY_WARN:g} * ||A||); symmetrizing",
             stacklevel=2,
         )
-    return SymMatrix(arr)
+    return sym
 
 
 def save_matrix(stream_or_path, a) -> None:

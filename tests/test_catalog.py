@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,3 +282,23 @@ def test_parallel_sum_closed_form_is_the_parallel_sum_bitwise():
     for x, y in ((a, b), (proj @ a @ proj, b)):
         got = closed_form_eval("parallel_sum", x, y).entries
         assert np.array_equal(got, parallel_sum(x, y).entries)
+
+
+def test_closed_forms_stay_finite_near_the_float64_limit():
+    # on a diagonal pair each form is diag(a_i f(b_i / a_i)), with f at
+    # 1e-308 or 1e308 on the first entry; H's eigenvalue 1 lies below its
+    # eig_floor, 1e-13 ||H||, so the bound is relative to ||A + B||
+    h, one = np.diag([1e308, 1.0]), np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in catalog():
+            if entry.closed_form_scalar is not None:
+                for x in (1e308, 1e-308):
+                    assert math.isfinite(representing_function_closed(entry.id, x)), (entry.id, x)
+            if entry.closed_form_matrix is None:
+                continue
+            for a, b in ((h, one), (one, h)):
+                got = closed_form_eval(entry.id, a, b).entries
+                ad, bd = np.diag(a), np.diag(b)
+                want = np.diag(ad * representing_function_closed(entry.id, bd / ad))
+                assert np.abs(got - want).max() <= 1e-15 * 1e308, (entry.id, a[0, 0])

@@ -265,6 +265,9 @@ def test_catalog_listing(capsys):
     cantor = next(r for r in rows if r["id"] == "cantor_mean")
     assert cantor["closed_form_matrix"] is False
     assert cantor["mean"] is True
+    # every catalog mass is structural: no quadrature flag changes the listing
+    assert cli.main(["catalog", "--tol", "1e-3"]) == 2
+    assert cli.main(["catalog", "--ifs-depth", "3"]) == 2
 
 
 def test_nodes_table_csv(tmp_path, capsys):
@@ -275,6 +278,10 @@ def test_nodes_table_csv(tmp_path, capsys):
     assert all(r[0] == "gauss_jacobi" for r in rows)
     total = sum(float(r[2]) for r in rows)
     assert total == pytest.approx(1.0, rel=1e-8)
+    # node tables read the IFS depth and no tolerance
+    assert cli.main(["nodes", "--mean", "cantor", "--ifs-depth", "4", "--out", str(out)]) == 0
+    assert {line.split(",")[0] for line in out.read_text().splitlines()} == {"ifs_recursion:4"}
+    assert cli.main(["nodes", "--mean", "log_mean", "--tol", "1e-3"]) == 2
 
 
 def test_check_exit_codes(capsys, monkeypatch):

@@ -45,7 +45,7 @@ from kubomeans.measures import (
     lebesgue_density,
     pushforward_psi,
 )
-from kubomeans.quadrature import QuadratureSpec, halfline_mass, integrate_measure
+from kubomeans.quadrature import QuadratureSpec, density_mass, integrate_measure
 from kubomeans.spd import SpdMatrix, SpdStack, loewner_leq, random_spd, spectral_norm
 from pencil import harmonic_fnode
 
@@ -321,7 +321,6 @@ def test_rep_function_values_and_edges():
         UnitMeasure(atoms=((0.0, 0.25), (0.5, 0.25)), ac=lebesgue_density(0.5))
     )
     f = representing_function(conn)
-    assert f.at_zero() == 0.25
     assert f(0.0) == 0.25
     assert f(1.0) == pytest.approx(1.0, abs=1e-10)
     xs = np.array([0.5, 1.0, 2.0, 8.0])
@@ -348,6 +347,9 @@ def test_transpose_rep_duality():
         assert transpose_rep_function(conn, x) == pytest.approx(
             x * f(1.0 / x), abs=1e-10
         )
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            transpose_rep_function(conn, bad)
 
 
 def test_transpose_involution_and_atoms():
@@ -386,7 +388,7 @@ def test_evaluate_canonical_matches_pushforward_route(nu, ident):
     assert spectral_norm(direct - pushed) <= 1e-6 * scale
     closed = closed_form_eval(ident, a, b).entries
     assert spectral_norm(direct - closed) <= 1e-12 * spectral_norm(closed)
-    assert halfline_mass(nu.ac) == pytest.approx(1.0, abs=1e-12)
+    assert density_mass(Density((nu.ac.pullback(),))) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha, key", [(0.3, 0), (0.3, 1), (0.7, 0), (0.7, 1)])
@@ -464,6 +466,24 @@ def test_connection_algebra_mass():
     assert is_mean(both)
     with pytest.raises(ValueError):
         scale_connection(c1, -2.0)
+
+
+def test_sums_and_multiples_of_connections_evaluate_as_such():
+    a, b = _pair(12)
+    geo, har = (entry_from_id(i).connection for i in ("geometric:0.3", "harmonic:0.5"))
+    v_geo, v_har = evaluate(geo, a, b).entries, evaluate(har, a, b).entries
+    both = add_connections(geo, har)
+    assert both.label == "geometric:0.3 + harmonic:0.5"
+    want = v_geo + v_har
+    assert np.abs(evaluate(both, a, b).entries - want).max() <= 1e-12 * np.abs(want).max()
+    scaled = scale_connection(geo, 2.5)
+    assert scaled.label == "2.5*geometric:0.3"
+    want = 2.5 * v_geo
+    assert np.abs(evaluate(scaled, a, b).entries - want).max() <= 1e-12 * np.abs(want).max()
+    assert not evaluate(scale_connection(geo, 0.0), a, b).entries.any()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            scale_connection(geo, bad)
 
 
 def test_decompose_connection_resums():

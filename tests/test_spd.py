@@ -1,4 +1,4 @@
-"""Symmetric/SPD wrappers, spectral calculus, and matrix CSV I/O."""
+"""Symmetric/SPD wrappers, their validation, and matrix CSV I/O."""
 
 import io
 import sys
@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from kubomeans.errors import NotPsdError, ShapeError, SpectralDomainError
+from kubomeans.errors import NotPsdError, ShapeError
 from kubomeans.spd import (
     CERTIFY_MIN_DIM,
     SpdMatrix,
@@ -15,12 +15,10 @@ from kubomeans.spd import (
     SymMatrix,
     _certified_pd,
     _keyed_generators,
-    apply_spectral_function,
     as_entries,
     congruence,
     load_matrix,
     loewner_leq,
-    matrix_power,
     random_spd,
     random_spd_stack,
     save_matrix,
@@ -63,36 +61,6 @@ def test_spectral_norm_matches_numpy():
         g = _rng(key).normal(size=(4, 4))
         s = g + g.T
         assert spectral_norm(s) == pytest.approx(np.linalg.norm(s, 2), rel=1e-12)
-
-
-def test_apply_spectral_function_sqrt_square_roundtrip():
-    a = random_spd(5, 50.0, 11)
-    back = apply_spectral_function(
-        apply_spectral_function(a, np.sqrt), np.square
-    )
-    assert np.allclose(back.entries, a.entries, rtol=1e-12, atol=1e-12)
-
-
-def test_apply_spectral_function_rejects_nonfinite():
-    singular = SymMatrix(np.diag([1.0, 0.0]))
-    with np.errstate(divide="ignore"):
-        with pytest.raises(SpectralDomainError):
-            apply_spectral_function(singular, np.log)
-
-
-def test_matrix_power_endpoints_and_half():
-    a = random_spd(4, 30.0, 3)
-    assert np.allclose(matrix_power(a, 0.0).entries, np.eye(4))
-    assert np.allclose(matrix_power(a, 1.0).entries, a.entries, rtol=1e-12)
-    root = matrix_power(a, 0.5).entries
-    assert np.allclose(root @ root, a.entries, rtol=1e-11, atol=1e-12)
-
-
-def test_matrix_power_alpha_domain():
-    a = random_spd(3, 10.0, 5)
-    for alpha in (-0.1, 1.5, np.nan):
-        with pytest.raises(ValueError):
-            matrix_power(a, alpha)
 
 
 def test_congruence_definition():
@@ -368,19 +336,6 @@ def test_a_built_matrix_stores_and_measures_as_an_eager_one(dim):
         SpdMatrix._built(a)  # the finiteness check does not wait
     with pytest.raises(ValueError):
         SpdStack._built(np.array([a]))
-
-
-def test_spectral_calculus_decomposes_a_matrix_once(monkeypatch):
-    m = random_spd(5, 100.0, 34)
-    w, v = np.linalg.eigh(m.entries)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(1) or eigh(x))
-    root = apply_spectral_function(m, np.sqrt)
-    power = matrix_power(m, 0.3)
-    assert len(calls) == 1
-    assert np.array_equal(root.entries, SymMatrix((v * np.sqrt(w)) @ v.T).entries)
-    assert np.array_equal(power.entries, SymMatrix((v * w**0.3) @ v.T).entries)
 
 
 def test_concurrent_first_reads_agree_with_eager_validation():
