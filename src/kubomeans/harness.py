@@ -7,18 +7,23 @@ dim, cond, seed, tol).  Per-trial randomness comes from counter-derived
 Philox keys (key = 8 * (seed * 2**20 + trial) + slot, one slot per input a
 trial draws), so re-runs and suite-filtered runs produce identical reports;
 a seed whose keys would leave Philox's [0, 2**128) is rejected before any
-draw.  Each draw goes through one bit generator per call, re-keyed in place
-for each key (``spd._keyed_generators``), bit for bit as a fresh generator
-per key would draw; wall time is informational and excluded from the
-canonical serialization.  Suites run in one thread: the IFS node cache they
-reach through ``HARNESS_SPEC`` is unlocked module state.
+draw.  Each call draws through one bit generator, re-keyed in place for
+each key (``spd._keyed_generators``), into that key's preallocated rows:
+``random()`` doubles for uniforms and ``standard_normal()`` ones for
+normals.  The uniform's affine map ``low + (high - low) * u`` and the
+normal's ``+ 0.0`` then run once on the whole stack, which gives bit for bit
+what ``uniform`` and ``normal`` on a fresh generator per key would draw.
+Wall time is informational and excluded from the canonical serialization.
+Suites run in one thread: the IFS node cache they reach through
+``HARNESS_SPEC`` is unlocked module state.
 
 Violations are reported relative to scale = 1 + ||A|| + ||B|| of the pair
 under test, so tolerances carry across dimensions and condition numbers.
 
 A suite task runs its trials as one stacked evaluation.  Each trial draws
 its inputs from its own Philox keys exactly as it would alone; the task
-stacks them, factors and validates them once (``random_spd_stack``), sends
+stacks both input slots of all its trials, factors and validates them once
+(one ``random_spd_stack`` call, whose two halves share its facts), sends
 all pairs through one or two ``evaluate_many`` calls per connection and all
 x through one call of the representing function, and reads the norms the
 validation stored.  Only the catalog closed forms, the independent oracle,
@@ -49,9 +54,12 @@ from .measures import total_mass
 from .quadrature import QuadratureSpec, integrate_scalar
 from .spd import (
     SpdStack,
+    _check_cond,
     _keyed_generators,
+    _normal,
     _orthogonal,
     _symmetrized,
+    _uniform,
     random_spd_stack,
     spectral_norm,
 )
@@ -134,11 +142,10 @@ def _slot_keys(keys, slot: int) -> list[int]:
 
 
 def _pairs(keys, dim: int, cond: float) -> tuple[SpdStack, SpdStack]:
-    """Every trial's random pair: ``random_spd`` on slots 0 and 1, stacked."""
-    return (
-        random_spd_stack(dim, cond, _slot_keys(keys, 0)),
-        random_spd_stack(dim, cond, _slot_keys(keys, 1)),
-    )
+    """Every trial's random pair: ``random_spd`` on slots 0 and 1, drawn,
+    factored and validated as one stack and returned as its two halves."""
+    stack = random_spd_stack(dim, cond, _slot_keys(keys, 0) + _slot_keys(keys, 1))
+    return stack[: len(keys)], stack[len(keys) :]
 
 
 def _draws(keys, slot: int, dim: int, *ranges):
@@ -148,21 +155,21 @@ def _draws(keys, slot: int, dim: int, *ranges):
     normals = np.empty((len(keys), dim, dim))
     uniforms = np.empty((len(ranges), len(keys), dim))
     for i, rng in enumerate(_keyed_generators(_slot_keys(keys, slot))):
-        normals[i] = rng.normal(size=(dim, dim))
-        for j, (low, high) in enumerate(ranges):
-            uniforms[j, i] = rng.uniform(low, high, size=dim)
-    return (_orthogonal(normals), *uniforms)
+        rng.standard_normal(out=normals[i])
+        for row in uniforms[:, i]:
+            rng.random(out=row)
+    return (
+        _orthogonal(_normal(normals)),
+        *(_uniform(u, low, high) for u, (low, high) in zip(uniforms, ranges)),
+    )
 
 
 def _log_uniform(keys, low: float, high: float, size: int) -> np.ndarray:
     """Per trial, ``size`` log-uniform x in [low, high] from slot 2."""
-    log_low, log_high = np.log(low), np.log(high)
-    return np.exp(
-        np.array([
-            rng.uniform(log_low, log_high, size=size)
-            for rng in _keyed_generators(_slot_keys(keys, 2))
-        ])
-    )
+    u = np.empty((len(keys), size))
+    for row, rng in zip(u, _keyed_generators(_slot_keys(keys, 2))):
+        rng.random(out=row)
+    return np.exp(_uniform(u, np.log(low), np.log(high)))
 
 
 def _scale(*stacks) -> np.ndarray:
@@ -435,8 +442,9 @@ def run_suite(
 
     Records (trial key, violation) for every trial whose scale-relative
     violation exceeds tol.  Unknown suites, unknown catalog ids, suites
-    that need a closed form the target lacks, and seeds whose Philox keys
-    leave [0, 2**128) are usage errors.
+    that need a closed form the target lacks, a ``cond`` that is not a
+    finite number >= 1, and seeds whose Philox keys leave [0, 2**128) are
+    usage errors.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -444,6 +452,7 @@ def run_suite(
         raise ValueError("trials must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    _check_cond(cond)
     _check_seed(seed, seed, trials)
     conn, entry, name = _resolve(target)
     if _lacks_closed_form(suite, entry):

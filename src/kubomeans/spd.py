@@ -42,8 +42,10 @@ Tolerances follow the scale conventions
 
 Random inputs (``random_spd``, ``random_spd_stack``) come from Philox keyed
 directly by the seed.  A call draws through one bit generator that it
-re-keys for each seed, bit for bit as a fresh generator per seed would
-draw; no generator outlives the call, so concurrent calls share no state.
+re-keys in place for each seed, bit for bit as a fresh generator per seed
+would draw, into that seed's preallocated rows; the uniform's affine map and
+the normal's ``+ 0.0`` then run once on the whole stack.  No generator
+outlives the call, so concurrent calls share no state.
 """
 
 from __future__ import annotations
@@ -320,8 +322,10 @@ class SpdStack:
     ``SpdMatrix`` uses; a failing member raises NotPsdError carrying its
     index.  ``norms``, ``min_eigenvalues``, ``eig_floors`` and ``strictly_pd``
     hold one entry per member, and ``stack[i]`` is member i as an
-    ``SpdMatrix`` that trusts them.  A stack ``_built`` PSD by construction
-    runs that eigensolve, and the check, the first time one of them is read.
+    ``SpdMatrix`` that trusts them.  A slice ``stack[lo:hi]`` is an
+    ``SpdStack`` of those members that shares their entries and facts, with
+    no second eigensolve.  A stack ``_built`` PSD by construction runs that
+    eigensolve, and the check, the first time one of them is read.
     """
 
     entries: np.ndarray
@@ -344,14 +348,13 @@ class SpdStack:
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
+    _FACTS = ("min_eigenvalues", "norms", "eig_floors", "strictly_pd")
+
     def _measure(self) -> None:
         lam_min, norms = _accept_psd(np.linalg.eigvalsh(self.entries))
         floors = EIG_FLOOR_FACTOR * norms
-        for name, value in (
-            ("min_eigenvalues", lam_min),
-            ("norms", norms),
-            ("eig_floors", floors),
-            ("strictly_pd", lam_min > floors),
+        for name, value in zip(
+            self._FACTS, (lam_min, norms, floors, lam_min > floors)
         ):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -374,7 +377,15 @@ class SpdStack:
     def __len__(self) -> int:
         return self.entries.shape[0]
 
-    def __getitem__(self, i: int) -> SpdMatrix:
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            part = object.__new__(SpdStack)
+            object.__setattr__(part, "entries", self.entries[i])
+            if len(part) < 1:
+                raise ShapeError("a stack slice needs at least one member")
+            for name in self._FACTS:
+                object.__setattr__(part, name, getattr(self, name)[i])
+            return part
         return SpdMatrix._member(
             self.entries[i], float(self.min_eigenvalues[i]), float(self.norms[i])
         )
@@ -489,42 +500,73 @@ def _keyed_generators(keys):
     Yields, for each key in [0, 2**128), the same ``Generator``, its Philox
     bit generator set to that key with a zero counter and empty buffers:
     draws from it equal those of ``Generator(Philox(key=key))`` bit for bit,
-    without building (and seeding from OS entropy) a generator per key.
-    Draw from each yield before taking the next.
+    without building a generator per key.  The state dict the setter copies
+    from is the call's own, so its counter is zeroed and its buffers emptied
+    once; each key then writes only its two key words into it.  Draw from
+    each yield before taking the next.
     """
-    bit_gen = np.random.Philox(0)
+    bit_gen = np.random.Philox(key=0)
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
+    state["has_uint32"] = 0
+    words = state["state"]["key"]
     for key in map(operator.index, keys):
         if not 0 <= key < 2**128:
             raise ValueError(f"Philox key {key} must lie in [0, 2**128)")
-        state["state"]["key"][:] = (key & (2**64 - 1), key >> 64)
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
+        words[0] = key & (2**64 - 1)
+        words[1] = key >> 64
         bit_gen.state = state
         yield rng
+
+
+# NumPy draws ``Generator.uniform(low, high)`` as ``low + (high - low) * u``
+# and ``Generator.normal()`` as ``0.0 + 1.0 * z``, one double at a time, from
+# the ``u`` of ``random()`` and the ``z`` of ``standard_normal()``.  Drawing
+# those into preallocated rows per key and applying the arithmetic once per
+# stack gives the same values bit for bit (``+ 0.0`` turns a -0.0 into 0.0).
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``uniform(low, high)`` values from the ``random()`` draws ``u``."""
+    return low + (high - low) * u
+
+
+def _normal(z: np.ndarray) -> np.ndarray:
+    """``normal()`` values from the ``standard_normal()`` draws ``z``, in place."""
+    return np.add(0.0, z, out=z)
+
+
+def _check_cond(cond: float) -> None:
+    """Reject a condition number that is not a finite number >= 1."""
+    if not 1.0 <= cond < np.inf:
+        raise ValueError(f"cond must be finite and >= 1, got {cond!r}")
 
 
 def random_spd_stack(dim: int, cond: float, seeds) -> SpdStack:
     """``random_spd`` for each seed, drawn per seed and factored as one stack.
 
-    Member i equals ``random_spd(dim, cond, seeds[i])`` bit for bit: the
-    Philox draws stay per seed, from one bit generator re-keyed for each
-    (``_keyed_generators``), and the QR factorization, the product
-    ``Q diag(lam) Q^T`` and the validation run once on the stack.
+    Member i equals ``random_spd(dim, cond, seeds[i])`` bit for bit.  Each
+    seed's Philox stream is drawn, from one bit generator re-keyed for each
+    (``_keyed_generators``), into its own preallocated rows: ``dim``
+    ``random()`` doubles, then ``dim * dim`` ``standard_normal()`` ones.  The
+    uniform's affine map and the normal's ``+ 0.0`` then run once on the
+    stack, as do the ``exp``, the QR factorization, the product
+    ``Q diag(lam) Q^T`` and the validation.  A ``cond`` that is not a
+    finite number >= 1 raises ValueError before any draw.
     """
     if dim < 1:
         raise ShapeError("dim must be at least 1")
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
-    half = 0.5 * np.log(cond)
-    lam = np.empty((len(seeds), dim))
+    _check_cond(cond)
+    u = np.empty((len(seeds), dim))
     g = np.empty((len(seeds), dim, dim))
     for i, rng in enumerate(_keyed_generators(seeds)):
-        lam[i] = np.exp(rng.uniform(-half, half, size=dim))
-        g[i] = rng.normal(size=(dim, dim))
-    q = _orthogonal(g)
+        rng.random(out=u[i])
+        rng.standard_normal(out=g[i])
+    half = 0.5 * np.log(cond)
+    lam = np.exp(_uniform(u, -half, half))
+    q = _orthogonal(_normal(g))
     a = (q * lam[:, None, :]) @ q.swapaxes(1, 2)
     return SpdStack(a)
 
@@ -537,7 +579,8 @@ def random_spd(dim: int, cond: float, seed: int) -> SpdMatrix:
     any implementation of Philox reproduces the same stream: `dim` uniforms
     give eigenvalues log-uniform on ``[cond**-0.5, cond**0.5]``, then a
     `dim` x `dim` standard-normal block is QR-factored (R-diagonal signs
-    fixed positive) into the conjugating orthogonal basis.
+    fixed positive) into the conjugating orthogonal basis.  `cond` must be
+    a finite number >= 1 (ValueError).
     """
     return random_spd_stack(dim, cond, (seed,))[0]
 

@@ -53,6 +53,14 @@ def test_seeds_whose_keys_leave_philox_range_are_rejected_up_front():
         run_suite("norm_bound", "log_mean", trials=1, seed=top + 1)
 
 
+def test_a_cond_that_is_not_finite_is_rejected_up_front():
+    # as for random_spd: a usage error, also in a suite that draws no pair
+    for suite in ("norm_bound", "representation_agreement"):
+        for cond in (np.nan, np.inf, 0.5):
+            with pytest.raises(ValueError, match="cond must be finite and >= 1"):
+                run_suite(suite, "log_mean", cond=cond)
+
+
 def test_report_canonical_excludes_wall_time():
     rep = run_suite("norm_bound", "arithmetic:0.3", trials=5, seed=1)
     assert rep.passed
@@ -143,10 +151,11 @@ def test_filtered_run_matches_full_run_seeds():
 
 
 def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
-    # the task's two input stacks are validated when built, its result stack
-    # (PSD by construction) when the suite reads its norms: one eigensolve
-    # each for all trials; evaluation and the scales reuse the stored norms
-    # instead of wrapping or measuring a matrix again
+    # the task's inputs are one stack for both slots, validated when built,
+    # and its result stack (PSD by construction) is validated when the suite
+    # reads its norms: one eigensolve each for all trials; the two input
+    # halves share the stack's facts, and evaluation and the scales reuse the
+    # stored norms instead of wrapping or measuring a matrix again
     from kubomeans.spd import SpdMatrix, SpdStack
 
     calls, solves = [], []
@@ -164,15 +173,16 @@ def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     rep = run_suite("norm_bound", "geometric:0.3", trials=5)
     assert rep.passed
-    assert calls == ["SpdStack"] * 2
-    assert len(solves) == 3
+    assert calls == ["SpdStack"]
+    assert len(solves) == 2
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])
 def test_stacked_draws_equal_the_per_key_draws(dim):
     # slots 0 and 1 are random_spd, slots 2 and 3 start with
-    # _random_orthogonal and go on with uniforms from the same generator
-    from kubomeans.harness import _draws, _pairs, _trial_key
+    # _random_orthogonal and go on with uniforms from the same generator;
+    # _log_uniform draws from slot 2 alone
+    from kubomeans.harness import _draws, _log_uniform, _pairs, _trial_key
     from kubomeans.spd import _random_orthogonal
 
     keys = [_trial_key(seed, trial) for seed in (0, 9) for trial in (0, 1, 5)]
@@ -188,6 +198,12 @@ def test_stacked_draws_equal_the_per_key_draws(dim):
             assert np.array_equal(q[i], _random_orthogonal(rng, dim))
             assert np.array_equal(u[i], rng.uniform(0.0, 0.5, size=dim))
             assert np.array_equal(v[i], rng.uniform(-0.5, 0.5, size=dim))
+    for low, high in ((0.1, 10.0), (0.05, 20.0)):
+        xs = _log_uniform(keys, low, high, dim + 3)
+        for i, key in enumerate(keys):
+            rng = np.random.Generator(np.random.Philox(key=8 * key + 2))
+            want = np.exp(rng.uniform(np.log(low), np.log(high), size=dim + 3))
+            assert np.array_equal(xs[i], want)
 
 
 def test_quick_profile_reports_are_pinned():

@@ -243,13 +243,56 @@ def _reference_spd(dim, cond, seed):
     return 0.5 * (a + a.T)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+@pytest.mark.parametrize("dim", [1, 2, 4, 7, 12, 16])
 def test_random_spd_stack_draws_each_seed_as_alone(dim):
     seeds = [0, 5, 8 * 2**20 + 1, 2**40 + 3, 2**64 - 1, 2**64, 2**100 + 3, 2**128 - 1]
-    stack = random_spd_stack(dim, 100.0, seeds)
-    for i, seed in enumerate(seeds):
-        assert np.array_equal(stack.entries[i], _reference_spd(dim, 100.0, seed))
-        assert np.array_equal(random_spd(dim, 100.0, seed).entries, stack.entries[i])
+    for cond in (1.0, 1e2, 1e6, 1e10):
+        stack = random_spd_stack(dim, cond, seeds)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(stack.entries[i], _reference_spd(dim, cond, seed))
+            assert np.array_equal(random_spd(dim, cond, seed).entries, stack.entries[i])
+
+
+@pytest.mark.parametrize("cond", [np.nan, np.inf, -np.inf, 0.5])
+def test_random_spd_rejects_a_bad_cond_before_any_draw(monkeypatch, cond):
+    import kubomeans.spd as spd
+
+    def no_draw(keys):
+        raise AssertionError("drew before rejecting cond")
+
+    monkeypatch.setattr(spd, "_keyed_generators", no_draw)
+    with pytest.raises(ValueError, match="cond must be finite and >= 1"):
+        random_spd(4, cond, 1)
+    with pytest.raises(ValueError, match="cond must be finite and >= 1"):
+        random_spd_stack(4, cond, [1, 2])
+
+
+def test_stack_slices_share_the_validated_facts(monkeypatch):
+    mats = np.array([random_spd(3, 1e3, 70 + i).entries for i in range(5)])
+    mats[3] = np.diag([1.0, 2.0, 0.0])  # one member that is not strictly PD
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda x: calls.append(np.shape(x)) or eigvalsh(x)
+    )
+    eager, built = SpdStack(mats), SpdStack._built(mats)
+    assert calls == [(5, 3, 3)]
+    for stack in (eager, built):
+        for part, rows in ((stack[1:4], slice(1, 4)), (stack[::2], slice(0, 5, 2))):
+            assert type(part) is SpdStack and len(part) == len(range(5)[rows])
+            assert np.shares_memory(part.entries, stack.entries)
+            assert not part.entries.flags.writeable
+            for name in ("min_eigenvalues", "norms", "eig_floors", "strictly_pd"):
+                got, whole = getattr(part, name), getattr(stack, name)
+                assert np.shares_memory(got, whole)
+                assert np.array_equal(got, whole[rows])
+            first, whole = part[0], stack[rows.start]
+            assert np.array_equal(first.entries, whole.entries)
+            assert spectral_norm(first) == spectral_norm(whole)
+            assert first.is_strictly_pd == whole.is_strictly_pd
+        with pytest.raises(ShapeError):
+            stack[2:2]
+    # the built stack ran its one eigensolve on the first slice
+    assert calls == [(5, 3, 3), (5, 3, 3)]
 
 
 def _draw_mix(rng):
