@@ -26,10 +26,12 @@ stacks both input slots of all its trials, factors and validates them once
 (one ``random_spd_stack`` call, whose two halves share its facts), sends
 all pairs through one or two ``evaluate_many`` calls per connection and all
 x through one call of the representing function, and reads the norms the
-validation stored.  Only the catalog closed forms, the independent oracle,
-are called per trial.  Values shared by one integration may move in the
-last bits with the task's trial count, so a failing trial's recorded
-violation can too; which trials fail does not.
+validation stored.  The pairs a trial derives from its inputs (bumped,
+transformed or shifted) are validated the same way: once, as one stack
+whose two halves share its facts.  Only the catalog closed forms, the
+independent oracle, are called per trial.  Values shared by one
+integration may move in the last bits with the task's trial count, so a
+failing trial's recorded violation can too; which trials fail does not.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +149,13 @@ def _pairs(keys, dim: int, cond: float) -> tuple[SpdStack, SpdStack]:
     return stack[: len(keys)], stack[len(keys) :]
 
 
+def _halves(first, second) -> tuple[SpdStack, SpdStack]:
+    """Two (n, d, d) stacks validated as one ``SpdStack``, returned as its
+    two halves, which share its facts."""
+    stack = SpdStack(np.concatenate((first, second)))
+    return stack[: len(first)], stack[len(first) :]
+
+
 def _draws(keys, slot: int, dim: int, *ranges):
     """Per trial, ``_random_orthogonal`` on the slot's generator, then dim
     uniforms on each ``(low, high)`` of ``ranges`` from the same generator;
@@ -197,41 +205,21 @@ def _resolve(target) -> tuple[Connection, CatalogEntry | None, str]:
     raise ValueError(f"target must be a Connection or catalog id, got {target!r}")
 
 
+@dataclass(frozen=True)
 class _SuiteContext:
-    """Per-run caches shared by every trial of one suite."""
+    """What every trial of one suite task reads."""
 
-    def __init__(self, conn, entry, spec, dim, cond, tol):
-        self.conn = conn
-        self.entry = entry
-        self.spec = spec
-        self.dim = dim
-        self.cond = cond
-        self.tol = tol
-
-    @cached_property
-    def mass(self) -> float:
-        return total_mass(self.conn.measure, self.spec)
-
-    @cached_property
-    def moment1(self) -> float:
-        value, _err = integrate_scalar(self.conn.measure, lambda t: t, self.spec)
-        return value
-
-    @cached_property
-    def transposed(self) -> Connection:
-        return transpose(self.conn)
-
-    @cached_property
-    def parts(self):
-        return decompose_connection(self.conn)
-
-    @cached_property
-    def rep(self):
-        return representing_function(self.conn)
+    conn: Connection
+    entry: CatalogEntry | None
+    spec: QuadratureSpec
+    dim: int
+    cond: float
+    tol: float
 
     def f(self, xs: np.ndarray) -> np.ndarray:
         """The representing function at every x of the task, in one call."""
-        return self.rep.eval(xs.ravel(), self.spec).reshape(xs.shape)
+        fx = representing_function(self.conn, xs.ravel(), self.spec)
+        return fx.reshape(xs.shape)
 
 
 # Each suite maps (ctx, trial keys) to one scale-relative violation per
@@ -247,12 +235,20 @@ def _trial_monotonicity(ctx, keys) -> np.ndarray:
         # a positive increment, so base + bump >= base by construction
         q, u = _draws(keys, slot, ctx.dim, (0.0, 0.5))
         u = u * (1.0 + spectral_norm(base))[:, None]
-        bump = (q * u[:, None, :]) @ q.swapaxes(1, 2)
-        bumped.append(SpdStack(base.entries + bump))
-    c, d = bumped
+        bumped.append(base.entries + (q * u[:, None, :]) @ q.swapaxes(1, 2))
+    c, d = _halves(*bumped)
     v_small = evaluate_many(ctx.conn, a, b, ctx.spec).value.entries
     v_large = evaluate_many(ctx.conn, c, d, ctx.spec).value.entries
     return _lambda_min_deficit(v_large - v_small) / _scale(c, d)
+
+
+def _congruence_sides(ctx, a, b, t):
+    """Both sides of T (A sigma B) T = (TAT) sigma (TBT) per trial, and the
+    scale of the transformed pair."""
+    value = evaluate_many(ctx.conn, a, b, ctx.spec).value.entries
+    tat, tbt = _halves(_congruence(t, a), _congruence(t, b))
+    rhs = evaluate_many(ctx.conn, tat, tbt, ctx.spec).value.entries
+    return _congruence(t, value), rhs, _scale(tat, tbt)
 
 
 def _trial_transformer(ctx, keys) -> np.ndarray:
@@ -267,12 +263,8 @@ def _trial_transformer(ctx, keys) -> np.ndarray:
     if not ctx.conn.measure.charges_interior() and ctx.dim > 1:
         v[1::2, 0] = 0.0
     t = (q * v[:, None, :]) @ q.swapaxes(1, 2)
-    value = evaluate_many(ctx.conn, a, b, ctx.spec).value.entries
-    lhs = _congruence(t, value)
-    tat = SpdStack(_congruence(t, a))
-    tbt = SpdStack(_congruence(t, b))
-    rhs = evaluate_many(ctx.conn, tat, tbt, ctx.spec).value.entries
-    return _lambda_min_deficit(rhs - lhs) / _scale(tat, tbt)
+    lhs, rhs, scale = _congruence_sides(ctx, a, b, t)
+    return _lambda_min_deficit(rhs - lhs) / scale
 
 
 def _trial_continuity(ctx, keys) -> np.ndarray:
@@ -281,7 +273,8 @@ def _trial_continuity(ctx, keys) -> np.ndarray:
     # per trial the pair itself, then its shifts A + eps I, B + eps I
     shifts = np.multiply.outer((0.0,) + _CONTINUITY_EPS, np.eye(ctx.dim))
     stack = lambda m: (m.entries[:, None] + shifts).reshape(-1, ctx.dim, ctx.dim)
-    values = evaluate_many(ctx.conn, stack(a), stack(b), ctx.spec).value.entries
+    pair = _halves(stack(a), stack(b))
+    values = evaluate_many(ctx.conn, *pair, ctx.spec).value.entries
     values = values.reshape(len(keys), len(shifts), ctx.dim, ctx.dim)
     gaps = spectral_norm(values[:, 1:] - values[:, :1])
     # sigma(A+eI, B+eI) decreases to sigma(A, B), so the gaps decrease too;
@@ -298,18 +291,15 @@ def _trial_congruence_eq(ctx, keys) -> np.ndarray:
     q, v, flip = _draws(keys, 2, ctx.dim, (-0.5, 0.5), (0.0, 1.0))
     v = np.exp(v) * np.where(flip < 0.5, -1.0, 1.0)
     t = (q * v[:, None, :]) @ q.swapaxes(1, 2)
-    value = evaluate_many(ctx.conn, a, b, ctx.spec).value.entries
-    lhs = _congruence(t, value)
-    tat = SpdStack(_congruence(t, a))
-    tbt = SpdStack(_congruence(t, b))
-    rhs = evaluate_many(ctx.conn, tat, tbt, ctx.spec).value.entries
-    return np.linalg.norm(rhs - lhs, axis=(1, 2)) / _scale(tat, tbt)
+    lhs, rhs, scale = _congruence_sides(ctx, a, b, t)
+    return np.linalg.norm(rhs - lhs, axis=(1, 2)) / scale
 
 
 def _trial_norm_bound(ctx, keys) -> np.ndarray:
     a, b = _pairs(keys, ctx.dim, ctx.cond)
     value = evaluate_many(ctx.conn, a, b, ctx.spec).value
-    bound = ctx.mass * np.maximum(spectral_norm(a), spectral_norm(b))
+    mass = total_mass(ctx.conn.measure, ctx.spec)
+    bound = mass * np.maximum(spectral_norm(a), spectral_norm(b))
     return np.maximum(0.0, spectral_norm(value) - bound) / _scale(a, b)
 
 
@@ -330,17 +320,18 @@ def _trial_ordering(ctx, keys) -> np.ndarray:
     # t -> A !_t B is bounded above by the arithmetic interpolation, so
     # integrating gives sigma(A,B) <= m0*A + m1*B with the measure moments.
     a, b = _pairs(keys, ctx.dim, ctx.cond)
-    m1 = ctx.moment1
-    m0 = ctx.mass - m1
+    mass = total_mass(ctx.conn.measure, ctx.spec)
+    m1, _err = integrate_scalar(ctx.conn.measure, lambda t: t, ctx.spec)
+    m0 = mass - m1
     value = evaluate_many(ctx.conn, a, b, ctx.spec).value.entries
     upper = m0 * a.entries + m1 * b.entries
     worst = _lambda_min_deficit(upper - value) / _scale(a, b)
-    if ctx.mass > 0.0:
+    if mass > 0.0:
         # Jensen lower bound: 1 !_t x is convex in t.
-        c = min(1.0, max(0.0, m1 / ctx.mass))
+        c = min(1.0, max(0.0, m1 / mass))
         xs = _log_uniform(keys, 0.1, 10.0, 4)
         fx = ctx.f(xs)
-        lower = ctx.mass * xs / ((1.0 - c) * xs + c)
+        lower = mass * xs / ((1.0 - c) * xs + c)
         worst = np.maximum(worst, ((lower - fx) / (1.0 + np.abs(fx))).max(axis=1))
     return np.maximum(0.0, worst)
 
@@ -352,7 +343,7 @@ def _trial_transpose_duality(ctx, keys) -> np.ndarray:
     ref = xs * ctx.f(1.0 / xs)
     worst = (np.abs(ft - ref) / (1.0 + np.abs(ref))).max(axis=1)
     direct = evaluate_many(ctx.conn, a, b, ctx.spec).value.entries
-    swapped = evaluate_many(ctx.transposed, b, a, ctx.spec).value.entries
+    swapped = evaluate_many(transpose(ctx.conn), b, a, ctx.spec).value.entries
     gap = np.linalg.norm(swapped - direct, axis=(1, 2))
     return np.maximum(worst, gap / _scale(a, b))
 
@@ -379,7 +370,7 @@ def _trial_representation(ctx, keys) -> np.ndarray:
 
 def _trial_decomposition(ctx, keys) -> np.ndarray:
     a, b = _pairs(keys, ctx.dim, ctx.cond)
-    c_ac, c_sc, c_sd, f_ac, f_sc, f_sd = ctx.parts
+    c_ac, c_sc, c_sd, f_ac, f_sc, f_sd = decompose_connection(ctx.conn)
     total = np.zeros((len(keys), ctx.dim, ctx.dim))
     for part in (c_ac, c_sc, c_sd):
         if not part.measure.is_zero():

@@ -218,10 +218,11 @@ def logmean_density(weight: float = 1.0) -> Density:
     return Density((term,))
 
 
+# id -> (its number of parameters, the density from them and a weight)
 _DENSITY_BUILDERS = {
-    "lebesgue": lambda params, w: lebesgue_density(w),
-    "log_mean": lambda params, w: logmean_density(w),
-    "geometric": lambda params, w: geometric_density(float(params[0]), w),
+    "lebesgue": (0, lambda params, w: lebesgue_density(w)),
+    "log_mean": (0, lambda params, w: logmean_density(w)),
+    "geometric": (1, lambda params, w: geometric_density(float(params[0]), w)),
 }
 
 
@@ -229,9 +230,14 @@ def _density_from_ident(ident: str, weight: float) -> Density:
     name, _, rest = ident.partition(":")
     params = rest.split(",") if rest else []
     try:
-        builder = _DENSITY_BUILDERS[name]
+        count, builder = _DENSITY_BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown density id {ident!r}") from None
+    if len(params) != count:
+        raise ValueError(
+            f"density id {ident!r}: {name} takes {count} parameter(s), "
+            f"got {len(params)}"
+        )
     return builder(params, weight)
 
 
@@ -727,6 +733,8 @@ def _term_from_json(obj: dict) -> tuple[DensityTerm, ...]:
 
 def measure_from_json(obj: dict) -> UnitMeasure:
     """Parse the dict form emitted by measure_to_json (tolerant on sc/ac shorthand)."""
+    if not isinstance(obj, dict):
+        raise ValueError("measure JSON must be an object")
     atoms = tuple((float(t), float(w)) for t, w in obj.get("atoms") or ())
     ac_obj = obj.get("ac")
     ac = None

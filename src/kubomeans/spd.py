@@ -110,14 +110,29 @@ def as_entries(a) -> np.ndarray:
     return _real(a, copy=False)
 
 
-def _validated_square(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ShapeError("matrix dimension must be at least 1")
+def _validated_square(arr: np.ndarray, ndim: int) -> np.ndarray:
+    """`arr`, checked to be a finite square matrix (``ndim`` 2) or a stack
+    of at least one of them (``ndim`` 3)."""
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+        what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise ShapeError(f"expected {what}, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ShapeError(
+            "matrix dimension must be at least 1"
+            if ndim == 2
+            else "a stack needs a matrix of dimension at least 1"
+        )
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def _stored(entries, ndim: int) -> np.ndarray:
+    """A validated, symmetrized, read-only copy of `entries` (see
+    ``_validated_square``): what a ``SymMatrix`` or an ``SpdStack`` stores."""
+    sym = _symmetrized(_validated_square(_real(entries, copy=True), ndim))
+    sym.flags.writeable = False
+    return sym
 
 
 def _symmetrized(arr: np.ndarray) -> np.ndarray:
@@ -211,9 +226,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        sym = _symmetrized(_validated_square(_real(self.entries, copy=True)))
-        sym.flags.writeable = False
-        object.__setattr__(self, "entries", sym)
+        object.__setattr__(self, "entries", _stored(self.entries, 2))
 
     @property
     def dim(self) -> int:
@@ -335,18 +348,7 @@ class SpdStack:
         self._measure()
 
     def _symmetrize(self) -> None:
-        arr = _real(self.entries, copy=True)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ShapeError(
-                f"expected a stack of square matrices, got shape {arr.shape}"
-            )
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError("a stack needs a matrix of dimension at least 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        sym = _symmetrized(arr)
-        sym.flags.writeable = False
-        object.__setattr__(self, "entries", sym)
+        object.__setattr__(self, "entries", _stored(self.entries, 3))
 
     _FACTS = ("min_eigenvalues", "norms", "eig_floors", "strictly_pd")
 
@@ -434,7 +436,7 @@ def spectral_decompose(a):
         a condition estimate when one can still be computed.
     """
     arr = as_entries(a)
-    _validated_square(arr)
+    _validated_square(arr, 2)
     try:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -457,7 +459,7 @@ def congruence(c, a) -> SymMatrix:
     """Congruence transform ``C @ A @ C`` for symmetric C, re-symmetrized."""
     carr = as_entries(c)
     aarr = as_entries(a)
-    _validated_square(carr)
+    _validated_square(carr, 2)
     if carr.shape != aarr.shape:
         raise ShapeError(f"dimension mismatch: C is {carr.shape}, A is {aarr.shape}")
     carr = _symmetrized(carr)

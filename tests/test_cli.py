@@ -257,6 +257,41 @@ def test_decompose_rejects_a_nan_weight(capsys):
     assert "sc weight nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("measure", ["[1]", "5", "null", '"cantor"'])
+def test_decompose_rejects_json_that_is_not_an_object(measure, capsys):
+    assert cli.main(["decompose", "--measure", measure]) == 2
+    assert "measure JSON must be an object" in capsys.readouterr().err
+
+
+def test_decompose_rejects_a_density_id_missing_its_parameter(capsys):
+    measure = json.dumps({"ac": {"id": "geometric"}})
+    assert cli.main(["decompose", "--measure", measure]) == 2
+    assert "'geometric'" in capsys.readouterr().err
+
+
+def _ci_pair(tmp_path):
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text("2.0,0.5\n0.5,1.0\n")
+    pb.write_text("1.0,0.2\n0.2,3.0\n")
+    return str(pa), str(pb)
+
+
+@pytest.mark.parametrize(
+    "flags, nodes", [([], 5119), (["--tol", "1e-4"], 1023), (["--tol", "1e-12"], 38271)]
+)
+def test_eval_tol_sets_both_quadrature_tolerances(tmp_path, capsys, flags, nodes):
+    pa, pb = _ci_pair(tmp_path)
+    assert cli.main(["eval", "--mean", "cantor", "--A", pa, "--B", pb, *flags]) == 0
+    assert json.loads(capsys.readouterr().err)["nodes_used"] == nodes
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_eval_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
+    pa, pb = _ci_pair(tmp_path)
+    assert cli.main(["eval", "--mean", "cantor", "--A", pa, "--B", pb, f"--tol={tol}"]) == 2
+    assert "is not a positive finite number" in capsys.readouterr().err
+
+
 def test_catalog_listing(capsys):
     assert cli.main(["catalog"]) == 0
     rows = json.loads(capsys.readouterr().out)

@@ -14,7 +14,7 @@ from kubomeans.harness import (
     run_all,
     run_suite,
 )
-from kubomeans.measures import dirac
+from kubomeans.measures import UnitMeasure, add, dirac, geometric_density
 from kubomeans.spd import congruence, loewner_leq, random_spd
 
 
@@ -34,6 +34,8 @@ def test_run_suite_validates_usage():
         run_suite("crosscheck_closed_form", "cantor")
     with pytest.raises(ValueError):
         run_suite("monotonicity", 3.14)
+    with pytest.raises(ValueError, match="dim"):
+        run_suite("monotonicity", "log_mean", dim=0)
 
 
 def test_seeds_whose_keys_leave_philox_range_are_rejected_up_front():
@@ -102,6 +104,21 @@ def test_each_suite_passes_on_a_catalog_sample():
     for suite in SUITES:
         rep = run_suite(suite, "log_mean", trials=4, dim=3, seed=11)
         assert rep.passed, (suite, rep.failures)
+
+
+@pytest.mark.parametrize("label", [None, "atom_and_geometric"])
+def test_each_suite_runs_on_a_custom_connection(label):
+    # a Connection is its own target: every suite that needs no closed form
+    # runs on it, and the two that compare with one are usage errors
+    conn = Connection(add(dirac(0.3), UnitMeasure(ac=geometric_density(0.4))), label)
+    for suite in SUITES:
+        if suite in ("crosscheck_closed_form", "representation_agreement"):
+            with pytest.raises(ValueError, match="has no closed-form"):
+                run_suite(suite, conn, trials=4, dim=3)
+            continue
+        rep = run_suite(suite, conn, trials=4, dim=3, seed=5)
+        assert rep.passed, (suite, rep.failures)
+        assert rep.target == (label or "custom")
 
 
 def test_transformer_strict_projection_instance():
@@ -175,6 +192,28 @@ def test_norm_bound_trials_validate_each_matrix_once(monkeypatch):
     assert rep.passed
     assert calls == ["SpdStack"]
     assert len(solves) == 2
+
+
+@pytest.mark.parametrize(
+    "suite, target, shapes",
+    [
+        ("monotonicity", "geometric:0.3", [(40, 4, 4), (40, 4, 4), (20, 4, 4)]),
+        ("transformer", "geometric:0.3", [(40, 4, 4), (40, 4, 4), (20, 4, 4)]),
+        ("transformer", "arithmetic:0.3", [(40, 4, 4), (40, 4, 4), (20, 4, 4)]),
+        ("congruence_eq", "geometric:0.3", [(40, 4, 4), (40, 4, 4)]),
+        ("continuity", "geometric:0.3", [(40, 4, 4), (320, 4, 4), (20, 7, 4, 4)]),
+    ],
+)
+def test_derived_pairs_are_validated_by_one_eigensolve(monkeypatch, suite, target, shapes):
+    # the drawn pair is one (2n, d, d) eigensolve; so is the pair a trial
+    # derives from it (bumped, transformed or shifted by each eps), whose
+    # halves share its facts; the last solve is the suite's own metric
+    solves, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda x: solves.append(np.shape(x)) or eigvalsh(x)
+    )
+    assert run_suite(suite, target, trials=20, dim=4).passed
+    assert solves == shapes
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])

@@ -263,6 +263,34 @@ def test_json_rejects_unknown_parts():
         measure_from_json({"sc": {"id": "sierpinski", "w": 1.0}})
 
 
+@pytest.mark.parametrize(
+    "ident", ["geometric", "geometric:", "geometric:0.3,7", "geometric:0.3,",
+              "lebesgue:5", "log_mean:0.5"]
+)
+def test_json_density_ids_take_their_parameter_count(ident):
+    # no parameter may be missing, and none dropped (which would read the
+    # measure back under another id)
+    with pytest.raises(ValueError, match="parameter") as info:
+        measure_from_json({"ac": {"id": ident}})
+    assert repr(ident) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "nu", [halfline_geometric(0.3), halfline_geometric(0.5), halfline_geometric(0.9),
+           halfline_logmean()],
+    ids=lambda nu: nu.ac.pushforward_ident,
+)
+def test_named_halfline_pullback_is_its_catalog_density(nu):
+    # pushforward_psi sends a named half-line density to the catalog density
+    # its pushforward_ident names instead of to its pullback: the two agree
+    t = np.linspace(0.001, 0.999, 999)
+    got = nu.ac.pullback().fn(t, 1.0 - t)
+    (term,) = measure_from_json({"ac": {"id": nu.ac.pushforward_ident}}).ac.terms
+    want = term.fn(t, 1.0 - t)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert pushforward_psi(nu).ac.terms == (term,)
+
+
 def test_json_refuses_anonymous_density():
     anon = DensityTerm(
         ident=None,
