@@ -605,14 +605,11 @@ def _harmonic_scalar(xs: np.ndarray, t: np.ndarray, tc: np.ndarray) -> np.ndarra
     return out
 
 
-def _atom_mass_at(mu: UnitMeasure, where: float) -> float:
-    return float(sum(w for t, w in mu.atoms if t == where))
-
-
 def _rep_argument(x) -> np.ndarray:
     """x as a float array, which representing functions take finite and >= 0."""
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
+    # NaN fails both comparisons, -inf the first and +inf the second
+    if not ((xs >= 0.0) & (xs < np.inf)).all():
         raise ValueError("representing functions take finite x >= 0")
     return xs
 
@@ -620,21 +617,25 @@ def _rep_argument(x) -> np.ndarray:
 def _rep_values(
     mu: UnitMeasure, xs: np.ndarray, spec: QuadratureSpec | None, transposed: bool
 ) -> np.ndarray:
-    out = np.empty(xs.shape)
-    zero = xs == 0.0
-    if zero.any():
-        # 1 !_t 0 = 0 for t > 0 and 1 at t = 0; dually x !_t 1 -> t = 1 atom.
-        out[zero] = _atom_mass_at(mu, 1.0 if transposed else 0.0)
-    pos = ~zero
-    if pos.any():
-        xp = xs[pos]
-        if transposed:
-            fnode = lambda t, tc: _harmonic_scalar(xp, tc, t)
-        else:
-            fnode = lambda t, tc: _harmonic_scalar(xp, t, tc)
-        fnode.width = len(xp)
-        out[pos] = np.asarray(integrate_measure(fnode, mu, spec).value)
-    return out
+    """f(x), or f^T(x) when ``transposed``, for every x of ``xs``, in its shape.
+
+    One integration over all x.  x = 0 needs no case of its own: the
+    kernel 1 !_t 0 is 1 at t = 0 and 0 elsewhere (dually x !_t 1 at x = 0
+    is 1 at t = 1), so f(0) is mu({0}) and f^T(0) is mu({1}), summed from
+    the atoms and exactly 0.0 from every other part.  The node function's
+    ``width`` counts the x > 0 only, so a zero's column moves none of the
+    boundaries of integrate_measure's calls and the other x round as they
+    do without it (a call may then hold len(xs) / width times its cap).
+    """
+    flat = xs.reshape(-1)
+    if not flat.size:
+        return np.empty(xs.shape)
+    if transposed:
+        fnode = lambda t, tc: _harmonic_scalar(flat, tc, t)
+    else:
+        fnode = lambda t, tc: _harmonic_scalar(flat, t, tc)
+    fnode.width = max(1, int(np.count_nonzero(flat)))
+    return np.asarray(integrate_measure(fnode, mu, spec).value).reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -649,8 +650,8 @@ class RepFunction:
 
     def eval(self, x, spec: QuadratureSpec | None = None):
         xs = _rep_argument(x)
-        vals = _rep_values(self.measure, np.atleast_1d(xs), spec, transposed=False)
-        return float(vals[0]) if xs.ndim == 0 else vals
+        vals = _rep_values(self.measure, xs, spec, transposed=False)
+        return float(vals) if xs.ndim == 0 else vals
 
     __call__ = eval
 
@@ -674,8 +675,8 @@ def transpose_rep_function(
     up to quadrature tolerance.
     """
     xs = _rep_argument(x)
-    vals = _rep_values(conn.measure, np.atleast_1d(xs), spec, transposed=True)
-    return float(vals[0]) if xs.ndim == 0 else vals
+    vals = _rep_values(conn.measure, xs, spec, transposed=True)
+    return float(vals) if xs.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------

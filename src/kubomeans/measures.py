@@ -329,12 +329,18 @@ class UnitMeasure:
     merged by adding weights: an atom joins a group when both its location
     and its complement lie within 1e-14 of the group's first atom.
     ac : optional Density.  sc : optional (IfsMeasure, weight) pair.
+    atom_arrays : the atoms as read-only float arrays (locations,
+    complements, weights), built once here so that no integration
+    against the measure builds them.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     ac: Density | None = None
     sc: tuple[IfsMeasure, float] | None = None
     atoms_c: tuple[float, ...] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    atom_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         triples = []
@@ -363,6 +369,9 @@ class UnitMeasure:
                 merged.append([t, tc, w])
         object.__setattr__(self, "atoms", tuple((t, w) for t, tc, w in merged))
         object.__setattr__(self, "atoms_c", tuple(tc for t, tc, w in merged))
+        arrays = np.array(merged, dtype=float).reshape(-1, 3).T.copy()
+        arrays.flags.writeable = False
+        object.__setattr__(self, "atom_arrays", tuple(arrays))
         if self.ac is not None and not isinstance(self.ac, Density):
             raise TypeError("ac part must be a Density")
         if self.sc is not None:
@@ -723,8 +732,27 @@ def measure_to_json(m: UnitMeasure) -> dict:
     return obj
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _json_kind(value, kind: type, what: str):
+    """``value`` when it is of JSON type ``kind``; else a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _json_entry(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]``, which ``where`` needs, of JSON type ``kind``."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing entry {key!r}")
+    return _json_kind(obj[key], kind, f"{where}: entry {key!r}")
+
+
 def _term_from_json(obj: dict) -> tuple[DensityTerm, ...]:
-    dens = _density_from_ident(obj["id"], float(obj.get("w", 1.0)))
+    _json_kind(obj, dict, "density term")
+    ident = _json_entry(obj, "id", str, "density term")
+    dens = _density_from_ident(ident, float(obj.get("w", 1.0)))
     terms = dens.terms
     if obj.get("reflected"):
         terms = tuple(t.reflect() for t in terms)
@@ -732,16 +760,18 @@ def _term_from_json(obj: dict) -> tuple[DensityTerm, ...]:
 
 
 def measure_from_json(obj: dict) -> UnitMeasure:
-    """Parse the dict form emitted by measure_to_json (tolerant on sc/ac shorthand)."""
-    if not isinstance(obj, dict):
-        raise ValueError("measure JSON must be an object")
+    """Parse the dict form emitted by measure_to_json (tolerant on sc/ac shorthand).
+
+    A missing or mistyped entry raises ValueError naming it.
+    """
+    _json_kind(obj, dict, "measure JSON")
     atoms = tuple((float(t), float(w)) for t, w in obj.get("atoms") or ())
     ac_obj = obj.get("ac")
     ac = None
     if ac_obj:
-        if "terms" in ac_obj:
+        if "terms" in _json_kind(ac_obj, dict, "ac part"):
             terms: tuple[DensityTerm, ...] = ()
-            for t in ac_obj["terms"]:
+            for t in _json_entry(ac_obj, "terms", list, "ac part"):
                 terms = terms + _term_from_json(t)
         else:
             terms = _term_from_json(ac_obj)
@@ -749,10 +779,12 @@ def measure_from_json(obj: dict) -> UnitMeasure:
     sc_obj = obj.get("sc")
     sc = None
     if sc_obj:
-        if "maps" in sc_obj:
+        if "maps" in _json_kind(sc_obj, dict, "sc part"):
+            maps = _json_entry(sc_obj, "maps", list, "sc part")
+            probs = _json_entry(sc_obj, "probs", list, "sc part")
             ifs = IfsMeasure(
-                maps=tuple((float(r), float(b)) for r, b in sc_obj["maps"]),
-                probs=tuple(float(p) for p in sc_obj["probs"]),
+                maps=tuple((float(r), float(b)) for r, b in maps),
+                probs=tuple(float(p) for p in probs),
             )
             sc = (ifs, float(sc_obj.get("weight", 1.0)))
         elif sc_obj.get("id") == "cantor":

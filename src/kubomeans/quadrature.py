@@ -482,14 +482,19 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
     accumulation bitwise, in calls of any size).  Otherwise a float array
     the node function returns as its own buffer is weighted in place, so a
     call holds one array of values, and summed along the node axis without
-    BLAS, so the result does not depend on the BLAS thread count.
+    BLAS, so the result does not depend on the BLAS thread count.  Nodes
+    that fit one call go to it whole, unsliced.
     """
     f = _integrand(fnode)
     step = f.step(t, tc)
+    if len(t) <= step:
+        calls = ((t, tc, w),)
+    else:
+        calls = [(t[lo : lo + step], tc[lo : lo + step], w[lo : lo + step])
+                 for lo in range(0, len(t), step)]
     total = None
-    for lo in range(0, len(t), step):
-        hi = lo + step
-        vals = f.weighted(t[lo:hi], tc[lo:hi], w[lo:hi])
+    for nodes in calls:
+        vals = f.weighted(*nodes)
         if sequential:
             for row in vals:
                 total = row if total is None else total + row
@@ -857,9 +862,10 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
     call: the reduction scales it by the weights in place.  No call gets
     more nodes than keep its values within 2**14 (_CALL_VALUES); a node
     function may give its values per node as a ``width`` attribute, and one
-    without it is measured on a single node.  Tolerances are split evenly
-    across the parts so the summed error estimate still meets the spec's
-    bound.
+    without it is measured on a single node.  Atoms are summed in atom
+    order from the measure's read-only ``atom_arrays``, in one call when
+    they fit one.  Tolerances are split evenly across the parts so the
+    summed error estimate still meets the spec's bound.
     """
     fnode = _integrand(fnode)
     spec = spec or DEFAULT_SPEC
@@ -867,10 +873,7 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
     rows = []
     values = []
     if measure.atoms:
-        trip = measure.atom_pairs()
-        t = np.array([a[0] for a in trip])
-        tc = np.array([a[1] for a in trip])
-        w = np.array([a[2] for a in trip])
+        t, tc, w = measure.atom_arrays
         values.append(_reduce(fnode, t, tc, w, sequential=True))
         rows.append(("atoms", len(t), 0.0))
     if measure.ac is not None:

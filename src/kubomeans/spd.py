@@ -504,16 +504,18 @@ def _keyed_generators(keys):
     draws from it equal those of ``Generator(Philox(key=key))`` bit for bit,
     without building a generator per key.  The state dict the setter copies
     from is the call's own, so its counter is zeroed and its buffers emptied
-    once; each key then writes only its two key words into it.  Draw from
-    each yield before taking the next.
+    once; each key then writes only its two key words into it.  Its words
+    are Python ints, which the setter reads at half the cost of the uint64
+    arrays NumPy hands out.  Draw from each yield before taking the next.
     """
     bit_gen = np.random.Philox(key=0)
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
-    state["state"]["counter"][:] = 0
+    words = [0, 0]
+    state["state"] = {"counter": [0, 0, 0, 0], "key": words}
+    state["buffer"] = [0, 0, 0, 0]
     state["buffer_pos"] = 4
     state["has_uint32"] = 0
-    words = state["state"]["key"]
     for key in map(operator.index, keys):
         if not 0 <= key < 2**128:
             raise ValueError(f"Philox key {key} must lie in [0, 2**128)")

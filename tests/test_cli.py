@@ -269,6 +269,20 @@ def test_decompose_rejects_a_density_id_missing_its_parameter(capsys):
     assert "'geometric'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "measure, named",
+    [
+        ('{"ac": {"w": 1}}', "missing entry 'id'"),
+        ('{"ac": {"terms": [{"w": 1}]}}', "missing entry 'id'"),
+        ('{"sc": {"maps": [[0.5, 0], [0.5, 0.5]]}}', "missing entry 'probs'"),
+        ('{"ac": {"id": 5}}', "entry 'id' must be a string"),
+    ],
+)
+def test_decompose_names_a_missing_or_mistyped_key(measure, named, capsys):
+    assert cli.main(["decompose", "--measure", measure]) == 2
+    assert named in capsys.readouterr().err
+
+
 def _ci_pair(tmp_path):
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     pa.write_text("2.0,0.5\n0.5,1.0\n")

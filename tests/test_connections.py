@@ -4,6 +4,8 @@ the reuse of the last validated pair by consecutive evaluations."""
 
 import dataclasses
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -327,6 +329,8 @@ def test_rep_function_values_and_edges():
     vals = f(xs)
     assert vals.shape == (4,)
     assert np.all(np.diff(vals) > 0)  # nondecreasing in x
+    assert np.array_equal(f(xs.reshape(2, 2)), vals.reshape(2, 2))
+    assert f(np.array([])).shape == (0,)
     with pytest.raises(ValueError):
         f(-1.0)
     with pytest.raises(ValueError):
@@ -357,6 +361,58 @@ def test_transpose_involution_and_atoms():
     t = transpose(conn)
     assert t.measure.atoms == ((0.0, 0.25), (1.0, 0.75))
     assert transpose(t).measure == conn.measure
+
+
+# atoms at both endpoints and inside, a density and a self-similar part
+_MIXED = UnitMeasure(
+    atoms=((0.0, 0.25), (0.4, 0.1), (1.0, 0.15)),
+    ac=lebesgue_density(0.3),
+    sc=cantor_measure(0.2).sc,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "measure",
+    [e.connection.measure for e in catalog()] + [_MIXED],
+    ids=[e.id for e in catalog()] + ["mixed"],
+)
+def test_rep_functions_at_zero_are_the_endpoint_atoms(measure):
+    # f(0) = mu({0}) and f^T(0) = mu({1}) come from the kernel's endpoint
+    # values, with no case of their own, bit for bit and without a warning;
+    # a zero inside an array leaves the other values as they are without it
+    conn = Connection(measure)
+    f = representing_function(conn)
+    f_t = lambda x: transpose_rep_function(conn, x)
+    bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
+    ends = (sum(w for t, w in measure.atoms if t == e) for e in (0.0, 1.0))
+    for fn, want in zip((f, f_t), ends):
+        assert bits(fn(0.0)) == bits(want)
+        vals = fn(np.array([0.5, 0.0, 2.0]))
+        assert bits(vals[1]) == bits(want)
+        assert np.array_equal(bits(vals[[0, 2]]), bits(fn(np.array([0.5, 2.0]))))
+
+
+def test_a_scalar_atom_f_stays_within_its_call_budget():
+    # a one-atom f(x) is one weighted harmonic mean of scalars: the Python
+    # calls it makes inside the package are its whole fixed cost
+    f = representing_function(entry_from_id("harmonic:0.5").connection)
+    want = f(0.3)
+    package = os.sep + "kubomeans" + os.sep
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and package in frame.f_code.co_filename:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        got = f(0.3)
+    finally:
+        sys.setprofile(None)
+    assert got == want
+    assert calls <= 17
 
 
 def test_evaluate_canonical_atoms():

@@ -1,5 +1,6 @@
 """Measure model: parts, algebra, reflection, pushforwards, JSON."""
 
+import dataclasses
 import json
 import math
 
@@ -254,6 +255,28 @@ def test_json_roundtrip_catalog_measures():
     for m in cases:
         text = json.dumps(measure_to_json(m))
         assert measure_from_json(json.loads(text)) == m
+
+
+def test_atom_arrays_are_read_only_and_follow_the_atoms():
+    m = UnitMeasure(
+        atoms=((0.7, 0.5), (0.0, 0.25), (1.0, 0.125), (0.1, 0.0)),
+        ac=lebesgue_density(0.5),
+    )
+    cases = [
+        m,
+        pushforward_theta(m),
+        measure_from_json(json.loads(json.dumps(measure_to_json(m)))),
+        dataclasses.replace(m, ac=None, sc=(cantor_ifs(), 0.5)),
+        UnitMeasure(),
+    ]
+    for case in cases:
+        arrays = case.atom_arrays
+        assert len(arrays) == 3
+        for a in arrays:
+            assert a.dtype == float and not a.flags.writeable
+        assert tuple(zip(*(a.tolist() for a in arrays))) == case.atom_pairs()
+    with pytest.raises(ValueError):
+        m.atom_arrays[2][0] = 1.0
 
 
 def test_json_rejects_unknown_parts():
