@@ -619,22 +619,28 @@ def _rep_values(
 ) -> np.ndarray:
     """f(x), or f^T(x) when ``transposed``, for every x of ``xs``, in its shape.
 
-    One integration over all x.  x = 0 needs no case of its own: the
-    kernel 1 !_t 0 is 1 at t = 0 and 0 elsewhere (dually x !_t 1 at x = 0
-    is 1 at t = 1), so f(0) is mu({0}) and f^T(0) is mu({1}), summed from
-    the atoms and exactly 0.0 from every other part.  The node function's
-    ``width`` counts the x > 0 only, so a zero's column moves none of the
-    boundaries of integrate_measure's calls and the other x round as they
-    do without it (a call may then hold len(xs) / width times its cap).
+    The x > 0 run through one integration.  An x = 0 is not integrated:
+    the kernel 1 !_t 0 is 1 at t = 0 and 0 elsewhere (dually x !_t 1 at
+    x = 0 is 1 at t = 1), so f(0) is mu({0}), the weight of the atoms
+    stored at t = 0, and f^T(0) is mu({1}), that of the atoms stored at
+    complement 0.  Leaving the zeros out keeps every call within its value
+    cap and rounds the other x as they round without them.
     """
     flat = xs.reshape(-1)
+    if not flat.all():
+        zero = flat == 0.0
+        t, tc, w = mu.atom_arrays
+        out = np.empty(flat.shape)
+        out[zero] = sum(w[(tc if transposed else t) == 0.0].tolist())
+        out[~zero] = _rep_values(mu, flat[~zero], spec, transposed)
+        return out.reshape(xs.shape)
     if not flat.size:
         return np.empty(xs.shape)
     if transposed:
         fnode = lambda t, tc: _harmonic_scalar(flat, tc, t)
     else:
         fnode = lambda t, tc: _harmonic_scalar(flat, t, tc)
-    fnode.width = max(1, int(np.count_nonzero(flat)))
+    fnode.width = flat.size
     return np.asarray(integrate_measure(fnode, mu, spec).value).reshape(xs.shape)
 
 

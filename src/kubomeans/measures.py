@@ -383,6 +383,10 @@ class UnitMeasure:
                 raise ValueError(f"sc weight {w} must be finite and nonnegative")
             object.__setattr__(self, "sc", (ifs, w) if w > 0.0 else None)
 
+    def __reduce__(self):
+        # copies and unpickled measures rebuild their read-only atom_arrays
+        return (UnitMeasure, (self.atoms, self.ac, self.sc, self.atoms_c))
+
     def atom_pairs(self) -> tuple[tuple[float, float, float], ...]:
         """Atoms as (location, complement location, weight) triples."""
         return tuple(

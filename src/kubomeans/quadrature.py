@@ -482,19 +482,14 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
     accumulation bitwise, in calls of any size).  Otherwise a float array
     the node function returns as its own buffer is weighted in place, so a
     call holds one array of values, and summed along the node axis without
-    BLAS, so the result does not depend on the BLAS thread count.  Nodes
-    that fit one call go to it whole, unsliced.
+    BLAS, so the result does not depend on the BLAS thread count.
     """
     f = _integrand(fnode)
     step = f.step(t, tc)
-    if len(t) <= step:
-        calls = ((t, tc, w),)
-    else:
-        calls = [(t[lo : lo + step], tc[lo : lo + step], w[lo : lo + step])
-                 for lo in range(0, len(t), step)]
     total = None
-    for nodes in calls:
-        vals = f.weighted(*nodes)
+    for lo in range(0, len(t), step):
+        hi = lo + step
+        vals = f.weighted(t[lo:hi], tc[lo:hi], w[lo:hi])
         if sequential:
             for row in vals:
                 total = row if total is None else total + row
@@ -863,9 +858,9 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
     more nodes than keep its values within 2**14 (_CALL_VALUES); a node
     function may give its values per node as a ``width`` attribute, and one
     without it is measured on a single node.  Atoms are summed in atom
-    order from the measure's read-only ``atom_arrays``, in one call when
-    they fit one.  Tolerances are split evenly across the parts so the
-    summed error estimate still meets the spec's bound.
+    order from the measure's read-only ``atom_arrays``.  Tolerances are
+    split evenly across the parts so the summed error estimate still meets
+    the spec's bound.
     """
     fnode = _integrand(fnode)
     spec = spec or DEFAULT_SPEC

@@ -378,9 +378,9 @@ _MIXED = UnitMeasure(
     ids=[e.id for e in catalog()] + ["mixed"],
 )
 def test_rep_functions_at_zero_are_the_endpoint_atoms(measure):
-    # f(0) = mu({0}) and f^T(0) = mu({1}) come from the kernel's endpoint
-    # values, with no case of their own, bit for bit and without a warning;
-    # a zero inside an array leaves the other values as they are without it
+    # f(0) = mu({0}) and f^T(0) = mu({1}) are the weights of the endpoint
+    # atoms, bit for bit and without a warning; a zero inside an array
+    # leaves the other values as they are without it
     conn = Connection(measure)
     f = representing_function(conn)
     f_t = lambda x: transpose_rep_function(conn, x)
@@ -413,6 +413,43 @@ def test_a_scalar_atom_f_stays_within_its_call_budget():
         sys.setprofile(None)
     assert got == want
     assert calls <= 17
+
+
+def test_zeros_stay_out_of_the_integration_calls(monkeypatch):
+    # every call of the kernel holds at most 2**14 values, however many of
+    # the x are zero
+    import kubomeans.connections as connections
+
+    sizes = []
+    kernel = connections._harmonic_scalar
+
+    def counted(xs, t, tc):
+        out = kernel(xs, t, tc)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(connections, "_harmonic_scalar", counted)
+    f = representing_function(Connection(UnitMeasure(ac=lebesgue_density(1.0))))
+    xs = np.zeros(10**5)
+    xs[7] = 0.5
+    vals = f(xs)
+    assert np.count_nonzero(vals) == 1 and vals[7] == f(0.5)
+    assert sizes and max(sizes) <= 2**14
+    sizes.clear()
+    assert not f(np.zeros(10**5)).any()
+    assert not sizes
+
+
+def test_transposed_zero_reads_the_stored_complement():
+    # Psi(1e20) rounds to t = 1.0 but keeps its complement 1e-20: the atom
+    # lies inside (0, 1), so f^T(0) is 0.0, the limit of f^T(x) as x -> 0
+    conn = Connection(pushforward_psi(HalfLineMeasure(atoms=((1e20, 0.5),))))
+    assert conn.measure.atom_pairs() == ((1.0, 1e-20, 0.5),)
+    assert transpose_rep_function(conn, 0.0) == 0.0
+    xs = np.array([1e-20, 1e-24, 1e-28, 1e-32])
+    vals = transpose_rep_function(conn, xs)
+    assert np.all(np.diff(vals) < 0) and vals[-1] < 1e-12
+    assert np.array_equal(transpose_rep_function(conn, np.append(xs, 0.0)), np.append(vals, 0.0))
 
 
 def test_evaluate_canonical_atoms():

@@ -1,8 +1,10 @@
 """Measure model: parts, algebra, reflection, pushforwards, JSON."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from kubomeans.measures import (
     scale,
     total_mass,
 )
-from kubomeans.quadrature import QuadratureSpec, density_mass
+from kubomeans.quadrature import QuadratureSpec, density_mass, integrate_scalar
 
 
 def test_atoms_sorted_merged_and_validated():
@@ -277,6 +279,19 @@ def test_atom_arrays_are_read_only_and_follow_the_atoms():
         assert tuple(zip(*(a.tolist() for a in arrays))) == case.atom_pairs()
     with pytest.raises(ValueError):
         m.atom_arrays[2][0] = 1.0
+
+
+def test_copied_measures_keep_read_only_atom_arrays():
+    # an integration that weights its node values in place must never reach
+    # a copy's atom locations
+    m = UnitMeasure(atoms=((0.7, 0.5), (0.0, 0.25), (1.0, 0.125)), sc=(cantor_ifs(), 0.5))
+    first = integrate_scalar(m, lambda t: t)
+    for case in (copy.deepcopy(m), copy.copy(m), pickle.loads(pickle.dumps(m))):
+        assert case == m and case.atom_pairs() == m.atom_pairs()
+        assert not any(a.flags.writeable for a in case.atom_arrays)
+        assert integrate_scalar(case, lambda t: t) == first
+        assert integrate_scalar(case, lambda t: t) == first
+        assert case.atom_pairs() == m.atom_pairs()
 
 
 def test_json_rejects_unknown_parts():
