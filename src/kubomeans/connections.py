@@ -22,9 +22,11 @@ self-similar part is integrated as M diag(g) M^T with
 g_i = int a_i !_t b_i dmu, the scalar pair kernel integrated at d spectral
 pairs and lifted once.  Every pair has a + b = 1 up to rounding, so the n*d
 spectra of a stack go through one integration and one batched lift.  A
-measure of atoms only (route "atoms") is the finite sum, in atom order, of
-w A and w B at the endpoints, exactly, and of the lift of w (a !_t b) at
-each interior atom; it factors A + B only when some atom is interior.
+measure of atoms only (route "atoms") is not integrated: its value is the
+finite sum, in atom order, of w A and w B at the endpoints, exactly, and of
+w times the lift of a !_t b at each interior atom (``_atom_sum``); it
+factors A + B only when some atom is interior.  ``_lift`` is the one place
+where spectra become matrices.
 
 The pairs an evaluation runs on are a ``_Pairs``: one pair, or two stacks,
 with the work that depends on the pairs alone computed on first use: the
@@ -140,8 +142,8 @@ class EvalReport:
     atom sum, lifted atom by atom on the A + B congruence basis) or
     "congruence" (one integration on the spectra of that basis).
     ``compressed`` counts the pairs evaluated on range(A + B), each in an
-    integration of its own:
-    ``nodes_used`` and ``parts`` cover every integration and
+    integration (or atom sum) of its own: ``nodes_used`` and ``parts`` cover
+    every one, an atom sum as one ("atoms", k, 0.0) row, and
     ``error_estimate`` is the largest.
     """
 
@@ -236,29 +238,31 @@ def _lift(M: np.ndarray, g) -> np.ndarray:
     return _symmetrized((M * g[..., None, :]) @ M.swapaxes(-1, -2))
 
 
-def _atom_fnode(A, B, a, b, M, spectra: list):
-    """Batched t -> A !_t B over atoms (t, 1-t); shape (k,) + A.shape.
+def _atom_sum(mu: UnitMeasure, Ae, Be, basis, spectra: list) -> np.ndarray:
+    """sum_k w_k A !_{t_k} B over mu's atoms, in atom order; (n, d, d).
 
-    A and B exactly at t = 0 and t = 1; in between the lift M diag(g) M^T of
-    g = a !_t b on the congruence basis (a, b, M) of the pair, which may be
-    None when no atom is interior.  A and B are d x d matrices with a and b
-    of shape (d,), or (n, d, d) stacks with (n, d).  Each batch's g is
-    appended to ``spectra``.
+    w A at t = 0 and w B at t = 1, exactly; at an interior atom w times the
+    lift of g = a !_t b (``_pair_fnode``) on the congruence basis (a, b, M)
+    that ``basis()`` returns, asked for at the first interior atom only.
+    Each g is appended to ``spectra``.
     """
-
-    def fnode(t, tc):
-        out = np.empty((len(t),) + A.shape)
-        out[t == 0.0] = A
-        out[t == 1.0] = B
-        mid = (t != 0.0) & (t != 1.0)
-        if mid.any():
-            g = _pair_fnode(a.ravel(), b.ravel())(t[mid], tc[mid])
+    t, tc, w = mu.atom_arrays
+    total = fnode = None
+    for k in range(len(t)):
+        if t[k] == 0.0:
+            term = Ae * w[k]
+        elif t[k] == 1.0:
+            term = Be * w[k]
+        else:
+            if fnode is None:
+                a, b, M = basis()
+                fnode = _pair_fnode(a.ravel(), b.ravel())
+            g = fnode(t[k : k + 1], tc[k : k + 1])
             spectra.append(g)
-            out[mid] = _lift(M, g.reshape((-1,) + a.shape))
-        return out
-
-    fnode.width = A.size
-    return fnode
+            term = _lift(M, g.reshape(a.shape))
+            term *= w[k]
+        total = term if total is None else total + term
+    return total
 
 
 def _range_of(total: SpdMatrix, Ae: np.ndarray, Be: np.ndarray):
@@ -499,29 +503,22 @@ def _evaluate(conn: Connection, pairs: _Pairs, spec):
 
     def kernel(Ae, Be, key):
         if atoms_only:
-            # the basis only for an interior atom, so an endpoint-only measure
-            # never factors a singular A + B; a lone pair keeps the (k, d, d)
-            # node values that perfbench's node_eval metrics read
-            args = (Ae, Be) + (pairs.basis(key) if charges else (None,) * 3)
-            if len(Ae) == 1:
-                args = tuple(x if x is None else x[0] for x in args)
-            report = integrate_measure(_atom_fnode(*args, spectra), mu, spec)
-            value = report.value.reshape(Ae.shape)
-        else:
-            a_eig, b_eig, M = pairs.basis(key)
-            fnode = _pair_fnode(a_eig.ravel(), b_eig.ravel())
-            report = integrate_measure(fnode, mu, spec)
-            spectra.append(report.value)
-            value = _lift(M, report.value.reshape(a_eig.shape))
-        reports.append(report)
-        return value
+            k = len(mu.atoms)
+            reports.append((k, 0.0, (("atoms", k, 0.0),)))
+            return _atom_sum(mu, Ae, Be, lambda: pairs.basis(key), spectra)
+        a_eig, b_eig, M = pairs.basis(key)
+        fnode = _pair_fnode(a_eig.ravel(), b_eig.ravel())
+        report = integrate_measure(fnode, mu, spec)
+        spectra.append(report.value)
+        reports.append((report.nodes_used, report.error_estimate, report.parts))
+        return _lift(M, report.value.reshape(a_eig.shape))
 
     values = _values(pairs, kernel, charges)
     nodes, err, parts = 0, 0.0, ()
-    for r in reports:
-        nodes += r.nodes_used
-        err = max(err, r.error_estimate)
-        parts += r.parts
+    for r_nodes, r_err, r_parts in reports:
+        nodes += r_nodes
+        err = max(err, r_err)
+        parts += r_parts
     compressed = len(pairs.compressed) if charges else 0
     return values, _nonnegative(spectra), nodes, err, parts, route, compressed
 

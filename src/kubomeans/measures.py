@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -161,12 +162,33 @@ class Density:
     __call__ = eval
 
 
+# Density functions are module-level, bound to their parameters with
+# functools.partial, so that measures holding them pickle.
+
+
+def _ones(t, tc):
+    return np.ones_like(t)
+
+
+def _constant(c, t):
+    return np.full_like(t, c)
+
+
+def _geometric(c, alpha, t, tc):
+    return c * t ** (alpha - 1.0) * tc ** (-alpha)
+
+
+def _logmean(t, tc):
+    u = np.log(t / tc)
+    return 1.0 / (t * tc * (math.pi**2 + u * u))
+
+
 def lebesgue_density(weight: float = 1.0) -> Density:
     """Lebesgue measure on [0, 1]."""
     term = DensityTerm(
         ident="lebesgue",
         weight=weight,
-        fn=lambda t, tc: np.ones_like(t),
+        fn=_ones,
         exponents=(0.0, 0.0),
         unit_mass=1.0,
     )
@@ -181,16 +203,12 @@ def geometric_density(alpha: float, weight: float = 1.0) -> Density:
     if not 0.0 < alpha < 1.0:
         raise ValueError("geometric density requires alpha in (0, 1)")
     c = math.sin(alpha * math.pi) / math.pi
-
-    def fn(t, tc):
-        return c * t ** (alpha - 1.0) * tc ** (-alpha)
-
     term = DensityTerm(
         ident=f"geometric:{alpha!r}",
         weight=weight,
-        fn=fn,
+        fn=partial(_geometric, c, alpha),
         exponents=(alpha - 1.0, -alpha),
-        smooth=lambda t: np.full_like(t, c),
+        smooth=partial(_constant, c),
         unit_mass=1.0,
     )
     return Density((term,))
@@ -203,15 +221,10 @@ def logmean_density(weight: float = 1.0) -> Density:
     factor), so the exponents are None and the logistic substitution
     u = log(t/(1-t)) is the integration route.
     """
-
-    def fn(t, tc):
-        u = np.log(t / tc)
-        return 1.0 / (t * tc * (math.pi**2 + u * u))
-
     term = DensityTerm(
         ident="log_mean",
         weight=weight,
-        fn=fn,
+        fn=_logmean,
         exponents=None,
         unit_mass=1.0,
     )
@@ -239,6 +252,34 @@ def _density_from_ident(ident: str, weight: float) -> Density:
             f"got {len(params)}"
         )
     return builder(params, weight)
+
+
+# ---------------------------------------------------------------------------
+# stored complements
+
+# |x + c - 1| a stored complement c of x may show: a few roundings
+_COMPLEMENT_TOL = 2.0**-50
+
+
+def _complements(comp, count: int, what: str):
+    """A stored complement tuple given for ``count`` ``what``, or None."""
+    if comp is not None and len(comp) != count:
+        raise ValueError(
+            f"{len(comp)} complements for {count} {what}; "
+            f"pass {what}_c=None to compute them from the {what}"
+        )
+    return comp
+
+
+def _complement(c, x: float, what: str) -> float:
+    """c as a float, when it is 1 - x to within a few roundings."""
+    c = float(c)
+    if not abs(x + c - 1.0) <= _COMPLEMENT_TOL:
+        raise ValueError(
+            f"complement {c!r} does not match 1 - {x!r}; "
+            f"pass {what}_c=None to compute it from the {what}"
+        )
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +318,11 @@ class IfsMeasure:
                 raise ValueError(f"probability {p} must be finite and nonnegative")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1")
-        comp = self.maps_c
+        comp = _complements(self.maps_c, len(maps), "maps")
         if comp is None:
             comp = tuple(1.0 - r - b for r, b in maps)
+        else:
+            comp = tuple(_complement(c, r + b, "maps") for (r, b), c in zip(maps, comp))
         order = sorted(range(len(maps)), key=lambda i: maps[i])
         object.__setattr__(self, "maps", tuple(maps[i] for i in order))
         object.__setattr__(self, "probs", tuple(probs[i] for i in order))
@@ -344,17 +387,16 @@ class UnitMeasure:
 
     def __post_init__(self):
         triples = []
-        comp = self.atoms_c
+        comp = _complements(self.atoms_c, len(self.atoms), "atoms")
         for i, (t, w) in enumerate(self.atoms):
             t, w = float(t), float(w)
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"atom location {t} outside [0, 1]")
             if w < 0.0 or not math.isfinite(w):
                 raise ValueError(f"atom weight {w} must be finite and nonnegative")
-            if w == 0.0:
-                continue
-            tc = float(comp[i]) if comp is not None else 1.0 - t
-            triples.append((t, tc, w))
+            tc = 1.0 - t if comp is None else _complement(comp[i], t, "atoms")
+            if w > 0.0:
+                triples.append((t, tc, w))
         triples.sort(key=lambda x: (x[0], x[1]))
         merged: list[list[float]] = []
         for t, tc, w in triples:
@@ -593,15 +635,26 @@ class HalfLineDensity:
         rules evaluate g from t and the exact 1 - t, which near t = 1 holds
         the digits that lambda = t/(1-t) needs.
         """
-        rho = self.fn
-
-        def g(t, tc):
-            return rho(t / tc) / (tc * tc)
-
         exponents = None if self.pow0 is None else (self.pow0, self.decay - 2.0)
         return DensityTerm(
-            ident=self.pushforward_ident, weight=1.0, fn=g, exponents=exponents
+            ident=self.pushforward_ident,
+            weight=1.0,
+            fn=partial(_pulled_back, self.fn),
+            exponents=exponents,
         )
+
+
+def _pulled_back(rho, t, tc):
+    return rho(t / tc) / (tc * tc)
+
+
+def _halfline_geometric(c, alpha, lam):
+    return c * lam ** (alpha - 1.0) / (1.0 + lam)
+
+
+def _halfline_logmean(lam):
+    u = np.log(lam)
+    return 1.0 / (lam * (math.pi**2 + u * u))
 
 
 @dataclass(frozen=True)
@@ -643,13 +696,9 @@ def halfline_geometric(alpha: float) -> HalfLineMeasure:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     c = math.sin(alpha * math.pi) / math.pi
-
-    def fn(lam):
-        return c * lam ** (alpha - 1.0) / (1.0 + lam)
-
     return HalfLineMeasure(
         ac=HalfLineDensity(
-            fn=fn,
+            fn=partial(_halfline_geometric, c, alpha),
             pow0=alpha - 1.0,
             decay=2.0 - alpha,
             pushforward_ident=f"geometric:{alpha!r}",
@@ -659,14 +708,9 @@ def halfline_geometric(alpha: float) -> HalfLineMeasure:
 
 def halfline_logmean() -> HalfLineMeasure:
     """Representing measure of the logarithmic mean: 1/(lambda (pi^2 + ln^2 lambda))."""
-
-    def fn(lam):
-        u = np.log(lam)
-        return 1.0 / (lam * (math.pi**2 + u * u))
-
     return HalfLineMeasure(
         ac=HalfLineDensity(
-            fn=fn,
+            fn=_halfline_logmean,
             pow0=None,
             decay=None,
             pushforward_ident="log_mean",

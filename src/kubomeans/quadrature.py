@@ -4,11 +4,13 @@ Every integral against a UnitMeasure splits structurally: atoms are summed
 directly, each density term is integrated by the rule its endpoint exponents
 call for, and singular-continuous parts are integrated by barycentre sums
 over IFS cylinder sets, refined adaptively unless a depth is pinned.
-Matrix-valued and scalar integrands share one driver (node functions return
-stacks of shape (k, d, d) or vectors of shape (k,)), so a 1x1 matrix
-integral and the scalar integral agree bitwise; refinement
-is driven by the largest absolute entry of the difference, which reduces to
-the value itself for scalars.
+Scalar, vector and matrix-valued integrands share one driver (node
+functions return arrays whose leading axis indexes nodes: (k,), (k, m) or
+(k, d, d)), so a 1x1 matrix integral and the scalar integral agree bitwise;
+refinement is driven by the largest absolute entry of the difference, which
+reduces to the value itself for scalars.  The package itself integrates
+only scalar and vector integrands (f and f^T on an x grid, the pair kernel
+on congruence spectra); a matrix-valued one is a caller's.
 
 Node functions receive both coordinates (t, 1 - t) per node.  The pair comes
 from each rule directly (Jacobi nodes give (1+x)/2 and (1-x)/2 from the same
@@ -478,8 +480,8 @@ def _reduce(fnode, t, tc, w, sequential: bool = False):
     """Sum_j w_j * fnode(t, tc)_j over a fixed node order.
 
     numpy's pairwise summation; ``sequential`` forces a plain left-to-right
-    loop (used for atom lists so the sum matches a caller's explicit
-    accumulation bitwise, in calls of any size).  Otherwise a float array
+    loop (used for a measure's atoms, so their sum in atom order matches an
+    explicit left-to-right accumulation bitwise, in calls of any size).  Otherwise a float array
     the node function returns as its own buffer is weighted in place, so a
     call holds one array of values, and summed along the node axis without
     BLAS, so the result does not depend on the BLAS thread count.
@@ -853,7 +855,8 @@ def integrate_measure(fnode, measure, spec: QuadratureSpec | None = None) -> Int
 
     ``fnode(t, tc)`` takes equal-length arrays of locations and complements
     and returns an array whose leading axis indexes nodes: shape (k,) for
-    scalar integrands, (k, d, d) for matrix ones.  Return a new array per
+    scalar integrands, (k, m) for vector ones such as the package's f, f^T
+    and pair kernel, (k, d, d) for matrix ones.  Return a new array per
     call: the reduction scales it by the weights in place.  No call gets
     more nodes than keep its values within 2**14 (_CALL_VALUES); a node
     function may give its values per node as a ``width`` attribute, and one

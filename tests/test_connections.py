@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kubomeans import connections
 from kubomeans.catalog import catalog, closed_form_eval, entry_from_id
 from kubomeans.connections import (
     Connection,
@@ -855,6 +856,49 @@ def test_canonical_finite_atoms_lift_with_the_density(density, monkeypatch):
     assert calls == []
     want = evaluate(Connection(pushforward_psi(nu)), a, b).entries
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+_ATOM_IDS = [
+    e.id for e in catalog() if e.connection.measure.ac is None and e.connection.measure.sc is None
+] + ["finite_atomic:0.2@0,0.3@0.4,0.5@1"]
+
+
+@pytest.mark.parametrize("ident", _ATOM_IDS)
+def test_atom_measures_are_summed_not_integrated(ident, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("an atom-only measure reached the quadrature driver")
+
+    monkeypatch.setattr(connections, "integrate_measure", refuse)
+    conn = entry_from_id(ident).connection
+    k = len(conn.measure.atoms)
+    pd, (sa, sb, _P) = _pair(71, dim=6), _shared_null_pair(71)
+    for a, b in (pd, (sa, sb)):
+        report = evaluate_report(conn, a, b)
+        assert report.route == "atoms" and report.parts == (("atoms", k, 0.0),)
+        for t in (0.0, 0.3, 1.0):
+            weighted_harmonic(a, b, t)
+    many = evaluate_many(conn, np.array([pd[0], sa]), np.array([pd[1], sb]))
+    charges = conn.measure.charges_interior()
+    assert many.compressed == int(charges) and many.nodes_used == k * (1 + charges)
+    nu = HalfLineMeasure(atoms=((0.0, 0.2), (1.0, 0.3), (math.inf, 0.5)))
+    evaluate_canonical(nu, *pd)
+
+
+def test_endpoint_and_interior_atoms_are_their_finite_sum():
+    # 0.2 A + 0.3 (A !_0.4 B) + 0.5 B, added in atom order, bit for bit
+    conn = entry_from_id("finite_atomic:0.2@0,0.3@0.4,0.5@1").connection
+    pairs = [_pair(key, dim=5) for key in (72, 73, 74)]
+
+    def atom_sum(a, b):
+        A, B = SpdMatrix(a).entries, SpdMatrix(b).entries
+        return 0.2 * A + 0.3 * weighted_harmonic(a, b, 0.4).entries + 0.5 * B
+
+    want = [atom_sum(a, b).view(np.uint64) for a, b in pairs]
+    for (a, b), row in zip(pairs, want):
+        assert np.array_equal(_bits(evaluate_report(conn, a, b).value), row)
+    many = evaluate_many(conn, np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    for got, row in zip(many.value.entries, want):
+        assert np.array_equal(got.view(np.uint64), row)
 
 
 def test_successful_evaluations_leave_no_cyclic_garbage():

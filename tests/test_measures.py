@@ -294,6 +294,70 @@ def test_copied_measures_keep_read_only_atom_arrays():
         assert case.atom_pairs() == m.atom_pairs()
 
 
+_LAMBDAS = (0.0, 1e-20, 1.0, 1e20, math.inf)
+
+
+def _atom_producers():
+    m = UnitMeasure(atoms=((0.0, 0.25), (0.3, 0.5), (0.7, 0.125)), ac=lebesgue_density(0.5))
+    out = [m, pushforward_theta(m), add(m, pushforward_theta(m)), scale(m, 0.3)]
+    out += list(decompose_measure(m))
+    for lam in _LAMBDAS:
+        nu = pushforward_psi(halfline_dirac(lam, 0.5))
+        out += [nu, pushforward_theta(nu), add(nu, m), scale(nu, 2.0)]
+    return out
+
+
+def test_replaced_atoms_need_their_own_complements():
+    m = UnitMeasure(atoms=((0.0, 0.25), (0.7, 0.5)))
+    # the old complements do not fit the new atoms: a count or a value off
+    for atoms in (((0.3, 1.0),), ((0.1, 1.0), (0.2, 1.0), (0.3, 1.0)), ((0.0, 1.0), (0.6, 1.0))):
+        with pytest.raises(ValueError, match="atoms_c=None"):
+            dataclasses.replace(m, atoms=atoms)
+    fresh = dataclasses.replace(m, atoms=((0.3, 1.0),), atoms_c=None)
+    assert fresh.atom_pairs() == ((0.3, 0.7, 1.0),)
+    for case in _atom_producers():
+        for copied in (copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
+            assert copied.atom_pairs() == case.atom_pairs()
+        assert dataclasses.replace(case).atom_pairs() == case.atom_pairs()
+
+
+def test_replaced_ifs_maps_need_their_own_complements():
+    ifs = IfsMeasure(maps=((0.5, 0.0), (0.25, 0.5)), probs=(0.5, 0.5))
+    with pytest.raises(ValueError, match="maps_c=None"):
+        dataclasses.replace(ifs, maps=((0.5, 0.5), (0.25, 0.0)))
+    with pytest.raises(ValueError, match="maps_c=None"):
+        dataclasses.replace(
+            ifs, maps=((0.5, 0.5), (0.25, 0.0), (0.1, 0.0)), probs=(0.25, 0.25, 0.5)
+        )
+    fresh = dataclasses.replace(ifs, maps=((0.5, 0.5), (0.25, 0.0)), maps_c=None)
+    assert fresh.maps_c == (0.75, 0.0)
+    for case in (ifs, cantor_ifs(), fresh):
+        twice = case.conjugate().conjugate()
+        assert twice == case and twice.maps_c == case.maps_c
+        for copied in (copy.deepcopy(case), pickle.loads(pickle.dumps(case))):
+            assert copied == case and copied.maps_c == case.maps_c
+        assert dataclasses.replace(case).maps_c == case.maps_c
+
+
+def test_density_measures_pickle_with_their_values():
+    from kubomeans.catalog import catalog
+    from kubomeans.connections import RepFunction
+
+    def round_trip(obj):
+        return pickle.loads(pickle.dumps(obj))
+
+    x = np.array([1e-3, 0.25, 1.0, 4.0, 1e3])
+    cases = [(e.connection.measure,) * 2 for e in catalog()]
+    for nu in (halfline_geometric(0.3), halfline_logmean()):
+        cases.append((pushforward_psi(nu), pushforward_psi(round_trip(nu))))
+        cases.append((UnitMeasure(ac=Density((nu.ac.pullback(),))),) * 2)
+    for m, source in cases:
+        again = round_trip(source)
+        assert again == m
+        want = RepFunction(m)(x)
+        assert np.array_equal(RepFunction(again)(x).view(np.uint64), want.view(np.uint64))
+
+
 def test_json_rejects_unknown_parts():
     with pytest.raises(ValueError):
         measure_from_json({"ac": {"id": "nosuch", "w": 1.0}})

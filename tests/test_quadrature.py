@@ -199,11 +199,11 @@ def test_ifs_nodes_are_cached_read_only():
     again = ifs_nodes(cantor_ifs(), 9)
     assert all(a is b for a, b in zip(first, again))
     assert not any(a.flags.writeable for a in first)
-    # systems that compare equal but carry other complement offsets keep
-    # their own entries
+    # systems that compare equal but carry other complement offsets, one
+    # rounding apart, keep their own entries
     maps, probs = ((0.3, 0.0), (0.3, 0.7)), (0.5, 0.5)
     plain = IfsMeasure(maps, probs)
-    shifted = IfsMeasure(maps, probs, maps_c=(0.7 + 1e-3, 0.0))
+    shifted = IfsMeasure(maps, probs, maps_c=(np.nextafter(0.7, 1.0), 0.0))
     assert plain == shifted
     assert not np.array_equal(ifs_nodes(plain, 3)[1], ifs_nodes(shifted, 3)[1])
 
